@@ -26,9 +26,7 @@
 // wall-clock worker/shard view), --conformance-tau enables per-cell DDP
 // conformance monitoring, --report-out writes the unified run report
 // (--report-volatile opts the schedule-dependent pool section in). Default
-// span/report output is byte-identical for any --jobs. --shards=N
-// additionally runs a faulted ring scenario through the sharded PDES
-// kernel and asserts its run report is byte-identical to the serial one.
+// span/report output is byte-identical for any --jobs.
 #include <array>
 #include <cmath>
 #include <iostream>
@@ -39,7 +37,6 @@
 #include "exp/supervisor.hpp"
 #include "exp/sweep.hpp"
 #include "fault/fault_plan.hpp"
-#include "net/scenario.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "util/args.hpp"
@@ -104,48 +101,6 @@ std::string cell_text(double v) {
   return std::isnan(v) ? "-" : pds::TablePrinter::num(v, 3);
 }
 
-// Sharded-kernel differential: outages and degradations on a graph
-// scenario, serial vs --shards=N. Returns true when the run reports are
-// byte-identical — fault episodes must survive the space partition.
-bool sharded_faults_identical(std::uint32_t shards, double sim_time) {
-  std::ostringstream text;
-  text << "topology ring n=6 capacity=39.375 sched=wtp sdp=1,2,4,8\n"
-          "route east from=n0 to=n2\n"
-          "route west from=n2 to=n0\n"
-          "route cross from=n0 to=n3\n"
-          "source mix east fractions=40,30,20,10 gap=20 size=441 pareto=1.9\n"
-          "source mix west fractions=40,30,20,10 gap=20 size=441 pareto=1.9\n"
-          "flows cross class=3 users=8 size=441 think=1200 request=2"
-          " response=2 deadline=400 rto=900 retries=2\n"
-       << "run until=" << sim_time << " warmup=" << 0.1 * sim_time
-       << " seed=7\n";
-  std::ostringstream plan;
-  plan << "degrade n0>n1 at=" << 0.25 * sim_time << " for=" << 0.1 * sim_time
-       << " factor=0.5\n"
-       << "down n1>n2 at=" << 0.50 * sim_time << " for=" << 0.05 * sim_time
-       << " mode=drop\n"
-       << "down n2>n1 at=" << 0.70 * sim_time << " for=" << 0.05 * sim_time
-       << " mode=hold\n";
-  const auto scenario = pds::parse_scenario(text.str());
-  pds::ScenarioOptions options;
-  options.fault_plan = plan.str();
-  const auto serial =
-      pds::scenario_run_report(scenario, pds::run_scenario(scenario, options),
-                               scenario.run.seed)
-          .dump();
-  pds::ScenarioOptions sharded = options;
-  sharded.shards = shards;
-  sharded.shard_executor = [](std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
-    pds::parallel_for(count, body);
-  };
-  const auto parallel =
-      pds::scenario_run_report(scenario, pds::run_scenario(scenario, sharded),
-                               scenario.run.seed)
-          .dump();
-  return parallel == serial;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -153,16 +108,13 @@ int main(int argc, char** argv) {
     const pds::ArgParser args(argc, argv);
     args.require_known({"sim-time", "seeds", "quick", "jobs", "spans-out",
                         "spans-wall", "conformance-tau", "report-out",
-                        "report-volatile", "shards"});
+                        "report-volatile"});
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 1.2e5 : 4.0e5);
     const auto seeds =
         static_cast<std::uint32_t>(args.get_int("seeds", quick ? 2 : 5));
-    const auto shards =
-        static_cast<std::uint32_t>(args.get_int("shards", 1));
-    pds::ThreadPool::set_global_workers(
-        pds::ThreadPool::plan_workers(args.get_jobs(), shards));
+    pds::ThreadPool::set_global_workers(args.get_jobs());
     const auto spans_out = args.get_string("spans-out", "");
     const bool spans_wall = args.get_bool("spans-wall", false);
     const double conformance_tau = args.get_double("conformance-tau", 0.0);
@@ -324,16 +276,7 @@ int main(int argc, char** argv) {
                  "differentiation); '-' means a window with no departures in\n"
                  "some class (e.g. during a hold-mode outage).\n";
 
-    bool sharded_ok = true;
-    if (shards > 1) {
-      sharded_ok = sharded_faults_identical(shards, quick ? 3.0e4 : 1.0e5);
-      std::cout << "\nsharded kernel (--shards=" << shards
-                << "): faulted ring run report is "
-                << (sharded_ok ? "byte-identical to serial"
-                               : "DIFFERENT from serial (BUG)")
-                << ".\n";
-    }
-    return sup.failures.empty() && sharded_ok ? 0 : 1;
+    return sup.failures.empty() ? 0 : 1;
   } catch (const pds::UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

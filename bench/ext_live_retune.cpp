@@ -28,10 +28,7 @@
 // the tables are byte-identical for any --jobs (control boundaries are
 // scripted simulator events; see docs/control_plane.md).
 //
-// Knobs: --sim-time (time units), --seeds, --quick, --jobs. --shards=N
-// additionally runs the controlled ring scenario through the sharded PDES
-// kernel and asserts the run report is byte-identical to the serial one —
-// live retunes, swaps and sheds must survive the space partition.
+// Knobs: --sim-time (time units), --seeds, --quick, --jobs.
 #include <array>
 #include <cmath>
 #include <iostream>
@@ -41,7 +38,6 @@
 #include "core/study_a.hpp"
 #include "exp/supervisor.hpp"
 #include "exp/sweep.hpp"
-#include "net/scenario.hpp"
 #include "obs/report.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -142,61 +138,18 @@ std::string cell_text(double v) {
   return std::isnan(v) ? "-" : pds::TablePrinter::num(v, 3);
 }
 
-// Sharded-kernel differential: the full control-plane episode set on a
-// graph scenario, serial vs --shards=N. Returns true when the run reports
-// are byte-identical.
-bool sharded_control_identical(std::uint32_t shards, double sim_time) {
-  std::ostringstream text;
-  text << "topology ring n=6 capacity=39.375 sched=wtp sdp=1,2,4,8\n"
-          "route east from=n0 to=n2\n"
-          "route west from=n2 to=n0\n"
-          "route cross from=n0 to=n3\n"
-          "source mix east fractions=40,30,20,10 gap=20 size=441 pareto=1.9\n"
-          "source mix west fractions=40,30,20,10 gap=20 size=441 pareto=1.9\n"
-          "flows cross class=3 users=8 size=441 think=1200 request=2"
-          " response=2 deadline=400\n"
-       << "run until=" << sim_time << " warmup=" << 0.1 * sim_time
-       << " seed=7\n";
-  std::ostringstream plan;
-  plan << "retune n0>n1 at=" << 0.30 * sim_time << " w=1,3,9,27\n"
-       << "swap n1>n2 at=" << 0.50 * sim_time << " sched=hpd\n"
-       << "shed n1>n0 at=" << 0.70 * sim_time << " for=" << 0.1 * sim_time
-       << " watermark=2 classes=2\n";
-  const auto scenario = pds::parse_scenario(text.str());
-  pds::ScenarioOptions options;
-  options.control_plan = plan.str();
-  const auto serial =
-      pds::scenario_run_report(scenario, pds::run_scenario(scenario, options),
-                               scenario.run.seed)
-          .dump();
-  pds::ScenarioOptions sharded = options;
-  sharded.shards = shards;
-  sharded.shard_executor = [](std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
-    pds::parallel_for(count, body);
-  };
-  const auto parallel =
-      pds::scenario_run_report(scenario, pds::run_scenario(scenario, sharded),
-                               scenario.run.seed)
-          .dump();
-  return parallel == serial;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const pds::ArgParser args(argc, argv);
-    args.require_known({"sim-time", "seeds", "quick", "jobs", "shards"});
+    args.require_known({"sim-time", "seeds", "quick", "jobs"});
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 1.2e5 : 4.0e5);
     const auto seeds =
         static_cast<std::uint32_t>(args.get_int("seeds", quick ? 2 : 5));
-    const auto shards =
-        static_cast<std::uint32_t>(args.get_int("shards", 1));
-    pds::ThreadPool::set_global_workers(
-        pds::ThreadPool::plan_workers(args.get_jobs(), shards));
+    pds::ThreadPool::set_global_workers(args.get_jobs());
 
     const std::string plan_text = build_plan(sim_time);
     const auto bounds = boundaries(sim_time);
@@ -349,16 +302,7 @@ int main(int argc, char** argv) {
                  "shows the shed guard trading class-0/1 arrivals for\n"
                  "bounded protected-class delays during the episode.\n";
 
-    bool sharded_ok = true;
-    if (shards > 1) {
-      sharded_ok = sharded_control_identical(shards, quick ? 3.0e4 : 1.0e5);
-      std::cout << "\nsharded kernel (--shards=" << shards
-                << "): controlled ring run report is "
-                << (sharded_ok ? "byte-identical to serial"
-                               : "DIFFERENT from serial (BUG)")
-                << ".\n";
-    }
-    return sup.failures.empty() && ov.failures.empty() && sharded_ok ? 0 : 1;
+    return sup.failures.empty() && ov.failures.empty() ? 0 : 1;
   } catch (const pds::UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -13,7 +13,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "dsim/shard.hpp"
 #include "exp/sweep.hpp"
 #include "net/scenario.hpp"
 #include "obs/report.hpp"
@@ -45,10 +44,7 @@ constexpr const char kUsage[] =
     "  [--metrics-out=FILE(.csv|.jsonl)] [--metrics-window=5000] (tu)\n"
     "  [--report-out=FILE.json] (pds.run_report/1 document)\n"
     "  [--sweep-users=N1,N2,...] [--jobs=N] (closed-loop load sweep;\n"
-    "   output is byte-identical for any --jobs)\n"
-    "  [--shards=N] (sharded conservative-PDES kernel; output is\n"
-    "   byte-identical to --shards=1) [--pdes-stats] (protocol counters\n"
-    "   on stderr)\n";
+    "   output is byte-identical for any --jobs)\n";
 
 std::string read_file(const std::string& path, const char* what) {
   std::ifstream in(path);
@@ -87,8 +83,7 @@ int main(int argc, char** argv) {
                         "fault-plan", "control-plan", "max-events",
                         "max-wall-seconds",
                         "metrics-out", "metrics-window", "report-out",
-                        "sweep-users", "jobs", "shards", "pdes-stats",
-                        "help"});
+                        "sweep-users", "jobs", "help"});
     if (args.has("help")) {
       std::cout << kUsage;
       return 0;
@@ -135,23 +130,6 @@ int main(int argc, char** argv) {
     options.metrics_window = args.get_double("metrics-window", 5000.0);
     const auto report_out = args.get_string("report-out", "");
 
-    options.shards = static_cast<std::uint32_t>(args.get_int("shards", 1));
-    pds::PdesStats pdes_stats;
-    const bool want_pdes_stats = args.get_bool("pdes-stats", false);
-    if (want_pdes_stats) options.pdes_stats = &pdes_stats;
-    if (options.shards > 1) {
-      // Size the pool for the wider of the two parallel layers; shard
-      // windows nested under a --jobs sweep run inline, so this bounds the
-      // live threads at the machine size instead of jobs x shards.
-      pds::ThreadPool::set_global_workers(
-          pds::ThreadPool::plan_workers(args.get_jobs(), options.shards));
-      options.shard_executor =
-          [](std::size_t count,
-             const std::function<void(std::size_t)>& body) {
-            pds::parallel_for(count, body);
-          };
-    }
-
     const pds::Scenario scenario = pds::parse_scenario(text);
     const std::uint64_t seed_used = options.seed.value_or(scenario.run.seed);
 
@@ -166,12 +144,7 @@ int main(int argc, char** argv) {
             "--metrics-out/--report-out are not available with "
             "--sweep-users");
       }
-      if (want_pdes_stats) {
-        throw pds::UsageError(
-            "--pdes-stats is not available with --sweep-users");
-      }
-      pds::ThreadPool::set_global_workers(
-          pds::ThreadPool::plan_workers(args.get_jobs(), options.shards));
+      pds::ThreadPool::set_global_workers(args.get_jobs());
       // One independent cell per load level; results land in grid order,
       // and the table is assembled after the barrier, so stdout is
       // byte-identical for any --jobs.
@@ -204,18 +177,6 @@ int main(int argc, char** argv) {
     }
 
     const auto report = pds::run_scenario(scenario, options);
-
-    if (want_pdes_stats) {
-      // stderr, never stdout: stdout must stay byte-identical across
-      // --shards values, and these counters are shard-count-dependent.
-      std::cerr << "pdes: shards=" << options.shards
-                << " rounds=" << pdes_stats.rounds
-                << " null_rounds=" << pdes_stats.null_rounds
-                << " messages=" << pdes_stats.messages
-                << " max_channel_depth=" << pdes_stats.max_channel_depth
-                << " final_sweeps=" << pdes_stats.final_sweeps
-                << " barrier_seconds=" << pdes_stats.barrier_seconds << "\n";
-    }
 
     pds::TablePrinter routes({"route", "class", "packets",
                               "mean e2e delay", "p95"});

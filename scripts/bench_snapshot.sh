@@ -9,10 +9,8 @@
 # Quick mode keeps wall time small (~30 s): 0.25 s per benchmark, one
 # repetition. The JSON records events/s, ns per op, and the allocation
 # counters for the event-queue hold model, the end-to-end packet pipeline
-# (heap vs calendar), and the scheduler dequeue microbenches, plus the
-# sharded-PDES scaling ladder (wall/speedup/protocol counters; the bench's
-# byte-identity check gates the snapshot), so a PR diff shows hot-path
-# regressions without anyone re-running the suite.
+# (heap vs calendar), and the scheduler dequeue microbenches, so a PR diff
+# shows hot-path regressions without anyone re-running the suite.
 #
 # The bench-pgo preset runs profile-guided optimization in two phases:
 # configure with -DPDS_PGO=generate, build, run both microbench binaries as
@@ -59,7 +57,7 @@ configure() {
 
 build_benches() {
   cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-    --target micro_event_queue micro_schedulers micro_pdes_scaling >/dev/null
+    --target micro_event_queue micro_schedulers >/dev/null
 }
 
 if [[ "${PRESET}" == "bench-pgo" ]]; then
@@ -97,11 +95,6 @@ trap 'rm -rf "${TMP}"' EXIT
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_repetitions="${REPS}" \
   --benchmark_format=json >"${TMP}/schedulers.json" 2>/dev/null
-# Sharded-kernel scaling: byte-identity is the contract (a mismatch exits
-# nonzero and kills the snapshot); the wall/speedup numbers are recorded
-# for the PR diff but never gated across machines.
-"./${BUILD_DIR}/bench/micro_pdes_scaling" --quick \
-  --json="${TMP}/pdes_scaling.json" >/dev/null
 
 python3 - "${TMP}" "${OUT}" "${PRESET}" "${REPS}" <<'PY'
 import json
@@ -140,7 +133,6 @@ def rows(doc):
 
 eq = load(f"{tmp}/event_queue.json")
 sched = load(f"{tmp}/schedulers.json")
-pdes = load(f"{tmp}/pdes_scaling.json")
 
 git_rev = subprocess.run(
     ["git", "rev-parse", "--short", "HEAD"],
@@ -156,7 +148,6 @@ snapshot = {
     },
     "event_queue": rows(eq),
     "schedulers": rows(sched),
-    "pdes_scaling": pdes,
 }
 
 pipeline = snapshot["event_queue"]

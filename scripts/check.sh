@@ -44,22 +44,6 @@ SWEEP_A="$(mktemp)"; SWEEP_B="$(mktemp)"
 diff "${SWEEP_A}" "${SWEEP_B}"
 rm -f "${SWEEP_A}" "${SWEEP_B}"
 
-echo "== sharded kernel: --shards byte-identity on every shipped scenario =="
-# The conservative-PDES kernel's contract: any --shards=N produces the exact
-# stdout of the serial run — graph scenarios (ring, fat_tree) exercise real
-# cross-shard channels, bare-link scenarios collapse onto shard 0.
-SHARD_A="$(mktemp)"; SHARD_B="$(mktemp)"
-for pds in examples/scenarios/*.pds; do
-  ./build/examples/netsim_cli --file="${pds}" --quick > "${SHARD_A}"
-  for n in 2 4; do
-    echo "   ${pds} --shards=${n}"
-    ./build/examples/netsim_cli --file="${pds}" --quick --shards="${n}" \
-      > "${SHARD_B}"
-    diff "${SHARD_A}" "${SHARD_B}"
-  done
-done
-rm -f "${SHARD_A}" "${SHARD_B}"
-
 echo "== control plane: reconfigured-run determinism + controller smoke =="
 # A controlled run must stay byte-identical for any --jobs: every
 # retune/swap/shed boundary is a plan-scripted simulator event
@@ -100,21 +84,12 @@ cmake --build build-obsoff -j "${JOBS}" \
 cmake --build build -j "${JOBS}" --target micro_obs_overhead
 ./build/bench/micro_obs_overhead --events=300000 --packets=80000 --reps=3
 
-echo "== batched packet plane: scalar fallback proof (-DPDS_SIMD=OFF) =="
-# The scalar scan path must stay a first-class citizen: a -DPDS_SIMD=OFF
-# tree has no vector kernels at all, and the dispatch-equivalence suite plus
-# the scan/burst/scheduler suites must produce the same golden traces the
-# SIMD build pins (bit-identical decisions are the contract, not a near
-# match). Built in its own tree so the primary build/ keeps SIMD on.
-cmake -B build-simdoff -S . -DPDS_SIMD=OFF >/dev/null
-cmake --build build-simdoff -j "${JOBS}" \
-  --target dispatch_equiv_test scan_test burst_test sched_basic_test \
-  sched_property_test
-./build-simdoff/tests/dispatch_equiv_test
-./build-simdoff/tests/scan_test
-./build-simdoff/tests/burst_test
-./build-simdoff/tests/sched_basic_test
-./build-simdoff/tests/sched_property_test
+echo "== benchmark mirror: perfbench self-test =="
+# perfbench/ builds its own Release tree against the library sources, and
+# its traced rebuild mirrors the serial scenario runner: the self-test fails
+# when a library change breaks that build or when the traced run stops
+# reproducing the untraced output digest.
+CARGO_TARGET_DIR=build-perfbench python3 perfbench/selftest.py
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== fast mode: targeted ASan/UBSan over fault + ctrl + supervisor + obs suites =="
@@ -147,18 +122,16 @@ ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 echo "== sanitizers: TSan build + threaded suites (experiment engine) =="
 # ASan and TSan cannot share a binary, so the TSan pass gets its own tree.
 # Only the suites that exercise threads are run: the experiment engine
-# (pool/steal/exception paths), the kernel it drives concurrently, the
+# (pool/steal/exception paths), the kernel it drives concurrently, and the
 # scenario suite (its controlled-sweep byte-identity test fans a
-# reconfigured run over the pool), and the sharded-PDES suite (its window
-# rounds run shard replicas on pool workers with SPSC channel handoffs).
+# reconfigured run over the pool).
 cmake -B build-tsan -S . -DPDS_TSAN=ON -DPDS_BUILD_BENCH=OFF \
   -DPDS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
-  --target exp_test dsim_test supervisor_test scenario_test pdes_test
+  --target exp_test dsim_test supervisor_test scenario_test
 ./build-tsan/tests/exp_test
 ./build-tsan/tests/dsim_test
 ./build-tsan/tests/supervisor_test
 ./build-tsan/tests/scenario_test
-./build-tsan/tests/pdes_test
 
 echo "== all checks passed =="

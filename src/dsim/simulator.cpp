@@ -33,18 +33,6 @@ void Simulator::run_until(SimTime t_end) {
   drain(t_end, DrainBound::kInclusive);
 }
 
-void Simulator::run_before(SimTime bound) {
-  PDS_CHECK(bound >= now_, "bound is in the past");
-  drain(bound, DrainBound::kStrict);
-}
-
-void Simulator::advance_to(SimTime t) {
-  PDS_CHECK(t >= now_, "cannot advance the clock backwards");
-  PDS_CHECK(events_.empty() || events_.next_time() >= t,
-            "advance_to would skip a pending event");
-  now_ = t;
-}
-
 void Simulator::drain(SimTime horizon, DrainBound bound) {
   events_.visit([&](auto& queue) { drain_impl(queue, horizon, bound); });
 }
@@ -64,7 +52,6 @@ void Simulator::drain_impl(Queue& queue, SimTime horizon, DrainBound bound) {
   stopped_ = false;
   while (!queue.empty() && !stopped_) {
     if (bound == DrainBound::kInclusive && queue.next_time() > horizon) break;
-    if (bound == DrainBound::kStrict && queue.next_time() >= horizon) break;
     if (budgeted) {
       if (budget_events_ > 0 && run_executed >= budget_events_) {
         throw SimBudgetExceeded(
@@ -101,9 +88,7 @@ void Simulator::drain_impl(Queue& queue, SimTime horizon, DrainBound bound) {
   }
   // Advance to the horizon only on a normal run_until exit. After stop() the
   // queue may still hold events before the horizon; jumping the clock past
-  // them would make them "past" events and break a subsequent run. A strict
-  // drain (run_before) never touches the clock: events at exactly the bound
-  // are still pending.
+  // them would make them "past" events and break a subsequent run.
   if (bound == DrainBound::kInclusive && !stopped_ && now_ < horizon) {
     now_ = horizon;
   }

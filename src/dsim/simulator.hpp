@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -102,25 +101,6 @@ class Simulator {
   void run();
   void run_until(SimTime t_end);
 
-  // Runs events with time strictly below `bound`, leaving the clock at the
-  // last executed event (never bumped to the bound). Events at exactly
-  // `bound` stay pending. This is the conservative-PDES window primitive
-  // (dsim/shard.hpp): a shard drains everything below its safe bound, then
-  // interleaves cross-shard messages via advance_to().
-  void run_before(SimTime bound);
-
-  // Jumps the clock to `t` without executing anything. Requires t >= now()
-  // and no pending event before `t` — the caller asserts it already drained
-  // the prefix (via run_before). Used to deliver a cross-shard message whose
-  // timestamp falls between local events.
-  void advance_to(SimTime t);
-
-  // Timestamp of the earliest pending event; +infinity when idle.
-  SimTime next_time() const noexcept {
-    return events_.empty() ? std::numeric_limits<SimTime>::infinity()
-                           : events_.next_time();
-  }
-
   // Requests that the run loop exits after the current event returns.
   void stop() noexcept { stopped_ = true; }
 
@@ -153,10 +133,8 @@ class Simulator {
 
  private:
   // kInclusive: events at exactly the horizon fire and the clock advances to
-  // the horizon on a normal exit (run_until). kStrict: only events strictly
-  // below the horizon fire and the clock stays at the last executed event
-  // (run_before).
-  enum class DrainBound : std::uint8_t { kNone, kInclusive, kStrict };
+  // the horizon on a normal exit (run_until).
+  enum class DrainBound : std::uint8_t { kNone, kInclusive };
 
   void drain(SimTime horizon, DrainBound bound);
   // The run loop, instantiated once per concrete queue type so every queue

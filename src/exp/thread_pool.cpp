@@ -105,15 +105,6 @@ std::uint32_t ThreadPool::resolve_workers(std::uint32_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-std::uint32_t ThreadPool::plan_workers(std::uint32_t jobs,
-                                       std::uint32_t shards) {
-  const unsigned hw_raw = std::thread::hardware_concurrency();
-  const std::uint32_t hw = hw_raw > 0 ? hw_raw : 1;
-  const std::uint32_t want =
-      std::max(resolve_workers(jobs), shards > 0 ? shards : 1u);
-  return std::min(want, hw);
-}
-
 ThreadPool& ThreadPool::global() {
   std::lock_guard<std::mutex> lk(g_global_mu);
   if (!g_global_pool) {

@@ -108,14 +108,6 @@ class ThreadPool {
   // integer); else hardware_concurrency (min 1).
   static std::uint32_t resolve_workers(std::uint32_t requested);
 
-  // Oversubscription guard for runs that layer parallelism (--jobs sweeps
-  // around --shards simulations): enough workers to serve both the resolved
-  // --jobs request and `shards` concurrent shard windows, clamped to the
-  // hardware concurrency. Nested parallel_for calls already run inline, so
-  // the clamp bounds the total live threads at the machine size instead of
-  // jobs x shards.
-  static std::uint32_t plan_workers(std::uint32_t jobs, std::uint32_t shards);
-
  private:
   struct Shard;
   struct Job;

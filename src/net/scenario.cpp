@@ -1,23 +1,19 @@
 #include "net/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
-#include <set>
 #include <sstream>
 
 #include "ctrl/control_injector.hpp"
 #include "ctrl/control_plan.hpp"
-#include "dsim/shard.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/flows.hpp"
-#include "net/partition.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pdes_trace.hpp"
 #include "obs/report.hpp"
-#include "sched/scan.hpp"
-#include "sched/scheduler.hpp"
 #include "stats/percentile.hpp"
 #include "traffic/source.hpp"
 #include "util/contracts.hpp"
@@ -135,22 +131,38 @@ class Options {
   std::vector<std::string> flags_;
 };
 
-// Parse-time view of the declared graph, for routed-route validation.
+// Parse-time view of the declared graph, for route validation.
 struct ParseGraph {
   std::map<std::string, NodeId> node_index;
   std::vector<GraphEdge> edges;  // link = index into scenario.links
-  std::set<std::string> link_names;
-  std::set<std::string> route_names;
+  std::map<std::string, std::uint32_t> link_index;  // into scenario.links
+  std::vector<std::size_t> link_classes;            // sdp= count per link
+  std::map<std::string, std::size_t> route_index;   // into scenario.routes
+  // Per route, the classes it can carry (the smallest sdp= count on its
+  // path), and how many edges were declared when that was computed.
+  std::vector<std::size_t> route_classes;
+  std::vector<std::size_t> route_edges;
 };
 
-// Positive-integer option with a clean per-line error.
-std::uint32_t integer(Options& opts, const std::string& key,
-                      std::size_t line_no) {
-  const double v = opts.number(key);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    fail(line_no, key + " must be a non-negative integer");
+// Integer option in [0, UINT32_MAX] with a clean per-line error: values out
+// of range are rejected, never truncated or wrapped.
+std::uint32_t to_integer(double v, const std::string& key,
+                         std::size_t line_no) {
+  constexpr double kMax = std::numeric_limits<std::uint32_t>::max();
+  if (!(v >= 0.0 && v <= kMax) || v != std::floor(v)) {
+    fail(line_no, key + " must be an integer in [0, 4294967295]");
   }
   return static_cast<std::uint32_t>(v);
+}
+
+std::uint32_t integer(Options& opts, const std::string& key,
+                      std::size_t line_no) {
+  return to_integer(opts.number(key), key, line_no);
+}
+
+std::uint32_t integer_or(Options& opts, const std::string& key,
+                         std::uint32_t def, std::size_t line_no) {
+  return to_integer(opts.number_or(key, def), key, line_no);
 }
 
 // Optional burst=<k> option: packets drained per scheduler decision.
@@ -186,15 +198,15 @@ void add_scenario_node(Scenario& scenario, ParseGraph& graph,
 
 void add_scenario_link(Scenario& scenario, ParseGraph& graph,
                        ScenarioLink link, std::size_t line_no) {
-  if (!graph.link_names.insert(link.name).second) {
+  const auto index = static_cast<std::uint32_t>(scenario.links.size());
+  if (!graph.link_index.emplace(link.name, index).second) {
     fail(line_no, "duplicate link name " + link.name);
   }
   if (!link.from.empty()) {
-    graph.edges.push_back(
-        GraphEdge{static_cast<std::uint32_t>(scenario.links.size()),
-                  graph.node_index.at(link.from),
-                  graph.node_index.at(link.to)});
+    graph.edges.push_back(GraphEdge{index, graph.node_index.at(link.from),
+                                    graph.node_index.at(link.to)});
   }
+  graph.link_classes.push_back(link.sdp.size());
   scenario.links.push_back(std::move(link));
 }
 
@@ -211,6 +223,84 @@ const ScenarioRoute* find_route(const Scenario& scenario,
     if (r.name == name) return &r;
   }
   return nullptr;
+}
+
+std::vector<std::uint32_t> shortest_path(const Scenario& scenario,
+                                         const ParseGraph& graph,
+                                         const std::string& from,
+                                         const std::string& to) {
+  return shortest_path_links(static_cast<NodeId>(scenario.nodes.size()),
+                             graph.edges, graph.node_index.at(from),
+                             graph.node_index.at(to));
+}
+
+// Classes every link of `path` can queue: its smallest sdp= count.
+std::size_t path_classes(const ParseGraph& graph,
+                         const std::vector<std::uint32_t>& path) {
+  std::size_t classes = std::numeric_limits<std::size_t>::max();
+  for (const std::uint32_t id : path) {
+    classes = std::min(classes, graph.link_classes[id]);
+  }
+  return classes;
+}
+
+// `count` classes (indices 0..count-1) must fit the `classes` of `path`.
+void check_class(std::size_t line_no, std::size_t count, const char* what,
+                 std::size_t classes, const std::string& path) {
+  if (count > classes) {
+    fail(line_no, what + std::to_string(count - 1) + " exceeds the " +
+                      std::to_string(classes) + " classes of " + path +
+                      " (its smallest sdp= count)");
+  }
+}
+
+// Every class a source or flows directive emits must be queueable on each
+// link it crosses — for flows, on the request and on the response path.
+// Checked once the whole file is read, because a routed route takes its
+// shortest path over every declared edge, as the run does.
+void check_route_classes(const Scenario& scenario, const ParseGraph& graph,
+                         const std::vector<std::size_t>& source_lines,
+                         const std::vector<std::size_t>& flow_lines) {
+  // A routed route declared before the last edge may run on a different
+  // path: recompute it over every edge.
+  std::vector<std::size_t> route_classes = graph.route_classes;
+  for (std::size_t r = 0; r < scenario.routes.size(); ++r) {
+    const auto& route = scenario.routes[r];
+    if (!route.from.empty() && graph.route_edges[r] != graph.edges.size()) {
+      route_classes[r] = path_classes(
+          graph, shortest_path(scenario, graph, route.from, route.to));
+    }
+  }
+  const auto classes_of = [&](const std::string& name) {
+    return route_classes[graph.route_index.at(name)];
+  };
+  for (std::size_t i = 0; i < scenario.sources.size(); ++i) {
+    const auto& src = scenario.sources[i];
+    const std::size_t classes = classes_of(src.route);
+    if (src.kind == ScenarioSourceKind::kMix) {
+      check_class(source_lines[i], src.fractions.size(), "fractions= class ",
+                  classes, "route " + src.route);
+    } else {
+      check_class(source_lines[i], std::size_t{src.cls} + 1, "class ",
+                  classes, "route " + src.route);
+    }
+  }
+  for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
+    const auto& f = scenario.flows[i];
+    const std::size_t count = std::size_t{f.cls} + 1;
+    check_class(flow_lines[i], count, "class ", classes_of(f.route),
+                "route " + f.route);
+    if (!f.reverse.empty()) {
+      check_class(flow_lines[i], count, "class ", classes_of(f.reverse),
+                  "route " + f.reverse);
+    } else {
+      const ScenarioRoute& fwd =
+          scenario.routes[graph.route_index.at(f.route)];
+      const auto back = shortest_path(scenario, graph, fwd.to, fwd.from);
+      check_class(flow_lines[i], count, "class ", path_classes(graph, back),
+                  "the response path of route " + f.route);
+    }
+  }
 }
 
 void expand_topology(Scenario& scenario, ParseGraph& graph,
@@ -277,6 +367,8 @@ void expand_topology(Scenario& scenario, ParseGraph& graph,
 Scenario parse_scenario(const std::string& text) {
   Scenario scenario;
   ParseGraph graph;
+  std::vector<std::size_t> source_lines;
+  std::vector<std::size_t> flow_lines;
   bool saw_run = false;
   std::istringstream in(text);
   std::string line;
@@ -327,9 +419,11 @@ Scenario parse_scenario(const std::string& text) {
       if (tokens.size() < 3) fail(line_no, "route needs a name and links");
       ScenarioRoute route;
       route.name = tokens[1];
-      if (!graph.route_names.insert(route.name).second) {
+      if (!graph.route_index.emplace(route.name, scenario.routes.size())
+               .second) {
         fail(line_no, "duplicate route name " + route.name);
       }
+      std::size_t classes = std::numeric_limits<std::size_t>::max();
       const bool routed = tokens[2].find('=') != std::string::npos;
       if (routed) {
         Options opts(tokens, 2, line_no);
@@ -345,15 +439,20 @@ Scenario parse_scenario(const std::string& text) {
         if (path.empty()) {
           fail(line_no, "no path from " + route.from + " to " + route.to);
         }
+        classes = path_classes(graph, path);
       } else {
         for (std::size_t i = 2; i < tokens.size(); ++i) {
-          if (!graph.link_names.count(tokens[i])) {
+          const auto link = graph.link_index.find(tokens[i]);
+          if (link == graph.link_index.end()) {
             fail(line_no, "unknown link " + tokens[i]);
           }
           route.links.push_back(tokens[i]);
+          classes = std::min(classes, graph.link_classes[link->second]);
         }
       }
       scenario.routes.push_back(std::move(route));
+      graph.route_classes.push_back(classes);
+      graph.route_edges.push_back(graph.edges.size());
     } else if (kind == "source") {
       if (tokens.size() < 3) fail(line_no, "source needs a kind and route");
       ScenarioSource src;
@@ -374,11 +473,11 @@ Scenario parse_scenario(const std::string& text) {
 
       Options opts(tokens, 3, line_no);
       src.start = opts.number_or("start", 0.0);
-      src.size_bytes =
-          static_cast<std::uint32_t>(opts.number("size"));
+      src.size_bytes = integer(opts, "size", line_no);
+      if (src.size_bytes < 1) fail(line_no, "source needs size >= 1");
       switch (src.kind) {
         case ScenarioSourceKind::kRenewal:
-          src.cls = static_cast<ClassId>(opts.number("class"));
+          src.cls = integer(opts, "class", line_no);
           src.gap = opts.number("gap");
           src.pareto_alpha =
               opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
@@ -390,13 +489,14 @@ Scenario parse_scenario(const std::string& text) {
               opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
           break;
         case ScenarioSourceKind::kCbr:
-          src.cls = static_cast<ClassId>(opts.number("class"));
-          src.count = static_cast<std::uint32_t>(opts.number("count"));
+          src.cls = integer(opts, "class", line_no);
+          src.count = integer(opts, "count", line_no);
           src.interval = opts.number("interval");
           break;
       }
       opts.finish();
       scenario.sources.push_back(std::move(src));
+      source_lines.push_back(line_no);
     } else if (kind == "flows") {
       if (tokens.size() < 2) fail(line_no, "flows need a route");
       ScenarioFlows f;
@@ -405,18 +505,16 @@ Scenario parse_scenario(const std::string& text) {
       if (!route) fail(line_no, "unknown route " + f.route);
 
       Options opts(tokens, 2, line_no);
-      f.cls = static_cast<ClassId>(integer(opts, "class", line_no));
+      f.cls = integer(opts, "class", line_no);
       f.users = integer(opts, "users", line_no);
       f.size_bytes = integer(opts, "size", line_no);
       f.think_mean = opts.number("think");
-      f.request_packets =
-          static_cast<std::uint32_t>(opts.number_or("request", 1.0));
-      f.response_packets = static_cast<std::uint32_t>(
-          opts.number_or("response", f.request_packets));
+      f.request_packets = integer_or(opts, "request", 1, line_no);
+      f.response_packets =
+          integer_or(opts, "response", f.request_packets, line_no);
       f.deadline = opts.number_or("deadline", 0.0);
       f.rto = opts.number_or("rto", 0.0);
-      f.max_retries =
-          static_cast<std::uint32_t>(opts.number_or("retries", 0.0));
+      f.max_retries = integer_or(opts, "retries", 0, line_no);
       f.backoff = opts.number_or("backoff", 2.0);
       f.rto_cap = opts.number_or("rto_cap", 0.0);
       f.throttle_tokens = opts.number_or("throttle", 0.0);
@@ -456,6 +554,7 @@ Scenario parse_scenario(const std::string& text) {
         }
       }
       scenario.flows.push_back(std::move(f));
+      flow_lines.push_back(line_no);
     } else if (kind == "run") {
       if (saw_run) fail(line_no, "duplicate run directive");
       saw_run = true;
@@ -476,6 +575,7 @@ Scenario parse_scenario(const std::string& text) {
   if (scenario.sources.empty() && scenario.flows.empty()) {
     throw std::invalid_argument("scenario defines no sources");
   }
+  check_route_classes(scenario, graph, source_lines, flow_lines);
   PDS_CHECK(scenario.run.until > scenario.run.warmup,
             "run horizon must exceed the warmup");
   return scenario;
@@ -483,141 +583,8 @@ Scenario parse_scenario(const std::string& text) {
 
 namespace {
 
-// ===========================================================================
-// Execution machinery. The serial path and the sharded (--shards) path build
-// the simulation through the same Replica/build_replica code so that every
-// shard constructs state — and consumes its master Rng — in exactly the
-// order the serial run does; that construction-order identity is what makes
-// the sharded report byte-identical to the serial one.
-// ===========================================================================
-
-// Static sharding plan: the partition, per-route link paths (including the
-// auto-created reverse routes, appended in the same order run-time
-// construction creates them), exit-handler placement, and the lookahead
-// matrix. A pure function of the scenario and the shard count.
-struct ScenarioPlan {
-  std::uint32_t shards = 1;
-  Partition part;
-  std::vector<std::vector<LinkId>> route_paths;
-  std::vector<std::uint32_t> route_exit;  // shard running each exit handler
-  std::vector<SimTime> lookahead;         // shards x shards, flattened
-};
-
-ScenarioPlan plan_scenario(const Scenario& scenario, std::uint32_t shards,
-                           PartitionMethod method) {
-  ScenarioPlan plan;
-  plan.shards = shards;
-
-  std::map<std::string, NodeId> node_index;
-  for (std::size_t i = 0; i < scenario.nodes.size(); ++i) {
-    node_index[scenario.nodes[i]] = static_cast<NodeId>(i);
-  }
-  std::vector<GraphEdge> edges;
-  std::vector<double> capacities(scenario.links.size(), 0.0);
-  std::map<std::string, LinkId> link_index;
-  for (std::size_t i = 0; i < scenario.links.size(); ++i) {
-    const auto& link = scenario.links[i];
-    link_index[link.name] = static_cast<LinkId>(i);
-    capacities[i] = link.capacity;
-    if (!link.from.empty()) {
-      edges.push_back(GraphEdge{static_cast<std::uint32_t>(i),
-                                node_index.at(link.from),
-                                node_index.at(link.to)});
-    }
-  }
-
-  std::map<std::string, RouteId> route_ids;
-  for (std::size_t r = 0; r < scenario.routes.size(); ++r) {
-    const auto& route = scenario.routes[r];
-    std::vector<LinkId> path;
-    if (route.from.empty()) {
-      for (const auto& name : route.links) path.push_back(link_index.at(name));
-    } else {
-      path = shortest_path_links(static_cast<NodeId>(scenario.nodes.size()),
-                                 edges, node_index.at(route.from),
-                                 node_index.at(route.to));
-    }
-    PDS_REQUIRE(!path.empty());
-    route_ids[route.name] = static_cast<RouteId>(r);
-    plan.route_paths.push_back(std::move(path));
-  }
-
-  // Auto-created reverse routes get the ids run_scenario's flows loop will
-  // assign them (appended past the file routes, one per distinct forward
-  // route, in flows order).
-  std::map<std::string, RouteId> auto_reverse;
-  std::vector<std::pair<RouteId, RouteId>> flow_routes;
-  for (const auto& f : scenario.flows) {
-    const RouteId forward = route_ids.at(f.route);
-    RouteId reverse;
-    if (!f.reverse.empty()) {
-      reverse = route_ids.at(f.reverse);
-    } else {
-      const auto it = auto_reverse.find(f.route);
-      if (it != auto_reverse.end()) {
-        reverse = it->second;
-      } else {
-        const ScenarioRoute* route = find_route(scenario, f.route);
-        PDS_REQUIRE(route != nullptr && !route->from.empty());
-        auto back = shortest_path_links(
-            static_cast<NodeId>(scenario.nodes.size()), edges,
-            node_index.at(route->to), node_index.at(route->from));
-        PDS_REQUIRE(!back.empty());
-        reverse = static_cast<RouteId>(plan.route_paths.size());
-        plan.route_paths.push_back(std::move(back));
-        auto_reverse.emplace(f.route, reverse);
-      }
-    }
-    flow_routes.emplace_back(forward, reverse);
-  }
-
-  plan.part = partition_topology(
-      static_cast<std::uint32_t>(scenario.nodes.size()),
-      static_cast<std::uint32_t>(scenario.links.size()), edges, capacities,
-      shards, method);
-
-  // Exit handlers run where the last hop is owned — except flow routes,
-  // whose exits feed workload state living on shard 0.
-  plan.route_exit.resize(plan.route_paths.size());
-  for (std::size_t r = 0; r < plan.route_paths.size(); ++r) {
-    plan.route_exit[r] = plan.part.link_owner[plan.route_paths[r].back()];
-  }
-  for (const auto& [fwd, rev] : flow_routes) {
-    plan.route_exit[fwd] = 0;
-    plan.route_exit[rev] = 0;
-  }
-
-  double min_bytes = kSimTimeInfinity;
-  for (const auto& src : scenario.sources) {
-    min_bytes = std::min(min_bytes, static_cast<double>(src.size_bytes));
-  }
-  for (const auto& f : scenario.flows) {
-    min_bytes = std::min(min_bytes, static_cast<double>(f.size_bytes));
-  }
-  PDS_CHECK(min_bytes >= 1.0,
-            "sharded runs need every source size to be at least one byte");
-
-  plan.lookahead = make_lookahead(shards);
-  add_route_lookahead(plan.lookahead, plan.part, plan.route_paths,
-                      plan.route_exit, capacities, min_bytes);
-  // Workload injections: shard 0 hands request/response packets to the
-  // first hop's owner at the current time — zero lookahead, safe because
-  // shard 0 never has zero-lookahead in-edges (see net/partition.hpp).
-  for (const auto& [fwd, rev] : flow_routes) {
-    for (const RouteId r : {fwd, rev}) {
-      const std::uint32_t owner =
-          plan.part.link_owner[plan.route_paths[r].front()];
-      if (owner != 0) {
-        add_lookahead_edge(plan.lookahead, shards, 0, owner, 0.0);
-      }
-    }
-  }
-  return plan;
-}
-
-// One shard's complete simulation state — or the whole simulation when run
-// serially. Field order mirrors the old run_scenario local order so the
-// destruction sequence is unchanged.
+// The complete state of one scenario run. Field order mirrors the old
+// run_scenario local order so the destruction sequence is unchanged.
 struct Replica {
   explicit Replica(std::uint64_t seed) : master(seed), net(sim) {}
 
@@ -640,25 +607,15 @@ struct Replica {
   std::vector<std::unique_ptr<RenewalSource>> renewals;
   std::vector<std::unique_ptr<ClassMixSource>> mixes;
   std::vector<std::unique_ptr<CbrFlowSource>> cbrs;
-  std::vector<bool> renewal_started;
-  std::vector<bool> mix_started;
   std::vector<std::unique_ptr<RpcWorkload>> workloads;
   std::unique_ptr<FaultInjector> injector;
   std::unique_ptr<ControlInjector> control;
 };
 
-using PublishFn = std::function<void(std::uint32_t, SimTime, Packet&&)>;
-
-// Builds one replica of the scenario. Serial runs pass plan == nullptr and
-// get the exact construction sequence run_scenario always had. Sharded runs
-// build the identical structure on every shard — same ids, same Rng split
-// order — but start a source only on the shard owning its route's first
-// link, start workloads only on shard 0, and bind the shard identity so
-// cross-cut transmissions publish instead of delivering locally.
+// Builds and starts the simulation: nodes, links, routes, auto-reverse
+// routes, sources, workloads, then the fault and control plans.
 void build_replica(Replica& rep, const Scenario& scenario,
-                   const ScenarioOptions& options, double warmup,
-                   const ScenarioPlan* plan, std::uint32_t self,
-                   PublishFn publish) {
+                   const ScenarioOptions& options, double warmup) {
   for (const auto& name : scenario.nodes) {
     rep.node_ids[name] = rep.net.add_node(name);
   }
@@ -737,21 +694,6 @@ void build_replica(Replica& rep, const Scenario& scenario,
     rep.flow_routes.emplace_back(forward, reverse);
   }
 
-  const bool sharded = plan != nullptr && plan->shards > 1;
-  if (sharded) {
-    PDS_REQUIRE(plan->route_paths.size() == rep.net.num_routes());
-    ShardBinding binding;
-    binding.self = self;
-    binding.link_owner = plan->part.link_owner;
-    binding.route_exit_shard = plan->route_exit;
-    binding.publish = std::move(publish);
-    rep.net.bind_shard(std::move(binding));
-  }
-  const auto owns_route = [plan, self, sharded](RouteId route) {
-    return !sharded ||
-           plan->part.link_owner[plan->route_paths[route].front()] == self;
-  };
-
   const auto make_gaps = [](const ScenarioSource& src) {
     return src.pareto_alpha > 0.0 ? pareto_gaps(src.pareto_alpha, src.gap)
                                   : exponential_gaps(src.gap);
@@ -759,36 +701,31 @@ void build_replica(Replica& rep, const Scenario& scenario,
 
   // Rng split order: every source in file order, then every workload in
   // file order — adding flows to a scenario never perturbs the packet
-  // streams of its existing sources. Sharded runs construct (and split for)
-  // every source on every replica to keep this order, then start only the
-  // owned ones.
+  // streams of its existing sources.
   for (const auto& src : scenario.sources) {
     const RouteId route = rep.route_ids.at(src.route);
     Network& net = rep.net;
     const auto handler = [&net, route](Packet p) {
       net.inject(std::move(p), route);
     };
-    const bool owned = owns_route(route);
     switch (src.kind) {
       case ScenarioSourceKind::kRenewal:
         rep.renewals.push_back(std::make_unique<RenewalSource>(
             rep.sim, rep.ids, src.cls, make_gaps(src),
             fixed_size(src.size_bytes), rep.master.split(), handler));
-        rep.renewal_started.push_back(owned);
-        if (owned) rep.renewals.back()->start(src.start);
+        rep.renewals.back()->start(src.start);
         break;
       case ScenarioSourceKind::kMix:
         rep.mixes.push_back(std::make_unique<ClassMixSource>(
             rep.sim, rep.ids, src.fractions, make_gaps(src),
             fixed_size(src.size_bytes), rep.master.split(), handler));
-        rep.mix_started.push_back(owned);
-        if (owned) rep.mixes.back()->start(src.start);
+        rep.mixes.back()->start(src.start);
         break;
       case ScenarioSourceKind::kCbr:
         rep.cbrs.push_back(std::make_unique<CbrFlowSource>(
             rep.sim, rep.ids, src.cls, kNoFlow - 1, src.count, src.size_bytes,
             src.interval, handler));
-        if (owned) rep.cbrs.back()->start(src.start);
+        rep.cbrs.back()->start(src.start);
         break;
     }
   }
@@ -823,17 +760,10 @@ void build_replica(Replica& rep, const Scenario& scenario,
           rep.workloads[i].get());
     }
   }
-  // Workloads (and their closed-loop state machines) live on shard 0.
-  if (!sharded || self == 0) {
-    for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
-      rep.workloads[i]->start(scenario.flows[i].start);
-    }
+  for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
+    rep.workloads[i]->start(scenario.flows[i].start);
   }
 
-  // Fault and control plans are clock-driven, so arming them on every
-  // replica makes the episodes fire identically everywhere; each episode
-  // only has observable effect on the links the replica owns (the others
-  // carry no traffic).
   if (!options.fault_plan.empty()) {
     rep.injector = std::make_unique<FaultInjector>(
         rep.sim, parse_fault_plan(options.fault_plan));
@@ -848,44 +778,27 @@ void build_replica(Replica& rep, const Scenario& scenario,
   }
 }
 
-// Stops the open-loop sources that were started on this replica (the serial
-// path's post-run stop, applied per shard).
+// Stops the open-loop sources after the run.
 void stop_sources(Replica& rep) {
-  for (std::size_t i = 0; i < rep.renewals.size(); ++i) {
-    if (rep.renewal_started[i]) rep.renewals[i]->stop();
-  }
-  for (std::size_t i = 0; i < rep.mixes.size(); ++i) {
-    if (rep.mix_started[i]) rep.mixes[i]->stop();
-  }
+  for (auto& s : rep.renewals) s->stop();
+  for (auto& s : rep.mixes) s->stop();
 }
 
-// Assembles the ScenarioReport from the replica set. Serial runs pass
-// plan == nullptr and a single replica; sharded runs read each figure from
-// the one shard where it accumulated (exit shard for route stats, owning
-// shard for link stats, shard 0 for workloads and injector counters), so
-// the assembled report is the serial one, field for field.
 void fill_report(ScenarioReport& report, const Scenario& scenario,
-                 const ScenarioPlan* plan, Replica* const* replicas) {
-  Replica& home = *replicas[0];
-  const std::uint32_t shards = plan != nullptr ? plan->shards : 1;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    report.total_exits += replicas[s]->total_exits;
-  }
-
+                 const Replica& rep) {
+  report.total_exits = rep.total_exits;
   for (std::size_t r = 0; r < scenario.routes.size(); ++r) {
-    Replica& ex = plan != nullptr ? *replicas[plan->route_exit[r]] : home;
-    for (ClassId c = 0; c < home.max_classes; ++c) {
-      const auto& set = ex.samples[r][c];
+    for (ClassId c = 0; c < rep.max_classes; ++c) {
+      const auto& set = rep.samples[r][c];
       if (set.empty()) continue;
       report.route_stats.push_back(ScenarioReport::RouteClassStats{
           scenario.routes[r].name, c, set.count(), set.mean(),
           set.percentile(95.0)});
     }
   }
+  const Network& net = rep.net;
   for (const auto& link : scenario.links) {
-    const LinkId id = home.link_ids.at(link.name);
-    const Network& net =
-        plan != nullptr ? replicas[plan->part.link_owner[id]]->net : home.net;
+    const LinkId id = rep.link_ids.at(link.name);
     ScenarioReport::LinkStats ls;
     ls.link = link.name;
     ls.sched = to_string(link.kind);
@@ -904,12 +817,12 @@ void fill_report(ScenarioReport& report, const Scenario& scenario,
     report.drain_drops += net.link(id).drain_drops();
     report.link_stats.push_back(std::move(ls));
   }
-  for (std::size_t i = 0; i < home.workloads.size(); ++i) {
-    const auto& st = home.workloads[i]->stats();
+  for (std::size_t i = 0; i < rep.workloads.size(); ++i) {
+    const auto& st = rep.workloads[i]->stats();
     ScenarioReport::FlowStats fs;
     fs.route = scenario.flows[i].route;
     fs.cls = scenario.flows[i].cls;
-    fs.users = home.workloads[i]->config().users;
+    fs.users = rep.workloads[i]->config().users;
     fs.issued = st.issued;
     fs.completed = st.completed;
     fs.failed = st.failed;
@@ -926,226 +839,20 @@ void fill_report(ScenarioReport& report, const Scenario& scenario,
     fs.deadline = scenario.flows[i].deadline;
     report.flow_stats.push_back(std::move(fs));
   }
-  if (home.injector) {
+  if (rep.injector) {
     report.faulted = true;
-    report.fault_episodes_scheduled = home.injector->scheduled_episodes();
-    report.fault_episodes = home.injector->episodes_completed();
+    report.fault_episodes_scheduled = rep.injector->scheduled_episodes();
+    report.fault_episodes = rep.injector->episodes_completed();
   }
-  if (home.control) {
+  if (rep.control) {
     report.controlled = true;
-    report.control_episodes_scheduled = home.control->scheduled_episodes();
-    report.control_episodes = home.control->episodes_completed();
-    report.control_retunes = home.control->retunes_applied();
-    report.control_swaps = home.control->swaps_applied();
-    report.control_class_changes = home.control->class_changes_applied();
-    report.control_sheds = home.control->sheds_applied();
+    report.control_episodes_scheduled = rep.control->scheduled_episodes();
+    report.control_episodes = rep.control->episodes_completed();
+    report.control_retunes = rep.control->retunes_applied();
+    report.control_swaps = rep.control->swaps_applied();
+    report.control_class_changes = rep.control->class_changes_applied();
+    report.control_sheds = rep.control->sheds_applied();
   }
-}
-
-// A packet staged for delivery on a shard, tagged with its deterministic
-// merge key: (timestamp, source shard, per-channel sequence).
-struct RemoteMsg {
-  SimTime ts = 0.0;
-  std::uint32_t src = 0;
-  std::uint64_t seq = 0;
-  Packet p;
-};
-
-bool remote_before(const RemoteMsg& a, const RemoteMsg& b) {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  if (a.src != b.src) return a.src < b.src;
-  return a.seq < b.seq;
-}
-
-// Per-shard runtime state the engine hooks close over: the replica plus the
-// staged inbox. `pos` marks the applied prefix; the tail past it is sorted
-// at the top of every window (new splices land unsorted at the back).
-struct ShardRuntime {
-  Replica* rep = nullptr;
-  std::vector<RemoteMsg> inbox;
-  std::size_t pos = 0;
-};
-
-void sort_inbox_tail(ShardRuntime& rt) {
-  if (rt.pos == rt.inbox.size()) {
-    rt.inbox.clear();
-    rt.pos = 0;
-  }
-  std::sort(rt.inbox.begin() + static_cast<std::ptrdiff_t>(rt.pos),
-            rt.inbox.end(), remote_before);
-}
-
-// One conservative window: interleave staged messages (in merge order) with
-// local events, everything strictly below `bound`. A message at timestamp t
-// applies after every local event below t — its serial counterpart is the
-// departure event of a transmission that completed at exactly t.
-std::uint64_t run_shard_window(ShardRuntime& rt, SimTime bound) {
-  Replica& rep = *rt.rep;
-  sort_inbox_tail(rt);
-  const std::uint64_t before = rep.sim.executed_events();
-  std::uint64_t applied = 0;
-  while (rt.pos < rt.inbox.size() && rt.inbox[rt.pos].ts < bound) {
-    RemoteMsg& m = rt.inbox[rt.pos];
-    rep.sim.run_before(m.ts);
-    rep.sim.advance_to(m.ts);
-    rep.net.apply_remote(std::move(m.p));
-    ++rt.pos;
-    ++applied;
-  }
-  rep.sim.run_before(bound);
-  return applied + (rep.sim.executed_events() - before);
-}
-
-// Final phase: apply messages up to and including the horizon (discarding
-// later ones — their serial counterparts never executed) and drain local
-// events through the horizon inclusively, leaving the clock there.
-std::uint64_t finish_shard(ShardRuntime& rt, SimTime horizon) {
-  Replica& rep = *rt.rep;
-  sort_inbox_tail(rt);
-  const std::uint64_t before = rep.sim.executed_events();
-  std::uint64_t applied = 0;
-  while (rt.pos < rt.inbox.size() && rt.inbox[rt.pos].ts <= horizon) {
-    RemoteMsg& m = rt.inbox[rt.pos];
-    rep.sim.run_before(m.ts);
-    rep.sim.advance_to(m.ts);
-    rep.net.apply_remote(std::move(m.p));
-    ++rt.pos;
-    ++applied;
-  }
-  rt.pos = rt.inbox.size();
-  rep.sim.run_until(horizon);
-  return applied + (rep.sim.executed_events() - before);
-}
-
-// Diagnostic dequeue sweep over one shard's owned links, batched through
-// scan::scan_links: how many owned links are backlogged right now (and what
-// each would dequeue). Coordinator-side, between barriers; feeds the
-// per-round PdesTrace spans and never touches simulation state.
-struct BacklogSweep {
-  std::vector<LinkId> links;          // owned links, ascending id
-  std::vector<scan::Heads> heads;     // scratch
-  std::vector<const double*> sdp;     // scratch
-  std::vector<std::int32_t> winners;  // scratch
-};
-
-std::uint32_t sweep_backlog(Replica& rep, BacklogSweep& sweep) {
-  sweep.heads.clear();
-  sweep.sdp.clear();
-  for (const LinkId id : sweep.links) {
-    const auto* cb = dynamic_cast<const ClassBasedScheduler*>(
-        &rep.net.link(id).scheduler());
-    if (cb == nullptr) continue;
-    sweep.heads.push_back(cb->heads());
-    sweep.sdp.push_back(cb->weight_lanes().data());
-  }
-  if (sweep.heads.empty()) return 0;
-  sweep.winners.resize(sweep.heads.size());
-  return scan::scan_links(sweep.heads.data(), sweep.sdp.data(), rep.sim.now(),
-                          static_cast<std::uint32_t>(sweep.heads.size()),
-                          scan::Backend::kAuto, sweep.winners.data());
-}
-
-ScenarioReport run_scenario_sharded(const Scenario& scenario,
-                                    const ScenarioOptions& options,
-                                    double until, double warmup) {
-  PDS_CHECK(options.metrics_out.empty(),
-            "metrics_out is not available with shards > 1");
-  PDS_CHECK(options.max_events == 0 && options.max_wall_seconds == 0.0,
-            "run budgets are not available with shards > 1");
-  const std::uint32_t n = options.shards;
-  const ScenarioPlan plan =
-      plan_scenario(scenario, n, options.partition);
-
-  // channels[src * n + dst]: single-producer (shard src, inside its
-  // window), single-consumer (the coordinator, between barriers).
-  std::vector<ShardChannel<Packet>> channels(
-      static_cast<std::size_t>(n) * n);
-  std::vector<ShardRuntime> runtimes(n);
-  std::vector<std::unique_ptr<Replica>> replicas;
-  const std::uint64_t seed = options.seed.value_or(scenario.run.seed);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    replicas.push_back(std::make_unique<Replica>(seed));
-    PublishFn publish = [&channels, n, s](std::uint32_t dst, SimTime ts,
-                                          Packet&& p) {
-      PDS_REQUIRE(dst < n && dst != s);
-      channels[static_cast<std::size_t>(s) * n + dst].publish(ts,
-                                                              std::move(p));
-    };
-    build_replica(*replicas.back(), scenario, options, warmup, &plan, s,
-                  std::move(publish));
-    runtimes[s].rep = replicas.back().get();
-  }
-
-  std::vector<ShardEngine::Shard> shards(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    ShardRuntime& rt = runtimes[s];
-    shards[s].next_time = [&rt] {
-      SimTime next = rt.rep->sim.next_time();
-      for (std::size_t i = rt.pos; i < rt.inbox.size(); ++i) {
-        next = std::min(next, rt.inbox[i].ts);
-      }
-      return next;
-    };
-    shards[s].run_window = [&rt](SimTime bound) {
-      return run_shard_window(rt, bound);
-    };
-    shards[s].finish = [&rt](SimTime horizon) {
-      return finish_shard(rt, horizon);
-    };
-  }
-
-  ShardEngine engine(std::move(shards), plan.lookahead, until);
-  std::vector<ShardMessage<Packet>> scratch;
-  engine.set_splice([&channels, &runtimes, n, &scratch] {
-    ShardEngine::SpliceResult result;
-    for (std::uint32_t src = 0; src < n; ++src) {
-      for (std::uint32_t dst = 0; dst < n; ++dst) {
-        auto& ch = channels[static_cast<std::size_t>(src) * n + dst];
-        if (ch.pending() == 0) continue;
-        scratch.clear();
-        const std::size_t moved = ch.splice_into(scratch);
-        result.moved += moved;
-        result.max_batch =
-            std::max<std::uint64_t>(result.max_batch, moved);
-        auto& inbox = runtimes[dst].inbox;
-        for (auto& m : scratch) {
-          inbox.push_back(RemoteMsg{m.ts, src, m.seq, std::move(m.payload)});
-        }
-      }
-    }
-    return result;
-  });
-  if (options.shard_executor) engine.set_executor(options.shard_executor);
-
-  std::vector<BacklogSweep> sweeps(n);
-  std::vector<std::uint32_t> backlogged(n, 0);
-  if (options.pdes_trace != nullptr) {
-    PdesTrace* trace = options.pdes_trace;
-    PDS_CHECK(trace->shards() == n, "PdesTrace shard count mismatch");
-    for (LinkId id = 0; id < plan.part.link_owner.size(); ++id) {
-      sweeps[plan.part.link_owner[id]].links.push_back(id);
-    }
-    engine.set_round_hook([trace, &runtimes, &sweeps, &backlogged, n](
-                              std::uint64_t round,
-                              const std::vector<SimTime>& bounds,
-                              const std::vector<std::uint64_t>& processed) {
-      for (std::uint32_t s = 0; s < n; ++s) {
-        backlogged[s] = sweep_backlog(*runtimes[s].rep, sweeps[s]);
-      }
-      trace->record_round(round, bounds, processed, backlogged);
-    });
-  }
-
-  const PdesStats stats = engine.run();
-  for (auto& rep : replicas) stop_sources(*rep);
-  if (options.pdes_stats != nullptr) *options.pdes_stats = stats;
-
-  ScenarioReport report;
-  std::vector<Replica*> ptrs;
-  ptrs.reserve(replicas.size());
-  for (auto& r : replicas) ptrs.push_back(r.get());
-  fill_report(report, scenario, &plan, ptrs.data());
-  return report;
 }
 
 }  // namespace
@@ -1154,16 +861,11 @@ ScenarioReport run_scenario(const Scenario& scenario,
                             const ScenarioOptions& options) {
   PDS_CHECK(options.horizon_scale > 0.0,
             "horizon scale must be positive");
-  PDS_CHECK(options.shards >= 1, "shards must be at least 1");
   const double until = scenario.run.until * options.horizon_scale;
   const double warmup = scenario.run.warmup * options.horizon_scale;
 
-  if (options.shards > 1) {
-    return run_scenario_sharded(scenario, options, until, warmup);
-  }
-
   Replica rep(options.seed.value_or(scenario.run.seed));
-  build_replica(rep, scenario, options, warmup, nullptr, 0, {});
+  build_replica(rep, scenario, options, warmup);
 
   MetricsRegistry registry;
   std::unique_ptr<MetricsSnapshotWriter> metrics;
@@ -1206,8 +908,7 @@ ScenarioReport run_scenario(const Scenario& scenario,
     metrics->flush();
     report.metrics_snapshots = metrics->snapshots_written();
   }
-  Replica* replicas[] = {&rep};
-  fill_report(report, scenario, nullptr, replicas);
+  fill_report(report, scenario, rep);
   return report;
 }
 

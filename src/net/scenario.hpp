@@ -55,14 +55,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "dsim/shard.hpp"
-#include "net/partition.hpp"
+#include "net/topology.hpp"
 #include "sched/factory.hpp"
 
 namespace pds {
@@ -213,23 +211,6 @@ struct ScenarioOptions {
   double max_wall_seconds = 0.0;       // wall budget; 0 = off
   std::string metrics_out;             // windowed metrics series (.csv/.jsonl)
   double metrics_window = 5000.0;      // tu per metrics window
-
-  // Sharded kernel (dsim/shard.hpp, net/partition.hpp). shards > 1 runs the
-  // scenario as a space-partitioned conservative-PDES simulation with one
-  // Network replica per shard; the report is byte-identical to shards == 1.
-  // Incompatible with metrics_out and run budgets (which observe one global
-  // event loop). `shard_executor` runs the parallel windows — exec(count,
-  // body) must call body(i) for every i and return after all complete;
-  // null means a serial loop (still byte-identical, useful for tests and
-  // single-core hosts). `pdes_stats`, when set, receives the protocol
-  // counters; `pdes_trace`, when set, records per-shard round spans and
-  // pdes.* metrics (obs/pdes_trace.hpp). Neither ever feeds the report.
-  std::uint32_t shards = 1;
-  PartitionMethod partition = PartitionMethod::kGreedy;
-  std::function<void(std::size_t, const std::function<void(std::size_t)>&)>
-      shard_executor;
-  PdesStats* pdes_stats = nullptr;
-  class PdesTrace* pdes_trace = nullptr;
 };
 
 // Parses and executes; `seed_override`, when set, replaces the file's seed.

@@ -178,55 +178,7 @@ void Network::inject(Packet p, RouteId route) {
   PDS_CHECK(p.hops_done == 0, "packet already travelled; reset hops_done");
   injected_ = true;
   p.route = route;
-  const LinkId first = routes_[route].path.front();
-  if (bound_ && binding_.link_owner[first] != binding_.self) {
-    // Injection onto a foreign first hop: hand the packet over at the
-    // current time (the zero-lookahead edge — see net/partition.hpp).
-    binding_.publish(binding_.link_owner[first], sim_.now(), std::move(p));
-    return;
-  }
-  deliver(std::move(p), first);
-}
-
-void Network::bind_shard(ShardBinding binding) {
-  PDS_CHECK(!injected_, "cannot bind a shard after the first injection");
-  PDS_CHECK(!bound_, "shard binding already installed");
-  PDS_CHECK(binding.link_owner.size() == links_.size(),
-            "one owner entry per link required");
-  PDS_CHECK(binding.route_exit_shard.size() == routes_.size(),
-            "one exit shard per route required");
-  PDS_CHECK(static_cast<bool>(binding.publish), "null publish hook");
-  binding_ = std::move(binding);
-  bound_ = true;
-  for (LinkId id = 0; id < links_.size(); ++id) {
-    if (binding_.link_owner[id] != binding_.self) continue;
-    link_mut(id).set_forward_gate([this](const Packet& p, SimTime depart) {
-      PDS_REQUIRE(p.route < routes_.size());
-      const RouteState& route = routes_[p.route];
-      // hops_done was already bumped for this hop, so it indexes the next
-      // one; past the end, the packet exits where the route's handler runs.
-      const std::uint32_t dst =
-          p.hops_done < route.path.size()
-              ? binding_.link_owner[route.path[p.hops_done]]
-              : binding_.route_exit_shard[p.route];
-      if (dst == binding_.self) return false;
-      binding_.publish(dst, depart, Packet(p));
-      return true;
-    });
-  }
-}
-
-void Network::apply_remote(Packet&& p) {
-  PDS_CHECK(bound_, "apply_remote needs a shard binding");
-  PDS_REQUIRE(p.route < routes_.size());
-  injected_ = true;
-  const RouteState& route = routes_[p.route];
-  PDS_REQUIRE(p.hops_done <= route.path.size());
-  if (p.hops_done < route.path.size()) {
-    deliver(std::move(p), route.path[p.hops_done]);
-  } else {
-    route.on_exit(p, sim_.now());
-  }
+  deliver(std::move(p), routes_[route].path.front());
 }
 
 void Network::deliver(Packet&& p, LinkId id) {

@@ -62,23 +62,6 @@ std::vector<std::uint32_t> shortest_path_links(NodeId num_nodes,
                                                const std::vector<GraphEdge>& edges,
                                                NodeId from, NodeId to);
 
-// Cross-shard identity of one Network replica under the sharded kernel
-// (dsim/shard.hpp, net/partition.hpp). Every shard holds a structurally
-// identical Network; the binding tells a replica which links it owns, where
-// each route's exit handler runs, and how to hand a packet to another
-// shard. A packet crossing a cut is claimed at the *start* of its
-// transmission on the owning link (Link::ForwardGate) and published with
-// the transmission's completion time — the timestamp the receiving shard
-// delivers it at, exactly when the serial run's departure handler would
-// have fired.
-struct ShardBinding {
-  std::uint32_t self = 0;
-  std::vector<std::uint32_t> link_owner;        // per LinkId
-  std::vector<std::uint32_t> route_exit_shard;  // per RouteId
-  // Hands `p` to shard `dst` for delivery at timestamp `ts`.
-  std::function<void(std::uint32_t dst, SimTime ts, Packet&& p)> publish;
-};
-
 class Network {
  public:
   // Fired when a packet completes its route. `p.cum_queueing` holds the
@@ -115,10 +98,6 @@ class Network {
   }
   const std::string& node_name(NodeId id) const;
   std::optional<NodeId> find_node(const std::string& name) const;
-
-  // Every directed edge in ascending link id, for partitioning and path
-  // computation outside the class.
-  const std::vector<GraphEdge>& edges() const noexcept { return edges_; }
 
   // --- Link / explicit-route layer (the original API) -------------------
 
@@ -168,21 +147,6 @@ class Network {
   // Utilization of a link measured from time 0 to `now`.
   double utilization(LinkId id) const;
 
-  // --- Sharded kernel ----------------------------------------------------
-
-  // Turns this replica into one shard of a partitioned run: installs a
-  // forward gate on every owned link that claims packets whose next hop (or
-  // exit handler) lives on another shard and publishes them through the
-  // binding, and reroutes injections on routes whose first hop is foreign.
-  // Call after every link and route exists, before the first event runs.
-  void bind_shard(ShardBinding binding);
-
-  // Entry point for a packet received from another shard, called by the
-  // shard runner with the clock already advanced to the message timestamp:
-  // delivers it to its next hop, or fires the route exit handler when the
-  // path is complete.
-  void apply_remote(Packet&& p);
-
  private:
   struct RouteState {
     std::vector<LinkId> path;
@@ -211,8 +175,6 @@ class Network {
   std::vector<std::string> node_names_;
   std::vector<GraphEdge> edges_;  // ascending link id (append-only)
   bool injected_ = false;
-  bool bound_ = false;  // bind_shard was called; binding_ is live
-  ShardBinding binding_;
 };
 
 // A graph shape by node names: every listed edge is instantiated in BOTH

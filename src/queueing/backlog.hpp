@@ -66,7 +66,7 @@ class MultiClassBacklog {
   const ClassHead* heads() const noexcept { return heads_.data(); }
   const ClassHead& head_of(ClassId cls) const noexcept { return heads_[cls]; }
 
-  // --- SoA mirror of the head snapshot, for the vectorized priority scan
+  // --- SoA mirror of the head snapshot, for the priority scan
   // (sched/scan.hpp). All three arrays hold lane_count() entries: the first
   // num_classes() lanes mirror the backlogged heads (idle and padding lanes
   // read 0.0 / mask 0), maintained incrementally by push/pop/pop_tail.

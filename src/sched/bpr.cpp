@@ -52,8 +52,7 @@ ClassId BprScheduler::select(SimTime now) {
   // with the least *remaining* virtual work, L_i - v_i (Eq. 21). Ties
   // favour the higher class. Kernels in sched/scan.cpp.
   return scan::bpr_select(heads_view(), rates_.data(), virtual_service_.data(),
-                          elapsed, last_departure_, any_departure_yet_,
-                          scan_backend());
+                          elapsed, last_departure_, any_departure_yet_);
 }
 
 void BprScheduler::finish_departure(ClassId served, SimTime now) {

@@ -163,7 +163,6 @@ void Link::try_start_service() {
   ++packets_sent_;
   PDS_OBS_NOTIFY(probe_,
                  on_dequeue(p, probe_context(p.cls), sim_.now(), wait));
-  in_flight_claimed_ = forward_gate_ && forward_gate_(p, sim_.now() + tx);
 
   // A link transmits one packet at a time, so the in-flight slot is the
   // completion handler's persistent state; the event captures only `this`.
@@ -174,14 +173,12 @@ void Link::try_start_service() {
 void Link::complete_transmission() {
   busy_ = false;
   const SimTime wait = in_flight_wait_;
-  const bool claimed = in_flight_claimed_;
-  in_flight_claimed_ = false;
   // Moved to the stack first: the departure handler may synchronously
   // re-arrive into this link, which restarts service and refills the slot.
   Packet done = std::move(in_flight_);
   PDS_OBS_NOTIFY(probe_, on_depart(done, probe_context(done.cls),
                                    sim_.now(), wait));
-  if (!claimed) on_departure_(std::move(done), wait, sim_.now());
+  on_departure_(std::move(done), wait, sim_.now());
   try_start_service();
 }
 
@@ -210,17 +207,6 @@ void Link::start_burst() {
                    on_dequeue(p, probe_context(p.cls), sim_.now(), wait));
     total_tx += tx;
   }
-  burst_claimed_ = 0;
-  if (forward_gate_) {
-    // Every burst packet is delivered at burst end; the gate sees the same
-    // departure time complete_burst would use, in slot (delivery) order.
-    const SimTime depart = sim_.now() + total_tx;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      if (forward_gate_(burst_buf_[i], depart)) {
-        burst_claimed_ |= std::uint64_t{1} << i;
-      }
-    }
-  }
   busy_ = true;
   // One completion event for the whole burst; the packets ride in
   // burst_buf_, so a burst costs one event no matter its length.
@@ -234,16 +220,12 @@ void Link::complete_burst() {
   // try_start_service must not start a new burst that overwrites the
   // buffer being drained.
   const std::uint32_t k = burst_count_;
-  const std::uint64_t claimed = burst_claimed_;
   burst_count_ = 0;
-  burst_claimed_ = 0;
   for (std::uint32_t i = 0; i < k; ++i) {
     Packet done = std::move(burst_buf_[i]);
     PDS_OBS_NOTIFY(probe_, on_depart(done, probe_context(done.cls),
                                      sim_.now(), burst_waits_[i]));
-    if ((claimed & (std::uint64_t{1} << i)) == 0) {
-      on_departure_(std::move(done), burst_waits_[i], sim_.now());
-    }
+    on_departure_(std::move(done), burst_waits_[i], sim_.now());
   }
   busy_ = false;
   try_start_service();

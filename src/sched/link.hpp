@@ -152,22 +152,6 @@ class Link {
     on_control_drop_ = std::move(handler);
   }
 
-  // --- Sharded kernel (dsim/shard.hpp, net/partition.hpp) ----------------
-
-  // Early cross-shard handoff hook. When set, the gate is consulted at the
-  // *start* of every transmission — after the packet's cum_queueing and
-  // hops_done fields are finalized — with `depart` the already-scheduled
-  // completion time (burst mode: the end of the whole burst, which is when
-  // every burst packet is delivered). Returning true claims the packet: the
-  // link still runs the transmission to completion for busy-time/stat
-  // purposes but does not invoke the departure handler, because the gate
-  // owner has forwarded a timestamped copy to the destination shard. The
-  // handoff is safe this early because faults and control actions only gate
-  // *future* transmissions (see above): a packet on the wire is irrevocable
-  // the moment its completion event is scheduled.
-  using ForwardGate = std::function<bool(const Packet& p, SimTime depart)>;
-  void set_forward_gate(ForwardGate gate) { forward_gate_ = std::move(gate); }
-
   // Lifetime counters for work-conservation checks.
   double busy_time() const noexcept { return busy_time_; }
   std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
@@ -233,14 +217,11 @@ class Link {
   std::uint64_t packets_sent_ = 0;
   Packet in_flight_;             // valid iff busy_
   SimTime in_flight_wait_ = 0.0;  // queueing delay of in_flight_ at this hop
-  ForwardGate forward_gate_;
-  bool in_flight_claimed_ = false;  // gate took in_flight_ at tx start
   std::uint32_t burst_ = 1;
   // Staging for burst transmit (sized by set_burst, empty while burst_ == 1).
   std::vector<Packet> burst_buf_;
   std::vector<SimTime> burst_waits_;
   std::uint32_t burst_count_ = 0;  // packets in the burst in flight
-  std::uint64_t burst_claimed_ = 0;  // per-slot gate claims (kMaxBurst <= 64)
   PacketProbe* probe_ = nullptr;
   std::uint32_t hop_ = 0;
 };

@@ -32,7 +32,7 @@ void PadScheduler::note_served(const Packet& p, SimTime now) {
 
 ClassId PadScheduler::select(SimTime now) const {
   return scan::pad_select(heads_view(), sdp_lanes().data(), cum_lanes(),
-                          served_lanes(), now, scan_backend());
+                          served_lanes(), now);
 }
 
 std::optional<Packet> PadScheduler::dequeue(SimTime now) {
@@ -59,7 +59,7 @@ HpdScheduler::HpdScheduler(const SchedulerConfig& config)
 
 ClassId HpdScheduler::select(SimTime now) const {
   return scan::hpd_select(heads_view(), sdp_lanes().data(), cum_lanes(),
-                          served_lanes(), now, g_, scan_backend());
+                          served_lanes(), now, g_);
 }
 
 }  // namespace pds

@@ -22,7 +22,7 @@
 // were served now — this keeps the metric defined before the first
 // departure and responsive to a waiting head.
 //
-// The per-dequeue argmax runs through the vectorized scan kernels
+// The per-dequeue argmax runs through the scan kernels
 // (sched/scan.hpp); the class keeps lane-padded double mirrors of the
 // cumulative-delay and served-count vectors as the kernels' inputs (served
 // counts are exact as doubles below 2^53).

@@ -1,27 +1,18 @@
-// Vectorized priority-scan kernels for the per-dequeue argmax/argmin that
-// every proportional scheduler runs over the flat ClassHead snapshot.
+// Priority-scan kernels for the per-dequeue argmax/argmin that every
+// proportional scheduler runs over the flat ClassHead snapshot.
 //
-// PR 5 flattened MultiClassBacklog into a contiguous per-class array; these
-// kernels exploit that layout. MultiClassBacklog maintains, next to the
-// ClassHead records, a structure-of-arrays mirror (head arrival, head wire
-// size as a double, and a backlogged lane mask) padded to a multiple of
-// kLanes, so a dequeue decision is one branch-light pass of 2–4-wide double
-// arithmetic instead of a scalar loop with a branch per class.
+// MultiClassBacklog maintains, next to the ClassHead records, a
+// structure-of-arrays mirror (head arrival, head wire size as a double, and
+// a backlogged lane mask) padded to a multiple of kLanes; a dequeue decision
+// is one pass of a scalar loop over those arrays.
 //
-// Determinism contract: every backend (scalar, SSE2, AVX2) produces the SAME
-// winner for the SAME inputs, bit for bit. The SIMD paths use only IEEE-exact
-// lane operations (mul/add/sub/div — never FMA; scan.cpp is compiled with
-// -ffp-contract=off so the scalar path cannot be contracted either), and the
-// tie-break is the paper's: among classes attaining the best priority, the
-// HIGHEST class index wins (the scalar loops scan ascending and update on
-// `>=` / `<=`). tests/scan_test.cpp fuzzes scalar-vs-SIMD equivalence and
-// check.sh re-runs the dispatch-equivalence suite with -DPDS_SIMD=OFF.
-//
-// Backend selection: compile-time gate (PDS_SIMD CMake option; off means
-// every call resolves to the scalar kernel) plus a one-shot runtime CPUID
-// probe that picks AVX2 over SSE2 when the host supports it. Schedulers can
-// force a backend for differential testing via
-// ClassBasedScheduler::set_scan_backend.
+// Determinism contract: the kernels are the exact arithmetic the schedulers
+// have always used, expression for expression, and the golden Study A trace
+// hash pins their decisions. scan.cpp is compiled with -ffp-contract=off so
+// no -march or optimization level can contract their mul+add sequences into
+// FMAs and move that hash. The tie-break is the paper's: among classes
+// attaining the best priority, the HIGHEST class index wins (the loops scan
+// ascending and update on `>=` / `<=`).
 #pragma once
 
 #include <cstdint>
@@ -49,63 +40,31 @@ struct Heads {
   std::uint32_t lanes;            // padded_lanes(n)
 };
 
-enum class Backend : std::uint8_t {
-  kAuto,    // best compiled-in + CPU-supported backend for the scan width:
-            // scalar for small head arrays (<= 8 padded lanes, where the
-            // predictable scalar loop wins) or when PDS_SIMD=OFF, vector
-            // kernels beyond that
-  kScalar,  // force the scalar reference kernels
-  kSimd,    // force the SIMD kernels (falls back to scalar when unavailable)
-};
-
-// True when a SIMD backend is compiled in and the CPU supports it.
-bool simd_available() noexcept;
-
-// Name of the backend a given request resolves to: "scalar", "sse2", "avx2".
-const char* backend_name(Backend backend) noexcept;
-
 // All selectors require at least one backlogged class (callers gate on
 // MultiClassBacklog::empty()) and return the winning class index under the
 // tie-break above.
 
 // WTP (Eq. 11): argmax over backlogged c of (now - arrival[c]) * sdp[c].
-ClassId wtp_select(const Heads& heads, const double* sdp, double now,
-                   Backend backend);
+ClassId wtp_select(const Heads& heads, const double* sdp, double now);
 
 // Additive differentiation: argmax of (now - arrival[c]) + sdp[c].
-ClassId additive_select(const Heads& heads, const double* sdp, double now,
-                        Backend backend);
+ClassId additive_select(const Heads& heads, const double* sdp, double now);
 
 // PAD: argmax of ((cum[c] + (now - arrival[c])) / (served[c] + 1)) * sdp[c].
 // `served` is the served-packet count mirrored as doubles (exact below 2^53).
 ClassId pad_select(const Heads& heads, const double* sdp, const double* cum,
-                   const double* served, double now, Backend backend);
+                   const double* served, double now);
 
 // HPD: argmax of g * wtp_term + (1 - g) * pad_term (terms as above).
 ClassId hpd_select(const Heads& heads, const double* sdp, const double* cum,
-                   const double* served, double now, double g,
-                   Backend backend);
+                   const double* served, double now, double g);
 
 // BPR: updates the per-class virtual service in place — 0 for idle classes
 // and for heads that reached the front after the last departure, otherwise
 // vs[c] += rates[c] * elapsed — then returns the argmin over backlogged c of
 // head_bytes[c] - vs[c] (least remaining virtual work, ties to the highest
-// class). `vs` must hold heads.lanes entries; pad lanes are zeroed.
+// class). `vs` must hold heads.lanes entries.
 ClassId bpr_select(const Heads& heads, const double* rates, double* vs,
-                   double elapsed, double last_departure, bool any_departure,
-                   Backend backend);
-
-// Batched multi-link WTP sweep: one call scanning `count` links' head
-// snapshots at once (the sharded runner's per-round dequeue sweep over a
-// shard's owned links). For link i, `heads[i]` is its SoA view and `sdp[i]`
-// its padded weight lanes (ClassBasedScheduler::weight_lanes). Writes
-// `winners[i]` = the WTP winner under the standard tie-break, or -1 when
-// the link has no backlogged class (the only selector here that tolerates
-// an all-idle snapshot), and returns the number of backlogged links. The
-// determinism contract above applies per link: every backend produces the
-// same winners array, bit for bit.
-std::uint32_t scan_links(const Heads* heads, const double* const* sdp,
-                         double now, std::uint32_t count, Backend backend,
-                         std::int32_t* winners);
+                   double elapsed, double last_departure, bool any_departure);
 
 }  // namespace pds::scan

@@ -195,20 +195,6 @@ class ClassBasedScheduler : public Scheduler {
   // wiring its transmit loop).
   std::uint32_t configured_burst() const noexcept { return burst_; }
 
-  // Test hook: forces the priority-scan backend (kAuto picks the widest
-  // compiled-in backend the CPU supports). The differential tests drive the
-  // same scheduler with kScalar and kSimd and require identical decisions.
-  void set_scan_backend(scan::Backend backend) noexcept { backend_ = backend; }
-  scan::Backend scan_backend() const noexcept { return backend_; }
-
-  // Read-only snapshots for external batched scans (scan::scan_links — the
-  // sharded runner's dequeue sweep): the head-of-line SoA view and the
-  // weights padded to its lane count.
-  scan::Heads heads() const noexcept { return heads_view(); }
-  const std::vector<double>& weight_lanes() const noexcept {
-    return sdp_lanes();
-  }
-
  protected:
   explicit ClassBasedScheduler(const SchedulerConfig& config,
                                bool needs_capacity = false);
@@ -239,7 +225,6 @@ class ClassBasedScheduler : public Scheduler {
   std::vector<double> sdp_lanes_;
   double link_capacity_;
   std::uint32_t burst_;
-  scan::Backend backend_ = scan::Backend::kAuto;
 };
 
 }  // namespace pds

@@ -137,21 +137,6 @@ TEST(ThreadPoolTest, ResolveWorkersPrefersExplicitRequest) {
   EXPECT_GE(ThreadPool::resolve_workers(0), 1u);
 }
 
-TEST(ThreadPoolTest, PlanWorkersClampsLayeredParallelismToTheMachine) {
-  const unsigned hw_raw = std::thread::hardware_concurrency();
-  const std::uint32_t hw = hw_raw > 0 ? hw_raw : 1;
-  // Serves the wider of the two layers, never more than the hardware.
-  EXPECT_EQ(ThreadPool::plan_workers(1, 1), 1u);
-  EXPECT_EQ(ThreadPool::plan_workers(1, hw), hw);
-  EXPECT_EQ(ThreadPool::plan_workers(hw, 1), hw);
-  EXPECT_EQ(ThreadPool::plan_workers(hw, hw), hw);
-  // An oversized --jobs x --shards request still lands on the clamp.
-  EXPECT_EQ(ThreadPool::plan_workers(4 * hw, 4 * hw), hw);
-  // shards == 0 behaves like a serial shard layer.
-  EXPECT_EQ(ThreadPool::plan_workers(1, 0), 1u);
-  EXPECT_LE(ThreadPool::plan_workers(0, 0), hw);  // auto stays within bounds
-}
-
 TEST(FreeParallelForTest, PlainIndexOverload) {
   std::vector<std::atomic<std::uint32_t>> hits(100);
   parallel_for(100, [&](std::size_t i) {

@@ -185,6 +185,92 @@ TEST(ScenarioErrors, MissingSectionsProduceTheThreeDefinesNoThrows) {
             std::string::npos);
 }
 
+TEST(ScenarioErrors, NegativePacketCountsAreRejected) {
+  // A negative request= used to wrap to ~4.3e9 packets per RPC and hang.
+  EXPECT_NE(parse_error("node a\nnode b\n"
+                        "edge ab from=a to=b capacity=10 sched=fcfs sdp=1\n"
+                        "edge ba from=b to=a capacity=10 sched=fcfs sdp=1\n"
+                        "route r from=a to=b\n"
+                        "flows r class=0 users=1 size=100 think=10 "
+                        "request=-1\n")
+                .find("scenario line 6: request must be an integer in "
+                      "[0, 4294967295]"),
+            std::string::npos);
+}
+
+TEST(ScenarioErrors, SourceSizeMustBeAPositiveInteger) {
+  // size=-441 used to wrap to a huge packet and report utilization > 1e5.
+  const std::string prefix =
+      "link a capacity=10 sched=fcfs sdp=1\n"
+      "route r a\n";
+  EXPECT_NE(parse_error(prefix +
+                        "source renewal r class=0 gap=5 size=-441\n")
+                .find("scenario line 3: size must be an integer in "
+                      "[0, 4294967295]"),
+            std::string::npos);
+  EXPECT_NE(parse_error(prefix + "source renewal r class=0 gap=5 size=0\n")
+                .find("scenario line 3: source needs size >= 1"),
+            std::string::npos);
+}
+
+TEST(ScenarioErrors, IntegersBeyondUint32AreRejectedNotTruncated) {
+  // users=2^32+1 used to run silently with 1 user.
+  EXPECT_NE(parse_error("node a\nnode b\n"
+                        "edge ab from=a to=b capacity=10 sched=fcfs sdp=1\n"
+                        "edge ba from=b to=a capacity=10 sched=fcfs sdp=1\n"
+                        "route r from=a to=b\n"
+                        "flows r class=0 users=4294967297 size=100 "
+                        "think=10\n")
+                .find("scenario line 6: users must be an integer in "
+                      "[0, 4294967295]"),
+            std::string::npos);
+}
+
+TEST(ScenarioErrors, ClassesBeyondTheRouteClassCountNameTheirLine) {
+  // These used to pass the parser and abort the run in the class backlog.
+  const std::string links =
+      "link wide capacity=10 sched=wtp sdp=1,2,4,8\n"
+      "link narrow capacity=10 sched=wtp sdp=1,2\n"
+      "route r wide narrow\n";
+  EXPECT_NE(parse_error(links + "source renewal r class=2 gap=5 size=100\n"
+                                "run until=100\n")
+                .find("scenario line 4: class 2 exceeds the 2 classes of "
+                      "route r"),
+            std::string::npos);
+  EXPECT_NE(parse_error(links +
+                        "source mix r fractions=1,1,1 gap=5 size=100\n"
+                        "run until=100\n")
+                .find("scenario line 4: fractions= class 2 exceeds the 2 "
+                      "classes of route r"),
+            std::string::npos);
+  // Flows check the response path too: here only b->a is narrow.
+  const std::string graph =
+      "node a\nnode b\n"
+      "edge ab from=a to=b capacity=10 sched=wtp sdp=1,2,4\n"
+      "edge ba from=b to=a capacity=10 sched=wtp sdp=1,2\n"
+      "route r from=a to=b\n";
+  EXPECT_NE(parse_error(graph + "flows r class=2 users=1 size=100 think=10\n"
+                                "run until=100\n")
+                .find("scenario line 6: class 2 exceeds the 2 classes of "
+                      "the response path of route r"),
+            std::string::npos);
+  EXPECT_EQ(parse_error(graph + "flows r class=1 users=1 size=100 think=10\n"
+                                "run until=100\n"),
+            "");
+  // A routed route runs on the shortest path over every edge in the file,
+  // here the narrow a->c declared after it.
+  EXPECT_NE(parse_error("node a\nnode b\nnode c\n"
+                        "edge ab from=a to=b capacity=10 sched=wtp sdp=1,2,4\n"
+                        "edge bc from=b to=c capacity=10 sched=wtp sdp=1,2,4\n"
+                        "route r from=a to=c\n"
+                        "edge ac from=a to=c capacity=10 sched=wtp sdp=1,2\n"
+                        "source renewal r class=2 gap=5 size=100\n"
+                        "run until=100\n")
+                .find("scenario line 8: class 2 exceeds the 2 classes of "
+                      "route r"),
+            std::string::npos);
+}
+
 // ------------------------------------------------------- graph-layer grammar
 
 const char* kGraph = R"(
@@ -412,6 +498,88 @@ TEST(ScenarioGolden, DefaultOptionsMatchTheLegacyOverload) {
     EXPECT_DOUBLE_EQ(a.route_stats[i].mean_delay,
                      b.route_stats[i].mean_delay);
   }
+}
+
+// Routed-fabric pins: FNV-1a of the rendered run report at 10% horizon.
+// The values were captured from the runner before the sharded kernel was
+// removed; they guard that routed-fabric output did not move.
+std::uint64_t report_hash(const std::string& text,
+                          const ScenarioOptions& options,
+                          ScenarioReport* out = nullptr) {
+  const Scenario scenario = parse_scenario(text);
+  const ScenarioReport report = run_scenario(scenario, options);
+  if (out != nullptr) *out = report;
+  const std::string doc =
+      scenario_run_report(scenario, report,
+                          options.seed.value_or(scenario.run.seed))
+          .dump();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : doc) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// examples/scenarios/fat_tree.pds with buffer=40 on its topology line, so
+// the loss episode below has a drop stage to act on.
+const char* kFatTreePds = R"(
+topology fat_tree k=4 capacity=39.375 sched=wtp sdp=1,2,4 buffer=40
+route rpc01 from=p0edge0 to=p1edge0
+route rpc23 from=p2edge0 to=p3edge1
+route intra from=p0edge0 to=p0edge1
+flows rpc01 class=2 users=24 size=441 think=1500 request=2 response=2 deadline=450 rto=900 retries=2 backoff=2 throttle=50 throttle_ratio=0.2
+flows rpc23 class=1 users=24 size=441 think=1500 request=2 response=2 deadline=140
+flows intra class=0 users=12 size=600 think=1500 request=1 response=4 deadline=400
+route bg from=p0edge1 to=p1edge1
+source mix bg fractions=60,30,10 gap=30 size=441 pareto=1.9
+run until=300000 warmup=30000 seed=21
+)";
+
+// examples/scenarios/ring.pds.
+const char* kRingPds = R"(
+topology ring n=6 capacity=39.375 sched=wtp sdp=1,2,4,8
+route east  from=n0 to=n2
+route west  from=n2 to=n0
+route cross from=n0 to=n3
+source mix east fractions=40,30,20,10 gap=20 size=441 pareto=1.9
+source mix west fractions=40,30,20,10 gap=20 size=441 pareto=1.9
+flows cross class=3 users=12 size=441 think=1200 request=2 response=2 deadline=400
+flows cross class=0 users=12 size=441 think=1200 request=2 response=2 deadline=400
+run until=300000 warmup=30000 seed=7
+)";
+
+TEST(ScenarioGolden, FatTreeUnderFaultAndControlPlansIsPinned) {
+  ScenarioOptions options;
+  options.horizon_scale = 0.1;
+  options.fault_plan =
+      "seed 5\n"
+      "down p0agg0>core0 at=4000 for=1500 mode=hold\n"
+      "down core0>p1agg0 at=8000 for=1500 mode=drop\n"
+      "degrade core0* at=12000 for=3000 factor=0.5\n"
+      "loss p0agg0>core0 at=17000 for=4000 rate=0.05\n";
+  options.control_plan =
+      "seed 5\n"
+      "retune p0agg0>core0 at=5000 w=1,3,9\n"
+      "swap core0>p1agg0 at=10000 sched=hpd\n"
+      "shed p0agg0>core0 at=14000 for=4000 watermark=2 classes=2\n"
+      "class p0edge1>p0agg0 at=20000 drain=0\n"
+      "class p0edge1>p0agg0 at=24000 add=0\n";
+  ScenarioReport report;
+  EXPECT_EQ(report_hash(kFatTreePds, options, &report), 0xa1134f6f47fdf2c5ULL);
+  // Every episode ran and every drop kind the plans cause shows up, so the
+  // pin covers the exception paths and not just the clean run.
+  EXPECT_EQ(report.fault_episodes, report.fault_episodes_scheduled);
+  EXPECT_EQ(report.control_episodes, report.control_episodes_scheduled);
+  EXPECT_GT(report.fault_drops, 0u);
+  EXPECT_GT(report.shed_drops, 0u);
+  EXPECT_GT(report.drain_drops, 0u);
+}
+
+TEST(ScenarioGolden, RingIsPinned) {
+  ScenarioOptions options;
+  options.horizon_scale = 0.1;
+  EXPECT_EQ(report_hash(kRingPds, options), 0x9a8dc32208ff0181ULL);
 }
 
 // ------------------------------------------------------------- new options
