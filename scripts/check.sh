@@ -92,17 +92,19 @@ echo "== benchmark mirror: perfbench self-test =="
 CARGO_TARGET_DIR=build-perfbench python3 perfbench/selftest.py
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== fast mode: targeted ASan/UBSan over fault + ctrl + supervisor + obs suites =="
+  echo "== fast mode: targeted ASan/UBSan over fault + ctrl + supervisor + obs + fuzz suites =="
   # Even the fast path sanitizes the robustness layer: fault injection,
   # live reconfiguration (scheduler swaps hand raw backlogs across) and
   # run supervision exercise exception unwinding and teardown ordering, the
   # classic breeding ground for use-after-free. The obs suites join them
   # because atomic-file commit/discard and span-buffer teardown live on the
-  # same unwind paths.
+  # same unwind paths, and the grammar fuzzer because every malformed input
+  # must be rejected without undefined behaviour (UBSan is fatal here).
   cmake -B build-asan -S . -DPDS_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
-    conformance_test telemetry_test
+    conformance_test telemetry_test grammar_fuzz_test
+  ./build-asan/tests/grammar_fuzz_test
   ./build-asan/tests/fault_test
   ./build-asan/tests/ctrl_test
   ./build-asan/tests/controller_test

@@ -1,10 +1,7 @@
 #include "ctrl/control_injector.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <stdexcept>
 
-#include "fault/fault_plan.hpp"  // target_pattern_matches
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sched/pad.hpp"
@@ -14,13 +11,8 @@ namespace pds {
 
 namespace {
 
-[[noreturn]] void bad_plan(const std::string& msg) {
-  throw std::invalid_argument("control plan: " + msg);
-}
-
-[[noreturn]] void bad_line(std::size_t line, const std::string& msg) {
-  bad_plan("line " + std::to_string(line) + ": " + msg);
-}
+constexpr PlanTrack kControlTrack{"control plan", "ctrl.begin", "ctrl.end",
+                                  "ctrl.apply", "ctrl", kSpanCtrlTid};
 
 bool weight_capable(SchedulerKind kind) {
   return kind != SchedulerKind::kFcfs;
@@ -34,190 +26,126 @@ bool class_based(SchedulerKind kind) {
 }  // namespace
 
 ControlInjector::ControlInjector(Simulator& sim, ControlPlan plan)
-    : sim_(sim), plan_(std::move(plan)) {}
+    : sim_(sim), plan_(std::move(plan)), engine_(sim, kControlTrack) {
+  for (const ControlEpisode& ep : plan_.episodes) {
+    engine_.add_episode(ep, to_string(ep.kind),
+                        ep.kind == ControlKind::kSwap
+                            ? ",\"sched\":\"" + to_string(ep.sched) + "\""
+                            : "");
+  }
+}
 
 void ControlInjector::attach(const std::string& name, Link& link,
                              SchedulerKind kind,
                              const SchedulerConfig& config) {
-  PDS_CHECK(!armed_, "cannot attach targets after arm()");
-  PDS_CHECK(!name.empty() && name != "*", "invalid target name");
-  PDS_CHECK(name.back() != '*', "target name may not end in *");
-  PDS_CHECK(targets_.find(name) == targets_.end(),
-            "duplicate control target " + name);
   PDS_CHECK(config.num_classes() == link.scheduler().num_classes(),
             "config/scheduler class count mismatch");
-  targets_[name] = Target{&link, kind, config};
-  attach_order_.push_back(name);
+  engine_.attach(name);
+  targets_.push_back(Target{&link, kind, config});
 }
 
 void ControlInjector::arm() {
-  PDS_CHECK(!armed_, "control injector armed twice");
-  armed_ = true;
-
-  // Expand wildcards over the attached targets — same contract as
-  // FaultInjector: bare `*` in name order, prefix patterns in attach order.
-  for (const auto& ep : plan_.episodes) {
-    std::vector<std::string> names;
-    if (ep.target == "*") {
-      for (const auto& [name, target] : targets_) names.push_back(name);
-      if (names.empty()) bad_plan("episode targets *, nothing attached");
-    } else if (is_target_pattern(ep.target)) {
-      for (const auto& name : attach_order_) {
-        if (target_pattern_matches(ep.target, name)) names.push_back(name);
-      }
-      if (names.empty()) {
-        bad_line(ep.line,
-                 "pattern " + ep.target + " matches no attached target");
-      }
-    } else {
-      if (targets_.find(ep.target) == targets_.end()) {
-        bad_plan("unknown target " + ep.target);
-      }
-      names.push_back(ep.target);
-    }
-    for (const auto& name : names) {
-      Instance inst;
-      inst.episode = ep;
-      inst.episode.target = name;
-      inst.target = &targets_.at(name);
-      instances_.push_back(std::move(inst));
-    }
-  }
-
-  // Same-kind episodes on one target must not overlap. Instantaneous
-  // episodes occupy a point, so two of a kind conflict only when they share
-  // `at`; shed windows use interval overlap. Both plan lines are named.
-  for (std::size_t a = 0; a < instances_.size(); ++a) {
-    for (std::size_t b = a + 1; b < instances_.size(); ++b) {
-      const auto& ea = instances_[a].episode;
-      const auto& eb = instances_[b].episode;
-      if (ea.kind != eb.kind || ea.target != eb.target) continue;
-      const bool overlap = ea.at == eb.at ||
-                           (ea.at < eb.end() && eb.at < ea.end());
-      if (overlap) {
-        bad_plan("overlapping " + to_string(ea.kind) + " episodes on " +
-                 ea.target + " (lines " +
-                 std::to_string(std::min(ea.line, eb.line)) + " and " +
-                 std::to_string(std::max(ea.line, eb.line)) + ")");
-      }
-    }
-  }
-
-  // Validate each target's episode *timeline* and pre-construct swap
-  // replacements. Kind and weights are tracked through earlier episodes so
-  // a `retune g=` after a `swap sched=hpd` is legal, a retune after a swap
-  // to FCFS-like kinds is caught here, and every replacement starts with
-  // the weights in force at its swap instant.
-  for (auto& [name, target] : targets_) {
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < instances_.size(); ++i) {
-      if (instances_[i].episode.target == name) order.push_back(i);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return instances_[a].episode.at <
-                              instances_[b].episode.at;
-                     });
-    SchedulerKind kind = target.kind;
-    std::vector<double> sdp = target.config.sdp;
-    double g = target.config.hpd_g;
-    const std::uint32_t n = target.config.num_classes();
-    for (const std::size_t i : order) {
-      Instance& inst = instances_[i];
-      const ControlEpisode& ep = inst.episode;
-      switch (ep.kind) {
-        case ControlKind::kRetune:
-          if (!ep.weights.empty()) {
-            if (!weight_capable(kind)) {
-              bad_line(ep.line, "retune w targets " + name + ", which runs " +
-                                    to_string(kind) + " (no weights)");
-            }
-            if (ep.weights.size() != n) {
-              bad_line(ep.line, "w needs " + std::to_string(n) +
-                                    " values (one per class), got " +
-                                    std::to_string(ep.weights.size()));
-            }
-            sdp = ep.weights;
-          }
-          if (ep.g > 0.0 && kind != SchedulerKind::kHpd) {
-            bad_line(ep.line, "retune g targets " + name + ", which runs " +
-                                  to_string(kind) + " (not hpd) at t=" +
-                                  std::to_string(ep.at));
-          }
-          if (ep.g > 0.0) g = ep.g;
-          break;
-        case ControlKind::kClass:
-          if (ep.cls >= n) {
-            bad_line(ep.line, "class index " + std::to_string(ep.cls) +
-                                  " out of range (target " + name + " has " +
-                                  std::to_string(n) + " classes)");
-          }
-          break;
-        case ControlKind::kSwap: {
-          if (!class_based(kind)) {
-            bad_line(ep.line, "swap targets " + name + ", which runs " +
-                                  to_string(kind) +
-                                  " (not class-based) at t=" +
-                                  std::to_string(ep.at));
-          }
-          if (ep.sched == SchedulerKind::kBpr &&
-              target.config.link_capacity <= 0.0) {
-            bad_line(ep.line, "swap to bpr needs a link capacity in the "
-                              "scheduler config");
-          }
-          SchedulerConfig replacement_config = target.config;
-          replacement_config.sdp = sdp;
-          replacement_config.hpd_g = g;
-          inst.replacement = make_scheduler(ep.sched, replacement_config);
-          PDS_REQUIRE(dynamic_cast<ClassBasedScheduler*>(
-                          inst.replacement.get()) != nullptr);
-          kind = ep.sched;
-          break;
-        }
-        case ControlKind::kShed:
-          if (ep.shed.classes > n) {
-            bad_line(ep.line, "shed classes=" +
-                                  std::to_string(ep.shed.classes) +
-                                  " exceeds the " + std::to_string(n) +
-                                  " classes of target " + name);
-          }
-          break;
-      }
-    }
-  }
-
+  engine_.expand();
+  replacements_.resize(engine_.instances().size());
+  for (std::size_t t = 0; t < targets_.size(); ++t) validate_timeline(t);
   // Route control drops (drains, sheds) back through the injector so the
   // ctrl.* counters see them.
-  for (auto& [name, target] : targets_) {
+  for (Target& target : targets_) {
     target.link->set_control_drop_handler(
         [this](const Packet& p, ControlDropKind kind, SimTime) {
           note_control_drop(p, kind);
         });
   }
-
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    const auto& ep = instances_[i].episode;
-    PDS_CHECK(ep.at >= sim_.now(),
-              "control episode starts before the current simulation time");
-    if (ep.kind == ControlKind::kShed) {
-      sim_.schedule_at(ep.at, SimEvent([this, i] { apply(i); }, "ctrl.begin"));
-      sim_.schedule_at(ep.end(),
-                       SimEvent([this, i] { end_shed(i); }, "ctrl.end"));
-    } else {
-      sim_.schedule_at(ep.at, SimEvent([this, i] { apply(i); }, "ctrl.apply"));
-    }
-  }
+  engine_.schedule([this](std::size_t i) { apply(i); },
+                   [this](std::size_t i) { end_shed(i); });
 }
 
-void ControlInjector::set_span_buffer(SpanBuffer* buffer,
-                                      double us_per_time_unit) {
-#if PDS_OBS_ENABLED
-  spans_ = buffer;
-  span_scale_ = us_per_time_unit;
-#else
-  (void)buffer;
-  (void)us_per_time_unit;
-#endif
+// Validates one target's episode *timeline* and pre-constructs its swap
+// replacements. Kind and weights are tracked through earlier episodes so a
+// `retune g=` after a `swap sched=hpd` is legal, a retune after a swap to
+// FCFS-like kinds is caught here, and every replacement starts with the
+// weights in force at its swap instant.
+void ControlInjector::validate_timeline(std::size_t t) {
+  const auto& instances = engine_.instances();
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    if (instances[i].target == t) order.push_back(i);
+  }
+  const auto episode = [&](std::size_t i) -> const ControlEpisode& {
+    return plan_.episodes[instances[i].episode];
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return episode(a).at < episode(b).at;
+                   });
+  const Target& target = targets_[t];
+  const std::string& name = engine_.target_name(t);
+  SchedulerKind kind = target.kind;
+  std::vector<double> sdp = target.config.sdp;
+  double g = target.config.hpd_g;
+  const std::uint32_t n = target.config.num_classes();
+  for (const std::size_t i : order) {
+    const ControlEpisode& ep = episode(i);
+    switch (ep.kind) {
+      case ControlKind::kRetune:
+        if (!ep.weights.empty()) {
+          if (!weight_capable(kind)) {
+            engine_.fail(ep.line, "retune w targets " + name + ", which runs " +
+                                      to_string(kind) + " (no weights)");
+          }
+          if (ep.weights.size() != n) {
+            engine_.fail(ep.line, "w needs " + std::to_string(n) +
+                                      " values (one per class), got " +
+                                      std::to_string(ep.weights.size()));
+          }
+          sdp = ep.weights;
+        }
+        if (ep.g > 0.0 && kind != SchedulerKind::kHpd) {
+          engine_.fail(ep.line, "retune g targets " + name + ", which runs " +
+                                    to_string(kind) + " (not hpd) at t=" +
+                                    std::to_string(ep.at));
+        }
+        if (ep.g > 0.0) g = ep.g;
+        break;
+      case ControlKind::kClass:
+        if (ep.cls >= n) {
+          engine_.fail(ep.line, "class index " + std::to_string(ep.cls) +
+                                    " out of range (target " + name +
+                                    " has " + std::to_string(n) +
+                                    " classes)");
+        }
+        break;
+      case ControlKind::kSwap: {
+        if (!class_based(kind)) {
+          engine_.fail(ep.line, "swap targets " + name + ", which runs " +
+                                    to_string(kind) +
+                                    " (not class-based) at t=" +
+                                    std::to_string(ep.at));
+        }
+        if (ep.sched == SchedulerKind::kBpr &&
+            target.config.link_capacity <= 0.0) {
+          engine_.fail(ep.line, "swap to bpr needs a link capacity in the "
+                                "scheduler config");
+        }
+        SchedulerConfig replacement_config = target.config;
+        replacement_config.sdp = sdp;
+        replacement_config.hpd_g = g;
+        replacements_[i] = make_scheduler(ep.sched, replacement_config);
+        PDS_REQUIRE(dynamic_cast<ClassBasedScheduler*>(
+                        replacements_[i].get()) != nullptr);
+        kind = ep.sched;
+        break;
+      }
+      case ControlKind::kShed:
+        if (ep.shed.classes > n) {
+          engine_.fail(ep.line, "shed classes=" +
+                                    std::to_string(ep.shed.classes) +
+                                    " exceeds the " + std::to_string(n) +
+                                    " classes of target " + name);
+        }
+        break;
+    }
+  }
 }
 
 void ControlInjector::bind_metrics(MetricsRegistry& registry) {
@@ -225,58 +153,6 @@ void ControlInjector::bind_metrics(MetricsRegistry& registry) {
   registry.counter("ctrl.episodes");
   registry.counter("ctrl.shed.drops");
   registry.counter("ctrl.drain.drops");
-}
-
-std::uint64_t ControlInjector::shed_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& [name, target] : targets_) {
-    total += target.link->shed_drops();
-  }
-  return total;
-}
-
-std::uint64_t ControlInjector::drain_drops() const {
-  std::uint64_t total = 0;
-  for (const auto& [name, target] : targets_) {
-    total += target.link->drain_drops();
-  }
-  return total;
-}
-
-std::string ControlInjector::active_summary() const {
-  std::ostringstream os;
-  bool first = true;
-  for (const Instance& inst : instances_) {
-    if (!inst.active) continue;
-    if (!first) os << "+";
-    first = false;
-    os << to_string(inst.episode.kind) << " " << inst.episode.target;
-  }
-  return os.str();
-}
-
-Scheduler& ControlInjector::current_scheduler(const std::string& name) {
-  const auto it = targets_.find(name);
-  PDS_CHECK(it != targets_.end(), "unknown control target " + name);
-  return it->second.link->scheduler_mut();
-}
-
-void ControlInjector::emit_span(const ControlEpisode& ep) {
-#if PDS_OBS_ENABLED
-  if (spans_ == nullptr) return;
-  std::ostringstream args;
-  args << "\"kind\":\"" << to_string(ep.kind) << "\",\"target\":\""
-       << ep.target << "\"";
-  if (ep.kind == ControlKind::kSwap) {
-    args << ",\"sched\":\"" << to_string(ep.sched) << "\"";
-  }
-  spans_->emit(Span{ep.at * span_scale_, (ep.end() - ep.at) * span_scale_,
-                    kSpanSimPid, kSpanCtrlTid,
-                    to_string(ep.kind) + " " + ep.target, "ctrl",
-                    args.str()});
-#else
-  (void)ep;
-#endif
 }
 
 void ControlInjector::note_control_drop(const Packet& p,
@@ -290,11 +166,10 @@ void ControlInjector::note_control_drop(const Packet& p,
   }
 }
 
-void ControlInjector::apply(std::size_t index) {
-  Instance& inst = instances_[index];
-  const ControlEpisode& ep = inst.episode;
-  Link& link = *inst.target->link;
-  ++applied_;
+void ControlInjector::apply(std::size_t instance) {
+  const auto& inst = engine_.instances()[instance];
+  const ControlEpisode& ep = plan_.episodes[inst.episode];
+  Link& link = *targets_[inst.target].link;
   if (metrics_ != nullptr) metrics_->counter("ctrl.episodes").inc();
   switch (ep.kind) {
     case ControlKind::kRetune: {
@@ -316,32 +191,22 @@ void ControlInjector::apply(std::size_t index) {
       auto* old_sched =
           dynamic_cast<ClassBasedScheduler*>(&link.scheduler_mut());
       auto* replacement =
-          dynamic_cast<ClassBasedScheduler*>(inst.replacement.get());
+          dynamic_cast<ClassBasedScheduler*>(replacements_[instance].get());
       PDS_REQUIRE(old_sched != nullptr && replacement != nullptr);
       replacement->adopt_backlog(old_sched->release_backlog(), sim_.now());
       link.set_scheduler(*replacement);
-      inst.target->kind = ep.sched;
       ++swaps_;
       break;
     }
     case ControlKind::kShed:
-      link.set_shed(ep.shed);
-      inst.active = true;
+      link.set_shed(ep.shed);  // lifted by end_shed at the window end
       ++sheds_;
-      // Completion (and the span) happens at the window end.
-      return;
+      break;
   }
-  ++completed_;
-  emit_span(ep);
 }
 
-void ControlInjector::end_shed(std::size_t index) {
-  Instance& inst = instances_[index];
-  PDS_REQUIRE(inst.episode.kind == ControlKind::kShed && inst.active);
-  inst.target->link->clear_shed();
-  inst.active = false;
-  ++completed_;
-  emit_span(inst.episode);
+void ControlInjector::end_shed(std::size_t instance) {
+  targets_[engine_.instances()[instance].target].link->clear_shed();
 }
 
 }  // namespace pds

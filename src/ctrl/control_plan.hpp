@@ -13,9 +13,9 @@
 //   shed   <target> at=<t> for=<dt> watermark=<pkts> [sojourn=<dt>]
 //                                                     [classes=<k>]
 //
-// `target` is the name a Link was attached under (control_injector.hpp),
-// `*` for every attached target, or a prefix wildcard (`core*`) — the same
-// target language as fault plans. Times are absolute simulation time units.
+// The seed line, the `<directive> <target> at=<t>` head and the target
+// language (`*`, prefix wildcards) are the timed-plan shape shared with
+// fault plans (fault/timed_plan.hpp). Times are absolute time units.
 //
 // `retune` replaces the scheduler's per-class weights (w=, one value per
 // class, positive non-decreasing) and/or HPD's blend parameter (g=, in
@@ -29,10 +29,7 @@
 // for the episode's duration.
 //
 // retune/class/swap are instantaneous (duration 0, applied at `at`); shed
-// is the only windowed episode. Same-kind episodes on one target may not
-// overlap — for instantaneous episodes that means not sharing the same
-// `at`. All application happens as ordinary SimEvents at plan-scripted
-// times, so a controlled run is exactly as replayable as a plain one.
+// is the only windowed episode.
 //
 // Example (a mid-run retune, then a swap under an armed overload guard):
 //
@@ -40,40 +37,35 @@
 //   shed   link at=5e4 for=2e4 watermark=2000 classes=2
 //   swap   link at=6e4 sched=bpr
 //
-// parse_control_plan validates structure and throws std::invalid_argument
-// ("control plan line N: ..."). Target existence, wildcard matches, class
-// counts, and overlap rules are enforced later, by ControlInjector::arm().
+// parse_control_plan validates structure; ControlInjector::arm() checks
+// targets, class counts and overlaps later. Both name the plan line.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dsim/time.hpp"
+#include "fault/timed_plan.hpp"
 #include "sched/factory.hpp"
 #include "sched/link.hpp"
 
 namespace pds {
 
+// In the grammar's directive order.
 enum class ControlKind { kRetune, kClass, kSwap, kShed };
 
 // Short lowercase directive name ("retune", "class", "swap", "shed").
 std::string to_string(ControlKind kind);
 
-struct ControlEpisode {
+// `duration` is set for kShed only; the others are instantaneous.
+struct ControlEpisode : PlanEpisode {
   ControlKind kind = ControlKind::kRetune;
-  std::string target;  // attach name, "*", or a prefix wildcard ("core*")
-  SimTime at = 0.0;
-  SimTime duration = 0.0;       // kShed only; the others are instantaneous
-  std::vector<double> weights;  // kRetune: empty == no w= given
-  double g = 0.0;               // kRetune: 0 == no g= given
-  ClassId cls = 0;              // kClass
-  bool drain = true;            // kClass: drain (true) or add (false)
+  std::vector<double> weights{};  // kRetune: empty == no w= given
+  double g = 0.0;                // kRetune: 0 == no g= given
+  ClassId cls = 0;               // kClass
+  bool drain = true;             // kClass: drain (true) or add (false)
   SchedulerKind sched = SchedulerKind::kWtp;  // kSwap
-  ShedPolicy shed;                            // kShed
-  std::size_t line = 0;  // 1-based plan line, for arm()-time diagnostics
-
-  SimTime end() const noexcept { return at + duration; }
+  ShedPolicy shed{};                          // kShed
 };
 
 struct ControlPlan {

@@ -12,11 +12,9 @@
 //   loss    <target> at=<t> for=<dt> rate=<p>
 //
 // `target` is the name a Link/LossyLink was attached under (see
-// fault_injector.hpp), `*` for every attached target, or a prefix wildcard
-// (`pod0*`) matching every attached name that starts with the prefix —
-// topology-aware plans fail whole pods/tiers by naming convention. A prefix
-// pattern that matches nothing is a plan error, reported with its line
-// number. Times are absolute
+// fault_injector.hpp), `*`, or a prefix wildcard (`pod0*`) — the target
+// language of timed plans (fault/timed_plan.hpp), which topology-aware plans
+// use to fail whole pods/tiers by naming convention. Times are absolute
 // simulation time units; `for` is the episode duration. `down` takes the
 // link out of service: `mode=drop` (default) discards arrivals during the
 // outage, `mode=hold` queues them and releases the backlog on recovery.
@@ -32,46 +30,31 @@
 //   down backbone at=1e4 for=2e3 mode=hold
 //   degrade * at=2e4 for=5e3 factor=0.5
 //
-// parse_fault_plan validates structure and throws std::invalid_argument
-// with the offending line number. Overlap rules are enforced later, by
-// FaultInjector::arm(), once `*` can be expanded over the attached targets.
+// parse_fault_plan validates structure; FaultInjector::arm() checks
+// targets and overlaps later. Both name the plan line.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dsim/time.hpp"
+#include "fault/timed_plan.hpp"
 #include "sched/link.hpp"
 
 namespace pds {
 
+// In the grammar's directive order.
 enum class FaultKind { kDown, kDegrade, kStall, kLoss };
 
 // Short lowercase directive name ("down", "degrade", ...).
 std::string to_string(FaultKind kind);
 
-struct FaultEpisode {
+struct FaultEpisode : PlanEpisode {
   FaultKind kind = FaultKind::kDown;
-  std::string target;  // attach name, "*", or a prefix wildcard ("pod0*")
-  SimTime at = 0.0;
-  SimTime duration = 0.0;
   OutageMode mode = OutageMode::kDropArrivals;  // kDown only
   double factor = 1.0;                          // kDegrade only
   double rate = 0.0;                            // kLoss only
-  std::size_t line = 0;  // 1-based plan line, for arm()-time diagnostics
-
-  SimTime end() const noexcept { return at + duration; }
 };
-
-// True when `pattern` is a prefix wildcard ("pod0*", or the bare "*"):
-// a trailing '*' after zero or more literal characters.
-bool is_target_pattern(const std::string& pattern);
-
-// True when `pattern` names `name` exactly or is a prefix wildcard whose
-// prefix starts `name`. Shared by the fault and control injectors.
-bool target_pattern_matches(const std::string& pattern,
-                            const std::string& name);
 
 struct FaultPlan {
   std::uint64_t seed = 1;

@@ -1,10 +1,8 @@
 #include "net/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
-#include <sstream>
 
 #include "ctrl/control_injector.hpp"
 #include "ctrl/control_plan.hpp"
@@ -17,119 +15,11 @@
 #include "stats/percentile.hpp"
 #include "traffic/source.hpp"
 #include "util/contracts.hpp"
+#include "util/line_lexer.hpp"
 
 namespace pds {
 
 namespace {
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& msg) {
-  throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                              ": " + msg);
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (in >> tok) {
-    if (tok[0] == '#') break;  // trailing comment
-    tokens.push_back(tok);
-  }
-  return tokens;
-}
-
-// key=value options after the positional tokens.
-class Options {
- public:
-  Options(const std::vector<std::string>& tokens, std::size_t first,
-          std::size_t line_no)
-      : line_no_(line_no) {
-    for (std::size_t i = first; i < tokens.size(); ++i) {
-      const auto& tok = tokens[i];
-      const auto eq = tok.find('=');
-      if (eq == std::string::npos) {
-        flags_.push_back(tok);
-      } else {
-        values_[tok.substr(0, eq)] = tok.substr(eq + 1);
-      }
-    }
-  }
-
-  bool flag(const std::string& name) {
-    for (auto it = flags_.begin(); it != flags_.end(); ++it) {
-      if (*it == name) {
-        flags_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::optional<std::string> take(const std::string& key) {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    std::string v = it->second;
-    values_.erase(it);
-    return v;
-  }
-
-  std::string require(const std::string& key) {
-    auto v = take(key);
-    if (!v) fail(line_no_, "missing required option " + key + "=...");
-    return *v;
-  }
-
-  double number(const std::string& key) {
-    return to_number(require(key));
-  }
-
-  double number_or(const std::string& key, double def) {
-    const auto v = take(key);
-    return v ? to_number(*v) : def;
-  }
-
-  std::vector<double> list(const std::string& key) {
-    const std::string raw = require(key);
-    std::vector<double> out;
-    std::size_t start = 0;
-    while (start <= raw.size()) {
-      const auto comma = raw.find(',', start);
-      const auto item = raw.substr(
-          start, comma == std::string::npos ? std::string::npos
-                                            : comma - start);
-      if (item.empty()) fail(line_no_, "empty element in " + key);
-      out.push_back(to_number(item));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    return out;
-  }
-
-  void finish() const {
-    if (!values_.empty()) {
-      fail(line_no_, "unknown option " + values_.begin()->first);
-    }
-    if (!flags_.empty()) {
-      fail(line_no_, "unknown flag " + flags_.front());
-    }
-  }
-
- private:
-  double to_number(const std::string& raw) const {
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(raw, &pos);
-      if (pos != raw.size()) fail(line_no_, "malformed number: " + raw);
-      return v;
-    } catch (const std::invalid_argument&) {
-      fail(line_no_, "malformed number: " + raw);
-    }
-  }
-
-  std::size_t line_no_;
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> flags_;
-};
 
 // Parse-time view of the declared graph, for route validation.
 struct ParseGraph {
@@ -144,63 +34,36 @@ struct ParseGraph {
   std::vector<std::size_t> route_edges;
 };
 
-// Integer option in [0, UINT32_MAX] with a clean per-line error: values out
-// of range are rejected, never truncated or wrapped.
-std::uint32_t to_integer(double v, const std::string& key,
-                         std::size_t line_no) {
-  constexpr double kMax = std::numeric_limits<std::uint32_t>::max();
-  if (!(v >= 0.0 && v <= kMax) || v != std::floor(v)) {
-    fail(line_no, key + " must be an integer in [0, 4294967295]");
+// The per-link options shared by the link, edge and topology directives.
+void read_link_options(LineOptions& opts, ScenarioLink& link) {
+  link.capacity = opts.number("capacity");
+  if (link.capacity <= 0.0) opts.fail("capacity must be positive");
+  const std::string sched = opts.require("sched");
+  try {
+    link.kind = scheduler_kind_from_string(sched);
+  } catch (const std::invalid_argument&) {
+    opts.fail("unknown scheduler " + sched);
   }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::uint32_t integer(Options& opts, const std::string& key,
-                      std::size_t line_no) {
-  return to_integer(opts.number(key), key, line_no);
-}
-
-std::uint32_t integer_or(Options& opts, const std::string& key,
-                         std::uint32_t def, std::size_t line_no) {
-  return to_integer(opts.number_or(key, def), key, line_no);
-}
-
-// Optional burst=<k> option: packets drained per scheduler decision.
-// Defaults to 1 (classic single-packet service, byte-identical traces).
-std::uint32_t parse_burst(Options& opts, std::size_t line_no) {
-  const double v = opts.number_or("burst", 1.0);
-  if (v < 1.0 || v > static_cast<double>(kMaxBurst) ||
-      v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    fail(line_no,
-         "burst must be an integer in [1, " + std::to_string(kMaxBurst) + "]");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-// Optional buffer=<pkts> option: finite drop-tail buffer. Defaults to 0
-// (the paper's lossless link).
-std::uint64_t parse_buffer(Options& opts, std::size_t line_no) {
-  const double v = opts.number_or("buffer", 0.0);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::uint64_t>(v))) {
-    fail(line_no, "buffer must be a non-negative packet count");
-  }
-  return static_cast<std::uint64_t>(v);
+  link.sdp = opts.weights("sdp");
+  // burst=<k>: packets drained per scheduler decision; the default 1 is
+  // classic single-packet service. buffer=<pkts>: a finite drop-tail
+  // buffer; the default 0 is the paper's lossless link.
+  link.burst = opts.integer_or<std::uint32_t>("burst", 1, 1, kMaxBurst);
+  link.buffer = opts.integer_or<std::uint64_t>("buffer", 0);
 }
 
 void add_scenario_node(Scenario& scenario, ParseGraph& graph,
-                       const std::string& name, std::size_t line_no) {
-  if (graph.node_index.count(name)) {
-    fail(line_no, "duplicate node name " + name);
-  }
+                       const std::string& name, const LineLexer& lex) {
+  if (graph.node_index.count(name)) lex.fail("duplicate node name " + name);
   graph.node_index[name] = static_cast<NodeId>(scenario.nodes.size());
   scenario.nodes.push_back(name);
 }
 
 void add_scenario_link(Scenario& scenario, ParseGraph& graph,
-                       ScenarioLink link, std::size_t line_no) {
+                       ScenarioLink link, const LineLexer& lex) {
   const auto index = static_cast<std::uint32_t>(scenario.links.size());
   if (!graph.link_index.emplace(link.name, index).second) {
-    fail(line_no, "duplicate link name " + link.name);
+    lex.fail("duplicate link name " + link.name);
   }
   if (!link.from.empty()) {
     graph.edges.push_back(GraphEdge{index, graph.node_index.at(link.from),
@@ -211,9 +74,9 @@ void add_scenario_link(Scenario& scenario, ParseGraph& graph,
 }
 
 NodeId require_node(const ParseGraph& graph, const std::string& name,
-                    std::size_t line_no) {
+                    const LineLexer& lex) {
   const auto it = graph.node_index.find(name);
-  if (it == graph.node_index.end()) fail(line_no, "unknown node " + name);
+  if (it == graph.node_index.end()) lex.fail("unknown node " + name);
   return it->second;
 }
 
@@ -245,12 +108,13 @@ std::size_t path_classes(const ParseGraph& graph,
 }
 
 // `count` classes (indices 0..count-1) must fit the `classes` of `path`.
-void check_class(std::size_t line_no, std::size_t count, const char* what,
-                 std::size_t classes, const std::string& path) {
+void check_class(const LineLexer& lex, std::size_t line_no, std::size_t count,
+                 const char* what, std::size_t classes,
+                 const std::string& path) {
   if (count > classes) {
-    fail(line_no, what + std::to_string(count - 1) + " exceeds the " +
-                      std::to_string(classes) + " classes of " + path +
-                      " (its smallest sdp= count)");
+    lex.fail_at(line_no, what + std::to_string(count - 1) + " exceeds the " +
+                             std::to_string(classes) + " classes of " + path +
+                             " (its smallest sdp= count)");
   }
 }
 
@@ -259,6 +123,7 @@ void check_class(std::size_t line_no, std::size_t count, const char* what,
 // Checked once the whole file is read, because a routed route takes its
 // shortest path over every declared edge, as the run does.
 void check_route_classes(const Scenario& scenario, const ParseGraph& graph,
+                         const LineLexer& lex,
                          const std::vector<std::size_t>& source_lines,
                          const std::vector<std::size_t>& flow_lines) {
   // A routed route declared before the last edge may run on a different
@@ -278,86 +143,78 @@ void check_route_classes(const Scenario& scenario, const ParseGraph& graph,
     const auto& src = scenario.sources[i];
     const std::size_t classes = classes_of(src.route);
     if (src.kind == ScenarioSourceKind::kMix) {
-      check_class(source_lines[i], src.fractions.size(), "fractions= class ",
-                  classes, "route " + src.route);
+      check_class(lex, source_lines[i], src.fractions.size(),
+                  "fractions= class ", classes, "route " + src.route);
     } else {
-      check_class(source_lines[i], std::size_t{src.cls} + 1, "class ",
+      check_class(lex, source_lines[i], std::size_t{src.cls} + 1, "class ",
                   classes, "route " + src.route);
     }
   }
   for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
     const auto& f = scenario.flows[i];
     const std::size_t count = std::size_t{f.cls} + 1;
-    check_class(flow_lines[i], count, "class ", classes_of(f.route),
+    check_class(lex, flow_lines[i], count, "class ", classes_of(f.route),
                 "route " + f.route);
     if (!f.reverse.empty()) {
-      check_class(flow_lines[i], count, "class ", classes_of(f.reverse),
+      check_class(lex, flow_lines[i], count, "class ", classes_of(f.reverse),
                   "route " + f.reverse);
     } else {
       const ScenarioRoute& fwd =
           scenario.routes[graph.route_index.at(f.route)];
       const auto back = shortest_path(scenario, graph, fwd.to, fwd.from);
-      check_class(flow_lines[i], count, "class ", path_classes(graph, back),
+      check_class(lex, flow_lines[i], count, "class ",
+                  path_classes(graph, back),
                   "the response path of route " + f.route);
     }
   }
 }
 
 void expand_topology(Scenario& scenario, ParseGraph& graph,
-                     const std::vector<std::string>& tokens,
-                     std::size_t line_no) {
-  if (tokens.size() < 2) fail(line_no, "topology needs a kind");
+                     const LineLexer& lex) {
+  const auto& tokens = lex.tokens();
+  if (tokens.size() < 2) lex.fail("topology needs a kind");
   const std::string& kind = tokens[1];
-  Options opts(tokens, 2, line_no);
+  LineOptions opts(lex, 2);
   TopologySpec spec;
   if (kind == "line" || kind == "ring") {
-    const std::uint32_t n = integer(opts, "n", line_no);
+    const auto n = opts.integer<std::uint32_t>("n");
     if (kind == "line") {
-      if (n < 2) fail(line_no, "line needs n >= 2");
+      if (n < 2) lex.fail("line needs n >= 2");
       spec = make_line_topology(n);
     } else {
-      if (n < 3) fail(line_no, "ring needs n >= 3");
+      if (n < 3) lex.fail("ring needs n >= 3");
       spec = make_ring_topology(n);
     }
   } else if (kind == "fat_tree") {
-    const std::uint32_t k = integer(opts, "k", line_no);
-    if (k < 2 || k % 2 != 0) fail(line_no, "fat_tree needs an even k >= 2");
+    const auto k = opts.integer<std::uint32_t>("k");
+    if (k < 2 || k % 2 != 0) lex.fail("fat_tree needs an even k >= 2");
     spec = make_fat_tree_topology(k);
   } else if (kind == "two_tier") {
-    const std::uint32_t cores = integer(opts, "cores", line_no);
-    const std::uint32_t pops = integer(opts, "pops", line_no);
+    const auto cores = opts.integer<std::uint32_t>("cores");
+    const auto pops = opts.integer<std::uint32_t>("pops");
     if (cores < 1 || pops < 1) {
-      fail(line_no, "two_tier needs cores >= 1 and pops >= 1");
+      lex.fail("two_tier needs cores >= 1 and pops >= 1");
     }
     spec = make_two_tier_topology(cores, pops);
   } else {
-    fail(line_no, "unknown topology kind " + kind);
+    lex.fail("unknown topology kind " + kind);
   }
 
-  const double capacity = opts.number("capacity");
-  const SchedulerKind sched =
-      scheduler_kind_from_string(opts.require("sched"));
-  const std::vector<double> sdp = opts.list("sdp");
-  const std::uint32_t burst = parse_burst(opts, line_no);
-  const std::uint64_t buffer = parse_buffer(opts, line_no);
+  ScenarioLink proto;
+  read_link_options(opts, proto);
   const std::string prefix = opts.take("prefix").value_or("");
   opts.finish();
 
   for (const auto& name : spec.nodes) {
-    add_scenario_node(scenario, graph, prefix + name, line_no);
+    add_scenario_node(scenario, graph, prefix + name, lex);
   }
   for (const auto& [a, b] : spec.edges) {
     for (int dir = 0; dir < 2; ++dir) {
-      ScenarioLink link;
+      ScenarioLink link = proto;
       link.from = prefix + (dir == 0 ? a : b);
       link.to = prefix + (dir == 0 ? b : a);
       link.name = link.from + ">" + link.to;
-      link.capacity = capacity;
-      link.kind = sched;
-      link.sdp = sdp;
-      link.burst = burst;
-      link.buffer = buffer;
-      add_scenario_link(scenario, graph, std::move(link), line_no);
+      add_scenario_link(scenario, graph, std::move(link), lex);
     }
   }
 }
@@ -370,81 +227,62 @@ Scenario parse_scenario(const std::string& text) {
   std::vector<std::size_t> source_lines;
   std::vector<std::size_t> flow_lines;
   bool saw_run = false;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
+  LineLexer lex(text, "scenario");
+  while (lex.next()) {
+    const auto& tokens = lex.tokens();
     const auto& kind = tokens[0];
 
     if (kind == "node") {
-      if (tokens.size() < 2) fail(line_no, "node needs a name");
-      Options opts(tokens, 2, line_no);
-      opts.finish();
-      add_scenario_node(scenario, graph, tokens[1], line_no);
-    } else if (kind == "edge") {
-      if (tokens.size() < 2) fail(line_no, "edge needs a name");
+      if (tokens.size() < 2) lex.fail("node needs a name");
+      LineOptions(lex, 2).finish();
+      add_scenario_node(scenario, graph, tokens[1], lex);
+    } else if (kind == "edge" || kind == "link") {
+      if (tokens.size() < 2) lex.fail(kind + " needs a name");
       ScenarioLink link;
       link.name = tokens[1];
-      Options opts(tokens, 2, line_no);
-      link.from = opts.require("from");
-      link.to = opts.require("to");
-      require_node(graph, link.from, line_no);
-      require_node(graph, link.to, line_no);
-      if (link.from == link.to) fail(line_no, "edge endpoints must differ");
-      link.capacity = opts.number("capacity");
-      link.kind = scheduler_kind_from_string(opts.require("sched"));
-      link.sdp = opts.list("sdp");
-      link.burst = parse_burst(opts, line_no);
-      link.buffer = parse_buffer(opts, line_no);
+      LineOptions opts(lex, 2);
+      if (kind == "edge") {
+        link.from = opts.require("from");
+        link.to = opts.require("to");
+        require_node(graph, link.from, lex);
+        require_node(graph, link.to, lex);
+        if (link.from == link.to) lex.fail("edge endpoints must differ");
+      }
+      read_link_options(opts, link);
       opts.finish();
-      add_scenario_link(scenario, graph, std::move(link), line_no);
+      add_scenario_link(scenario, graph, std::move(link), lex);
     } else if (kind == "topology") {
-      expand_topology(scenario, graph, tokens, line_no);
-    } else if (kind == "link") {
-      if (tokens.size() < 2) fail(line_no, "link needs a name");
-      ScenarioLink link;
-      link.name = tokens[1];
-      Options opts(tokens, 2, line_no);
-      link.capacity = opts.number("capacity");
-      link.kind = scheduler_kind_from_string(opts.require("sched"));
-      link.sdp = opts.list("sdp");
-      link.burst = parse_burst(opts, line_no);
-      link.buffer = parse_buffer(opts, line_no);
-      opts.finish();
-      add_scenario_link(scenario, graph, std::move(link), line_no);
+      expand_topology(scenario, graph, lex);
     } else if (kind == "route") {
-      if (tokens.size() < 3) fail(line_no, "route needs a name and links");
+      if (tokens.size() < 3) lex.fail("route needs a name and links");
       ScenarioRoute route;
       route.name = tokens[1];
       if (!graph.route_index.emplace(route.name, scenario.routes.size())
                .second) {
-        fail(line_no, "duplicate route name " + route.name);
+        lex.fail("duplicate route name " + route.name);
       }
       std::size_t classes = std::numeric_limits<std::size_t>::max();
       const bool routed = tokens[2].find('=') != std::string::npos;
       if (routed) {
-        Options opts(tokens, 2, line_no);
+        LineOptions opts(lex, 2);
         route.from = opts.require("from");
         route.to = opts.require("to");
         opts.finish();
-        const NodeId from = require_node(graph, route.from, line_no);
-        const NodeId to = require_node(graph, route.to, line_no);
-        if (from == to) fail(line_no, "route endpoints must differ");
+        const NodeId from = require_node(graph, route.from, lex);
+        const NodeId to = require_node(graph, route.to, lex);
+        if (from == to) lex.fail("route endpoints must differ");
         const auto path = shortest_path_links(
             static_cast<NodeId>(scenario.nodes.size()), graph.edges, from,
             to);
         if (path.empty()) {
-          fail(line_no, "no path from " + route.from + " to " + route.to);
+          lex.fail("no path from " + route.from + " to " + route.to);
         }
         classes = path_classes(graph, path);
       } else {
         for (std::size_t i = 2; i < tokens.size(); ++i) {
           const auto link = graph.link_index.find(tokens[i]);
           if (link == graph.link_index.end()) {
-            fail(line_no, "unknown link " + tokens[i]);
+            lex.fail("unknown link " + tokens[i]);
           }
           route.links.push_back(tokens[i]);
           classes = std::min(classes, graph.link_classes[link->second]);
@@ -454,7 +292,7 @@ Scenario parse_scenario(const std::string& text) {
       graph.route_classes.push_back(classes);
       graph.route_edges.push_back(graph.edges.size());
     } else if (kind == "source") {
-      if (tokens.size() < 3) fail(line_no, "source needs a kind and route");
+      if (tokens.size() < 3) lex.fail("source needs a kind and route");
       ScenarioSource src;
       const auto& sk = tokens[1];
       if (sk == "renewal") {
@@ -464,20 +302,20 @@ Scenario parse_scenario(const std::string& text) {
       } else if (sk == "cbr") {
         src.kind = ScenarioSourceKind::kCbr;
       } else {
-        fail(line_no, "unknown source kind " + sk);
+        lex.fail("unknown source kind " + sk);
       }
       src.route = tokens[2];
       if (!find_route(scenario, src.route)) {
-        fail(line_no, "unknown route " + src.route);
+        lex.fail("unknown route " + src.route);
       }
 
-      Options opts(tokens, 3, line_no);
+      LineOptions opts(lex, 3);
       src.start = opts.number_or("start", 0.0);
-      src.size_bytes = integer(opts, "size", line_no);
-      if (src.size_bytes < 1) fail(line_no, "source needs size >= 1");
+      src.size_bytes = opts.integer<std::uint32_t>("size");
+      if (src.size_bytes < 1) lex.fail("source needs size >= 1");
       switch (src.kind) {
         case ScenarioSourceKind::kRenewal:
-          src.cls = integer(opts, "class", line_no);
+          src.cls = opts.integer<ClassId>("class");
           src.gap = opts.number("gap");
           src.pareto_alpha =
               opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
@@ -489,32 +327,32 @@ Scenario parse_scenario(const std::string& text) {
               opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
           break;
         case ScenarioSourceKind::kCbr:
-          src.cls = integer(opts, "class", line_no);
-          src.count = integer(opts, "count", line_no);
+          src.cls = opts.integer<ClassId>("class");
+          src.count = opts.integer<std::uint32_t>("count");
           src.interval = opts.number("interval");
           break;
       }
       opts.finish();
       scenario.sources.push_back(std::move(src));
-      source_lines.push_back(line_no);
+      source_lines.push_back(lex.line_no());
     } else if (kind == "flows") {
-      if (tokens.size() < 2) fail(line_no, "flows need a route");
+      if (tokens.size() < 2) lex.fail("flows need a route");
       ScenarioFlows f;
       f.route = tokens[1];
       const ScenarioRoute* route = find_route(scenario, f.route);
-      if (!route) fail(line_no, "unknown route " + f.route);
+      if (!route) lex.fail("unknown route " + f.route);
 
-      Options opts(tokens, 2, line_no);
-      f.cls = integer(opts, "class", line_no);
-      f.users = integer(opts, "users", line_no);
-      f.size_bytes = integer(opts, "size", line_no);
+      LineOptions opts(lex, 2);
+      f.cls = opts.integer<ClassId>("class");
+      f.users = opts.integer<std::uint32_t>("users");
+      f.size_bytes = opts.integer<std::uint32_t>("size");
       f.think_mean = opts.number("think");
-      f.request_packets = integer_or(opts, "request", 1, line_no);
+      f.request_packets = opts.integer_or<std::uint32_t>("request", 1);
       f.response_packets =
-          integer_or(opts, "response", f.request_packets, line_no);
+          opts.integer_or<std::uint32_t>("response", f.request_packets);
       f.deadline = opts.number_or("deadline", 0.0);
       f.rto = opts.number_or("rto", 0.0);
-      f.max_retries = integer_or(opts, "retries", 0, line_no);
+      f.max_retries = opts.integer_or<std::uint32_t>("retries", 0);
       f.backoff = opts.number_or("backoff", 2.0);
       f.rto_cap = opts.number_or("rto_cap", 0.0);
       f.throttle_tokens = opts.number_or("throttle", 0.0);
@@ -523,49 +361,50 @@ Scenario parse_scenario(const std::string& text) {
       if (const auto rev = opts.take("reverse")) {
         f.reverse = *rev;
         if (!find_route(scenario, f.reverse)) {
-          fail(line_no, "unknown route " + f.reverse);
+          lex.fail("unknown route " + f.reverse);
         }
       }
       opts.finish();
 
-      if (f.users < 1) fail(line_no, "flows need users >= 1");
-      if (f.size_bytes < 1) fail(line_no, "flows need size >= 1");
+      if (f.users < 1) lex.fail("flows need users >= 1");
+      if (f.size_bytes < 1) lex.fail("flows need size >= 1");
       if (f.request_packets < 1 || f.response_packets < 1) {
-        fail(line_no, "request/response need at least one packet");
+        lex.fail("request/response need at least one packet");
       }
-      if (f.think_mean < 0.0) fail(line_no, "think must be non-negative");
+      if (f.think_mean < 0.0) lex.fail("think must be non-negative");
       if (f.max_retries > 0 && f.rto <= 0.0) {
-        fail(line_no, "retries need a positive rto");
+        lex.fail("retries need a positive rto");
       }
-      if (f.backoff < 1.0) fail(line_no, "backoff must be >= 1");
+      if (f.backoff < 1.0) lex.fail("backoff must be >= 1");
       if (f.reverse.empty()) {
         // Responses return over the auto-computed shortest path back, which
         // only exists for routed (from=/to=) forward routes.
         if (route->from.empty()) {
-          fail(line_no,
-               "flows over an explicit route need reverse=<route>");
+          lex.fail("flows over an explicit route need reverse=<route>");
         }
         const auto back = shortest_path_links(
             static_cast<NodeId>(scenario.nodes.size()), graph.edges,
             graph.node_index.at(route->to), graph.node_index.at(route->from));
         if (back.empty()) {
-          fail(line_no, "no path from " + route->to + " to " + route->from +
-                            " for the response direction");
+          lex.fail("no path from " + route->to + " to " + route->from +
+                   " for the response direction");
         }
       }
       scenario.flows.push_back(std::move(f));
-      flow_lines.push_back(line_no);
+      flow_lines.push_back(lex.line_no());
     } else if (kind == "run") {
-      if (saw_run) fail(line_no, "duplicate run directive");
+      if (saw_run) lex.fail("duplicate run directive");
       saw_run = true;
-      Options opts(tokens, 1, line_no);
+      LineOptions opts(lex, 1);
       scenario.run.until = opts.number("until");
       scenario.run.warmup = opts.number_or("warmup", 0.0);
-      scenario.run.seed =
-          static_cast<std::uint64_t>(opts.number_or("seed", 1.0));
+      scenario.run.seed = opts.integer_or<std::uint64_t>("seed", 1);
       opts.finish();
+      if (!(scenario.run.until > scenario.run.warmup)) {
+        lex.fail("run horizon must exceed the warmup");
+      }
     } else {
-      fail(line_no, "unknown directive " + kind);
+      lex.fail("unknown directive " + kind);
     }
   }
   if (scenario.links.empty()) {
@@ -575,9 +414,7 @@ Scenario parse_scenario(const std::string& text) {
   if (scenario.sources.empty() && scenario.flows.empty()) {
     throw std::invalid_argument("scenario defines no sources");
   }
-  check_route_classes(scenario, graph, source_lines, flow_lines);
-  PDS_CHECK(scenario.run.until > scenario.run.warmup,
-            "run horizon must exceed the warmup");
+  check_route_classes(scenario, graph, lex, source_lines, flow_lines);
   return scenario;
 }
 

@@ -47,11 +47,13 @@
 // route, or (for from=/to= routes) the auto-computed shortest path back.
 //
 // parse_scenario validates structure (names, references, parameter sets,
-// reachability) and throws std::invalid_argument with the offending line
-// number; run_scenario executes it and reports per-route per-class
-// end-to-end queueing delays, per-link utilization, and — when the
-// scenario declares flows — per-workload flow-completion-time percentiles
-// and SLO attainment.
+// reachability) and values (finite numbers, integers in range, capacity >
+// 0, positive non-decreasing sdp=, a known sched=, until > warmup) and
+// throws std::invalid_argument with the offending line number (token rules
+// in util/line_lexer.hpp); run_scenario executes it and reports per-route
+// per-class end-to-end queueing delays, per-link utilization, and — when
+// the scenario declares flows — per-workload flow-completion-time
+// percentiles and SLO attainment.
 #pragma once
 
 #include <cstdint>

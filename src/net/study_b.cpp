@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "net/chain.hpp"
+#include "net/topology.hpp"
 #include "stats/percentile.hpp"
 #include "stats/running_stats.hpp"
 #include "traffic/source.hpp"
@@ -71,35 +71,42 @@ StudyBResult run_study_b(const StudyBConfig& config) {
   sched_config.sdp = config.sdp;
   sched_config.link_capacity = capacity;
 
+  // Figure 6 as a fixed-route network: K hops, one user route over all of
+  // them, and one single-hop route per hop for that hop's cross traffic.
+  Network net(sim);
+  std::vector<LinkId> path;
+  for (std::uint32_t h = 0; h < config.hops; ++h) {
+    path.push_back(net.add_link(config.scheduler, sched_config, capacity));
+  }
+
   // Per-flow end-to-end delay samples (seconds).
   std::vector<SampleSet> flow_delays(flows_total);
   std::uint64_t user_exits = 0;
+  const RouteId user_route =
+      net.add_route(path, [&](const Packet& p, SimTime) {
+        PDS_REQUIRE(p.flow < flows_total);
+        flow_delays[p.flow].add(p.cum_queueing);
+        ++user_exits;
+      });
 
-  ChainNetwork net(sim, config.hops, config.scheduler, sched_config, capacity,
-                   [&](const Packet& p, SimTime) {
-                     PDS_REQUIRE(p.flow < flows_total);
-                     flow_delays[p.flow].add(p.cum_queueing);
-                     ++user_exits;
-                   });
-
-  // Per-hop per-class means over all traffic after warmup.
+  // Cross traffic: C independent mix sources per hop, on a one-hop route
+  // whose exits give the per-hop per-class means after warmup (on a one-hop
+  // route, cum_queueing is that hop's wait).
   std::vector<std::vector<RunningStats>> hop_delays(
       config.hops, std::vector<RunningStats>(n));
-  net.set_hop_observer([&](std::uint32_t hop, const Packet& p, SimTime wait,
-                           SimTime now) {
-    if (now >= config.warmup_s) hop_delays[hop][p.cls].add(wait);
-  });
-
-  // Cross traffic: C independent mix sources per hop.
   std::vector<std::unique_ptr<ClassMixSource>> cross;
   cross.reserve(config.hops * config.cross_sources_per_hop);
   for (std::uint32_t h = 0; h < config.hops; ++h) {
+    const RouteId route = net.add_route(
+        {path[h]}, [&hop_delays, &config, h](const Packet& p, SimTime now) {
+          if (now >= config.warmup_s) hop_delays[h][p.cls].add(p.cum_queueing);
+        });
     for (std::uint32_t s = 0; s < config.cross_sources_per_hop; ++s) {
       cross.push_back(std::make_unique<ClassMixSource>(
           sim, ids, config.cross_mix,
           pareto_gaps(config.pareto_alpha, per_source_interarrival),
           fixed_size(config.packet_bytes), master.split(),
-          [&net, h](Packet p) { net.inject_cross(h, std::move(p)); }));
+          [&net, route](Packet p) { net.inject(std::move(p), route); }));
       cross.back()->start(kTimeZero);
     }
   }
@@ -113,7 +120,9 @@ StudyBResult run_study_b(const StudyBConfig& config) {
       const FlowId flow_id = k * n + c;
       flows.push_back(std::make_unique<CbrFlowSource>(
           sim, ids, c, flow_id, config.flow_packets, config.packet_bytes,
-          flow_gap, [&net](Packet p) { net.inject_user(std::move(p)); }));
+          flow_gap, [&net, user_route](Packet p) {
+            net.inject(std::move(p), user_route);
+          }));
       flows.back()->start(config.warmup_s +
                           static_cast<double>(k) *
                               config.experiment_interval_s);
@@ -192,8 +201,7 @@ StudyBResult run_study_b(const StudyBConfig& config) {
 
   result.mean_utilization_per_hop.reserve(config.hops);
   for (std::uint32_t h = 0; h < config.hops; ++h) {
-    result.mean_utilization_per_hop.push_back(net.link(h).busy_time() /
-                                              sim.now());
+    result.mean_utilization_per_hop.push_back(net.utilization(path[h]));
   }
 
   result.per_hop_class_delay.assign(config.hops,

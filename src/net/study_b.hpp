@@ -57,9 +57,10 @@ struct StudyBResult {
   std::vector<double> mean_e2e_delay_per_class;  // seconds
   std::vector<double> mean_utilization_per_hop;
 
-  // Per-hop, per-class mean queueing delay (seconds; user + cross traffic,
-  // post-warmup) and the per-hop R_D of successive-class means — showing
-  // how the per-hop deviations "cancel out" into the end-to-end figure.
+  // Per-hop, per-class mean queueing delay (seconds; that hop's cross
+  // traffic, post-warmup) and the per-hop R_D of successive-class means —
+  // showing how the per-hop deviations "cancel out" into the end-to-end
+  // figure.
   std::vector<std::vector<double>> per_hop_class_delay;  // [hop][class]
   std::vector<double> per_hop_rd;                        // [hop]
 };

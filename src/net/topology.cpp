@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "ctrl/control_injector.hpp"
+#include "fault/fault_injector.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -317,6 +318,16 @@ void build_topology(Network& net, const TopologySpec& spec,
     const NodeId na = find(a), nb = find(b);
     net.add_edge(na, nb, kind, sched_config, capacity);
     net.add_edge(nb, na, kind, sched_config, capacity);
+  }
+}
+
+void attach_network(FaultInjector& injector, Network& net) {
+  for (LinkId id = 0; id < net.num_links(); ++id) {
+    if (LossyLink* lossy = net.lossy(id)) {
+      injector.attach(net.link_name(id), *lossy);
+    } else {
+      injector.attach(net.link_name(id), net.link_mut(id));
+    }
   }
 }
 

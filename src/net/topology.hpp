@@ -2,9 +2,9 @@
 //
 // Network is a graph of named Nodes connected by directed edges, each edge
 // an output Link with its own scheduler instance and capacity. Routes are
-// either caller-supplied explicit link sequences (the original API, kept as
-// a thin adapter — ChainNetwork and Study B use it unchanged) or computed
-// by static shortest-path routing between two nodes (add_route_between).
+// either caller-supplied explicit link sequences (the original API; Study B
+// builds the Figure 6 chain with it) or computed by static shortest-path
+// routing between two nodes (add_route_between).
 //
 // Routing determinism rule: a computed route is the minimum-hop path; among
 // equal-hop paths the lexicographically smallest link-id sequence wins.
@@ -42,6 +42,7 @@
 namespace pds {
 
 class ControlInjector;
+class FaultInjector;
 
 using LinkId = std::uint32_t;
 using NodeId = std::uint32_t;
@@ -123,8 +124,8 @@ class Network {
   const std::string& link_name(LinkId id) const;
   const std::vector<LinkId>& route_path(RouteId id) const;
 
-  // Mutable access for fault injection (attach_network in src/fault/
-  // registers every link with a FaultInjector under its name).
+  // Mutable access for fault injection (attach_network registers every
+  // link with a FaultInjector under its name).
   Link& link_mut(LinkId id);
 
   // Construction metadata, kept per link so the control plane can attach
@@ -207,10 +208,10 @@ void build_topology(Network& net, const TopologySpec& spec,
                     SchedulerKind kind, const SchedulerConfig& sched_config,
                     double capacity, const std::string& prefix = "");
 
-// Registers every link of `net` with a ControlInjector under its
-// link_name(), carrying the stored kind/config so retune/swap episodes can
-// validate and build replacements (the control-plane sibling of the fault
-// attach_network in fault/fault_injector.hpp).
+// Register every link of `net` with an injector under its link_name(), in
+// link-id order; fault targets with a drop stage attach as LossyLinks, and
+// control targets carry the stored kind/config swaps are built from.
+void attach_network(FaultInjector& injector, Network& net);
 void attach_network(ControlInjector& injector, Network& net);
 
 }  // namespace pds

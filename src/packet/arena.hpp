@@ -16,9 +16,9 @@
 // freelist is intrusive — the next pointer lives in the freed block itself —
 // so the arena's bookkeeping never allocates either.
 //
-// Lifetime rule: the arena must outlive every queue it backs. Network and
-// ChainNetwork own one arena each, declared before their schedulers so
-// destruction releases rings into a still-live arena. The arena is
+// Lifetime rule: the arena must outlive every queue it backs. Network owns
+// one, declared before its schedulers so destruction releases rings into a
+// still-live arena. The arena is
 // single-threaded, like the simulator kernel it serves.
 #pragma once
 

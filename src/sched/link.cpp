@@ -25,7 +25,6 @@ void Link::arrive(Packet p) {
   if (down_ && outage_mode_ == OutageMode::kDropArrivals) {
     ++fault_drops_;
     PDS_OBS_NOTIFY(probe_, on_drop(p, probe_context(p.cls), sim_.now()));
-    if (on_fault_drop_) on_fault_drop_(p, sim_.now());
     return;
   }
   if (ctrl_gate_ && !admit(p)) return;

@@ -58,10 +58,6 @@ class Link {
   using DepartureHandler =
       std::function<void(Packet&& pkt, SimTime wait, SimTime now)>;
 
-  // Called for every arrival dropped because the link was down in
-  // kDropArrivals mode (fault injection; see src/fault/).
-  using FaultDropHandler = std::function<void(const Packet&, SimTime now)>;
-
   // `capacity` is in bytes per time unit. The scheduler is owned elsewhere
   // and must outlive the link.
   Link(Simulator& sim, Scheduler& sched, double capacity,
@@ -101,8 +97,8 @@ class Link {
   double capacity_factor() const noexcept { return capacity_factor_; }
 
   // Outage. While down, no new transmission starts; arrivals are dropped
-  // (kDropArrivals — counted in fault_drops(), reported through the probe's
-  // on_drop and the FaultDropHandler) or queued for recovery
+  // (kDropArrivals — counted in fault_drops() and reported through the
+  // probe's on_drop) or queued for recovery
   // (kHoldArrivals). take_down on a down link and bring_up on an up link
   // are contract violations (the injector rejects overlapping outages).
   void take_down(OutageMode mode);
@@ -116,9 +112,6 @@ class Link {
   bool stalled() const noexcept { return stalled_; }
 
   std::uint64_t fault_drops() const noexcept { return fault_drops_; }
-  void set_fault_drop_handler(FaultDropHandler handler) {
-    on_fault_drop_ = std::move(handler);
-  }
 
   // --- Control plane (driven by ctrl/ControlInjector) --------------------
 
@@ -197,7 +190,6 @@ class Link {
   Scheduler* sched_;
   double capacity_;
   DepartureHandler on_departure_;
-  FaultDropHandler on_fault_drop_;
   ControlDropHandler on_control_drop_;
   double capacity_factor_ = 1.0;
   bool down_ = false;

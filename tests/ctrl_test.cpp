@@ -145,6 +145,35 @@ TEST(ControlPlan, SwapRejectsClasslessSchedulersAtParse) {
   }
 }
 
+// Every value error is a parse error that names its line: non-finite
+// numbers never reach the injector, and packet counts are never truncated.
+bool starts_with(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+TEST(ControlPlan, NanShedDurationIsRejectedWithItsLine) {
+  EXPECT_TRUE(starts_with(
+      parse_error("shed link at=1 for=nan watermark=10\n"),
+      "control plan line 1: "));
+}
+
+TEST(ControlPlan, NanRetuneTimeIsRejectedWithItsLine) {
+  EXPECT_TRUE(starts_with(parse_error("seed 1\nretune link at=nan w=1,2\n"),
+                          "control plan line 2: "));
+}
+
+TEST(ControlPlan, WatermarkBeyondUint64IsRejectedWithItsLine) {
+  EXPECT_TRUE(starts_with(
+      parse_error("shed link at=1 for=5 watermark=1e30\n"),
+      "control plan line 1: watermark must be >= 1"));
+}
+
+TEST(ControlPlan, FractionalWatermarkIsRejectedNotTruncated) {
+  EXPECT_TRUE(starts_with(
+      parse_error("shed link at=1 for=5 watermark=2.5\n"),
+      "control plan line 1: watermark must be >= 1"));
+}
+
 // ------------------------------------------------------- injector validation
 
 // Arms `plan_text` against one WTP link named "link" (4 classes, SDP
@@ -169,8 +198,10 @@ std::string arm_error(const std::string& plan_text,
 
 TEST(ControlInjector, RejectsUnknownTargets) {
   EXPECT_NE(arm_error("retune core at=10 w=1,2,4,8\n")
-                .find("control plan: unknown target core"),
+                .find("control plan: line 1: unknown target core"),
             std::string::npos);
+  EXPECT_EQ(arm_error("seed 1\n\nswap zz at=10 sched=pad\n"),
+            "control plan: line 3: unknown target zz");
 }
 
 TEST(ControlInjector, RejectsUnmatchedPatternsWithTheLine) {
@@ -290,7 +321,6 @@ TEST(ControlLive, DrainDropsArrivalsWhileServingOutTheRing) {
   f.sim.run();
   EXPECT_EQ(f.departures.size(), 3u);
   EXPECT_EQ(f.link.drain_drops(), 1u);
-  EXPECT_EQ(inj.drain_drops(), 1u);
   EXPECT_EQ(inj.class_changes_applied(), 2u);
   EXPECT_TRUE(f.link.class_admitted(0));
 }
@@ -320,7 +350,6 @@ TEST(ControlLive, ShedDropsLowClassesAboveTheWatermarkOnly) {
   f.sim.schedule_at(30.0, [&] { f.link.arrive(make_packet(13, 0, 1000)); });
   f.sim.run();
   EXPECT_EQ(f.link.shed_drops(), 2u);
-  EXPECT_EQ(inj.shed_drops(), 2u);
   EXPECT_EQ(inj.sheds_applied(), 1u);
   EXPECT_EQ(inj.episodes_completed(), 1u);
   EXPECT_FALSE(f.link.shedding());
@@ -361,7 +390,6 @@ TEST(ControlLive, SwapHandsTheBacklogToTheReplacement) {
   // No packet was lost in the handoff.
   EXPECT_EQ(f.departures.size(), 6u);
   // The link now serves through the swapped-in PAD instance.
-  EXPECT_EQ(inj.current_scheduler("link").name(), "PAD");
   EXPECT_EQ(f.link.scheduler().name(), "PAD");
   EXPECT_EQ(f.link.scheduler().total_backlog_packets(), 0u);
 }
@@ -404,7 +432,7 @@ TEST(ControlLive, SwapThenRetuneUsesTheNewScheduler) {
   f.sim.run();
   EXPECT_EQ(inj.swaps_applied(), 1u);
   EXPECT_EQ(inj.retunes_applied(), 1u);
-  auto* hpd = dynamic_cast<HpdScheduler*>(&inj.current_scheduler("link"));
+  auto* hpd = dynamic_cast<HpdScheduler*>(&f.link.scheduler_mut());
   ASSERT_NE(hpd, nullptr);
 }
 

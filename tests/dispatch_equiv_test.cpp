@@ -126,5 +126,56 @@ TEST(DispatchEquivalence, StudyATraceMatchesGoldenHash) {
   }
 }
 
+// Plan-engine pin: FNV-1a of the report JSON, the span JSON and the
+// conformance JSONL of a Study A run under a fault plan and a control plan.
+// It covers what the fabric report pins do not: the fault/ctrl span tracks,
+// the ctrl.* counters, and the episode attribution of conformance
+// violations. Like the trace hash above it needs the observability sites
+// compiled in (PDS_OBS=ON).
+TEST(DispatchEquivalence, StudyAUnderFaultAndControlPlansMatchesGoldenHash) {
+  TempFile report("plans_report.json");
+  TempFile spans("plans_spans.json");
+  TempFile violations("plans_conformance.jsonl");
+  TempFile metrics("plans_metrics.csv");
+  StudyAConfig config;
+  config.sim_time = 2.0e5;
+  config.seed = 11;
+  config.fault_plan =
+      "seed 4\n"
+      "down link at=2e4 for=3e3 mode=hold\n"
+      "down link at=5e4 for=2e3 mode=drop\n"
+      "degrade link at=8e4 for=1e4 factor=0.5\n"
+      "stall link at=1.1e5 for=2e3\n";
+  config.control_plan =
+      "retune link at=3e4 w=1,3,9,27\n"
+      "swap link at=6e4 sched=hpd\n"
+      "retune link at=7e4 g=0.5\n"
+      "class link at=9e4 drain=0\n"
+      "class link at=1e5 add=0\n"
+      "shed link at=1.2e5 for=2e4 watermark=30 classes=2\n";
+  config.metrics_out = metrics.path;
+  config.spans_out = spans.path;
+  config.conformance_tau = 500.0;
+  config.conformance_out = violations.path;
+  config.report_out = report.path;
+  const StudyAResult result = run_study_a(config);
+  const std::string bytes =
+      slurp(report.path) + slurp(spans.path) + slurp(violations.path);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(h, 0xa3ec73ac70a2439bULL);
+  // The pin covers every episode, the exception paths and attribution.
+  EXPECT_EQ(result.fault_episodes, 4u);
+  EXPECT_EQ(result.control_episodes, 6u);
+  EXPECT_GT(result.fault_drops, 0u);
+  EXPECT_GT(result.drain_drops, 0u);
+  EXPECT_GT(result.shed_drops, 0u);
+  EXPECT_NE(slurp(violations.path).find("shed link"), std::string::npos);
+  EXPECT_NE(slurp(spans.path).find("\"sched\":\"hpd\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace pds

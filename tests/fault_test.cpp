@@ -8,7 +8,6 @@
 #include "dropper/lossy_link.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "net/chain.hpp"
 #include "sched/fcfs.hpp"
 #include "sched/link.hpp"
 
@@ -102,6 +101,28 @@ TEST(FaultPlan, RejectsMalformedDirectives) {
             std::string::npos);
 }
 
+// Every value error is a parse error that names its line: non-finite
+// numbers never reach the injector, and integers are never truncated.
+bool starts_with(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+TEST(FaultPlan, NanStartIsRejectedWithItsLine) {
+  EXPECT_TRUE(starts_with(parse_error("down n0>n1 at=nan for=5\n"),
+                          "fault plan line 1: "));
+}
+
+TEST(FaultPlan, InfiniteDurationIsRejectedWithItsLine) {
+  EXPECT_TRUE(starts_with(parse_error("seed 2\nstall l at=1 for=inf\n"),
+                          "fault plan line 2: "));
+}
+
+TEST(FaultPlan, SeedBeyondUint64IsRejectedWithItsLine) {
+  EXPECT_EQ(parse_error("seed 1e30\n"),
+            "fault plan line 1: seed must be a non-negative integer");
+  EXPECT_TRUE(starts_with(parse_error("seed 2.5\n"), "fault plan line 1: "));
+}
+
 // ----------------------------------------------------- link fault semantics
 
 struct LinkFixture {
@@ -115,9 +136,6 @@ struct LinkFixture {
 
 TEST(LinkFaults, DownDropModeDiscardsArrivalsAndRecovers) {
   LinkFixture f;
-  std::uint64_t handler_drops = 0;
-  f.link.set_fault_drop_handler(
-      [&](const Packet&, SimTime) { ++handler_drops; });
   f.sim.schedule_at(10.0, [&] { f.link.take_down(OutageMode::kDropArrivals); });
   f.sim.schedule_at(15.0, [&] { f.link.arrive(make_packet(1, 0, 100)); });
   f.sim.schedule_at(20.0, [&] { f.link.bring_up(); });
@@ -127,7 +145,6 @@ TEST(LinkFaults, DownDropModeDiscardsArrivalsAndRecovers) {
   ASSERT_EQ(f.departures.size(), 1u);
   EXPECT_DOUBLE_EQ(f.departures[0], 26.0);
   EXPECT_EQ(f.link.fault_drops(), 1u);
-  EXPECT_EQ(handler_drops, 1u);
 }
 
 TEST(LinkFaults, DownHoldModeReleasesTheBacklogOnRecovery) {
@@ -390,22 +407,43 @@ TEST(FaultInjector, UnmatchedPatternsFailWithTheirPlanLine) {
   }
 }
 
-TEST(FaultInjector, AttachChainNamesEveryHop) {
+// Arm-time errors name the plan line of the offending episode.
+std::string arm_error(const std::string& plan_text) {
   Simulator sim;
-  SchedulerConfig sc;
-  sc.sdp = {1.0, 2.0};
-  ChainNetwork chain(sim, 3, SchedulerKind::kWtp, sc, 100.0,
-                     [](const Packet&, SimTime) {});
-  FaultInjector inj(sim, parse_fault_plan("down hop1 at=5 for=2\n"));
-  attach_chain(inj, chain);
-  inj.arm();
-  sim.schedule_at(6.0, [&] {
-    EXPECT_FALSE(chain.link_mut(0).down());
-    EXPECT_TRUE(chain.link_mut(1).down());
-    EXPECT_FALSE(chain.link_mut(2).down());
-  });
-  sim.run();
-  EXPECT_FALSE(chain.link_mut(1).down());
+  FcfsScheduler sched{1};
+  Link link{sim, sched, 100.0, [](Packet&&, SimTime, SimTime) {}};
+  FaultInjector inj(sim, parse_fault_plan(plan_text));
+  inj.attach("l", link);
+  try {
+    inj.arm();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(FaultInjector, UnknownTargetNamesItsLine) {
+  EXPECT_EQ(arm_error("seed 1\ndown nosuch at=1 for=1\n"),
+            "fault plan: line 2: unknown target nosuch");
+}
+
+TEST(FaultInjector, LossOnAPlainLinkNamesItsLine) {
+  EXPECT_EQ(arm_error("# plain links have no drop stage\n"
+                      "loss l at=1 for=1 rate=0.5\n"),
+            "fault plan: line 2: loss episode targets l, which is not a "
+            "lossy link");
+}
+
+TEST(FaultInjector, StarWithNothingAttachedNamesItsLine) {
+  Simulator sim;
+  FaultInjector inj(sim, parse_fault_plan("\n\nstall * at=1 for=1\n"));
+  try {
+    inj.arm();
+    FAIL() << "empty * expansion not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "fault plan: line 3: episode targets *, nothing attached");
+  }
 }
 
 // ------------------------------------------------------------- determinism

@@ -1,122 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "net/chain.hpp"
+#include <cstring>
+
 #include "net/study_b.hpp"
 
 namespace pds {
 namespace {
-
-SchedulerConfig chain_config() {
-  SchedulerConfig c;
-  c.sdp = {1.0, 2.0};
-  c.link_capacity = 100.0;
-  return c;
-}
-
-Packet user_packet(std::uint64_t id, ClassId cls, FlowId flow) {
-  Packet p;
-  p.id = id;
-  p.cls = cls;
-  p.flow = flow;
-  p.size_bytes = 100;
-  return p;
-}
-
-TEST(ChainNetwork, UserPacketTraversesEveryHop) {
-  Simulator sim;
-  std::vector<Packet> exited;
-  ChainNetwork net(sim, 3, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [&](const Packet& p, SimTime) { exited.push_back(p); });
-  sim.schedule_at(0.0, [&] { net.inject_user(user_packet(1, 0, 5)); });
-  sim.run();
-  ASSERT_EQ(exited.size(), 1u);
-  EXPECT_EQ(exited[0].hops_done, 3u);
-  EXPECT_EQ(exited[0].flow, 5u);
-  // Uncontended path: zero queueing at every hop.
-  EXPECT_DOUBLE_EQ(exited[0].cum_queueing, 0.0);
-}
-
-TEST(ChainNetwork, CrossTrafficExitsAfterOneHop) {
-  Simulator sim;
-  std::vector<Packet> exited;
-  ChainNetwork net(sim, 3, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [&](const Packet& p, SimTime) { exited.push_back(p); });
-  Packet cross;
-  cross.id = 2;
-  cross.cls = 1;
-  cross.size_bytes = 100;
-  sim.schedule_at(0.0, [&] { net.inject_cross(1, std::move(cross)); });
-  sim.run();
-  EXPECT_TRUE(exited.empty());  // cross traffic never reaches the exit
-  EXPECT_EQ(net.cross_sunk(), 1u);
-  EXPECT_EQ(net.link(1).packets_sent(), 1u);
-  EXPECT_EQ(net.link(0).packets_sent(), 0u);
-}
-
-TEST(ChainNetwork, QueueingAccumulatesAcrossHops) {
-  Simulator sim;
-  std::vector<Packet> exited;
-  ChainNetwork net(sim, 2, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [&](const Packet& p, SimTime) { exited.push_back(p); });
-  // Two user packets back-to-back: the second queues behind the first at
-  // hop 0 AND at hop 1? At hop 1 they arrive spaced by one transmission
-  // time, so only hop 0 queues it (wait = 1 tu).
-  sim.schedule_at(0.0, [&] {
-    net.inject_user(user_packet(1, 0, 0));
-    net.inject_user(user_packet(2, 0, 1));
-  });
-  sim.run();
-  ASSERT_EQ(exited.size(), 2u);
-  EXPECT_DOUBLE_EQ(exited[0].cum_queueing, 0.0);
-  EXPECT_DOUBLE_EQ(exited[1].cum_queueing, 1.0);
-}
-
-TEST(ChainNetwork, HopObserverSeesEveryDeparture) {
-  Simulator sim;
-  ChainNetwork net(sim, 2, SchedulerKind::kWtp, chain_config(), 100.0,
-                   [](const Packet&, SimTime) {});
-  std::vector<std::tuple<std::uint32_t, std::uint64_t, double>> seen;
-  net.set_hop_observer(
-      [&](std::uint32_t hop, const Packet& p, SimTime wait, SimTime) {
-        seen.emplace_back(hop, p.id, wait);
-      });
-  sim.schedule_at(0.0, [&] {
-    net.inject_user(user_packet(1, 0, 0));   // traverses hops 0 and 1
-    Packet cross;
-    cross.id = 2;
-    cross.cls = 1;
-    cross.size_bytes = 100;
-    net.inject_cross(1, std::move(cross));   // hop 1 only
-  });
-  sim.run();
-  // User packet: 2 observations; cross packet: 1.
-  ASSERT_EQ(seen.size(), 3u);
-  int user_hits = 0, cross_hits = 0;
-  for (const auto& [hop, id, wait] : seen) {
-    EXPECT_GE(wait, 0.0);
-    (id == 1 ? user_hits : cross_hits)++;
-    EXPECT_LT(hop, 2u);
-  }
-  EXPECT_EQ(user_hits, 2);
-  EXPECT_EQ(cross_hits, 1);
-}
-
-TEST(ChainNetwork, ValidatesInputs) {
-  Simulator sim;
-  const auto exit_handler = [](const Packet&, SimTime) {};
-  EXPECT_THROW(ChainNetwork(sim, 0, SchedulerKind::kWtp, chain_config(),
-                            100.0, exit_handler),
-               std::invalid_argument);
-  ChainNetwork net(sim, 2, SchedulerKind::kWtp, chain_config(), 100.0,
-                   exit_handler);
-  Packet no_flow;
-  no_flow.cls = 0;
-  no_flow.size_bytes = 10;
-  EXPECT_THROW(net.inject_user(std::move(no_flow)), std::invalid_argument);
-  Packet flowed = user_packet(1, 0, 1);
-  EXPECT_THROW(net.inject_cross(5, std::move(flowed)),
-               std::invalid_argument);
-}
 
 // ------------------------------------------------------------- Study B
 
@@ -215,6 +104,41 @@ TEST(StudyB, MoreHopsSmoothTheRatio) {
   EXPECT_GT(r.rd, 1.2);
   EXPECT_LT(r.rd, 3.2);
   ASSERT_EQ(r.mean_utilization_per_hop.size(), 4u);
+}
+
+// FNV-1a over the bit patterns of Study B's end-to-end fields. The per-hop
+// delay fields are left out: they average cross traffic only.
+std::uint64_t end_to_end_hash(const StudyBResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_double = [&mix](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix(bits);
+  };
+  mix_double(r.rd);
+  mix(r.inconsistent_experiments);
+  mix(r.inconsistent_pairs);
+  mix_double(r.worst_violation_s);
+  mix(r.skipped_ratio_terms);
+  for (const double d : r.mean_e2e_delay_per_class) mix_double(d);
+  for (const double u : r.mean_utilization_per_hop) mix_double(u);
+  return h;
+}
+
+// Captured on the dedicated chain type that Study B ran on before it moved
+// onto Network; the end-to-end view must not move.
+TEST(StudyB, EndToEndFieldsArePinned) {
+  EXPECT_EQ(end_to_end_hash(run_study_b(quick_b())), 0x2e317a1b11aa1507ULL);
+  auto c4 = quick_b();
+  c4.hops = 4;
+  c4.user_experiments = 8;
+  EXPECT_EQ(end_to_end_hash(run_study_b(c4)), 0xb1f15c0b9481f9caULL);
 }
 
 }  // namespace

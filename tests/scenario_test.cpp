@@ -226,6 +226,65 @@ TEST(ScenarioErrors, IntegersBeyondUint32AreRejectedNotTruncated) {
             std::string::npos);
 }
 
+// Value errors that used to fail at run time, in the kernel or in a
+// scheduler constructor, or wrap silently, are parse errors with a line.
+bool starts_with(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+const std::string kOneLink =
+    "link a capacity=10 sched=fcfs sdp=1\n"
+    "route r a\n";
+
+TEST(ScenarioErrors, NanHorizonNamesItsLine) {
+  EXPECT_TRUE(starts_with(
+      parse_error(kOneLink + "source renewal r class=0 gap=5 size=100\n"
+                             "run until=nan\n"),
+      "scenario line 4: "));
+}
+
+TEST(ScenarioErrors, NanGapNamesItsLine) {
+  EXPECT_TRUE(starts_with(
+      parse_error(kOneLink + "source renewal r class=0 gap=nan size=100\n"
+                             "run until=10\n"),
+      "scenario line 3: "));
+}
+
+TEST(ScenarioErrors, NegativeSeedNamesItsLine) {
+  EXPECT_TRUE(starts_with(
+      parse_error(kOneLink + "source renewal r class=0 gap=5 size=100\n"
+                             "run until=10 seed=-1\n"),
+      "scenario line 4: seed must be an integer in "));
+}
+
+TEST(ScenarioErrors, HorizonWithinTheWarmupNamesItsLine) {
+  EXPECT_EQ(parse_error(kOneLink + "source renewal r class=0 gap=5 size=100\n"
+                                   "run until=10 warmup=20\n"),
+            "scenario line 4: run horizon must exceed the warmup");
+}
+
+TEST(ScenarioErrors, UnknownSchedulerNamesItsLine) {
+  EXPECT_EQ(parse_error("link a capacity=10 sched=zz sdp=1\n"),
+            "scenario line 1: unknown scheduler zz");
+}
+
+TEST(ScenarioErrors, NonPositiveCapacityNamesItsLine) {
+  EXPECT_EQ(parse_error("link a capacity=-1 sched=fcfs sdp=1\n"),
+            "scenario line 1: capacity must be positive");
+}
+
+TEST(ScenarioErrors, NonPositiveSdpNamesItsLine) {
+  EXPECT_EQ(parse_error("# header\nlink a capacity=10 sched=wtp sdp=0,1\n"),
+            "scenario line 2: sdp values must be positive");
+  EXPECT_EQ(parse_error("link a capacity=10 sched=wtp sdp=2,1\n"),
+            "scenario line 1: sdp values must be non-decreasing");
+}
+
+TEST(ScenarioErrors, StrayBareTokensNameTheirLine) {
+  EXPECT_EQ(parse_error("link a capacity=10 sched=fcfs sdp=1 fast\n"),
+            "scenario line 1: expected key=value, got fast");
+}
+
 TEST(ScenarioErrors, ClassesBeyondTheRouteClassCountNameTheirLine) {
   // These used to pass the parser and abort the run in the class backlog.
   const std::string links =
