@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 1.0e5 : 3.0e5);
-    const auto seeds = static_cast<std::uint32_t>(
-        args.get_int("seeds", quick ? 2 : 3));
+    const auto seeds = args.get_int<std::uint32_t>("seeds", quick ? 2 : 3, 1);
     pds::ThreadPool::set_global_workers(args.get_jobs());
 
     // Head starts must stay small against the heavy-load delay scale

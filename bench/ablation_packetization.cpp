@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     const double sim_time =
         args.get_double("sim-time", quick ? 5.0e4 : 2.0e5);
     const double rho = args.get_double("rho", 0.95);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+    const auto seed = args.get_int<std::uint64_t>("seed", 3);
     // The fluid pass feeds the packetized comparison, so the two stages are
     // inherently sequential; the pool is sized for knob consistency only.
     pds::ThreadPool::set_global_workers(args.get_jobs());

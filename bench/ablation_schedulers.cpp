@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     const double sim_time =
         args.get_double("sim-time", quick ? 1.0e5 : 3.0e5);
     const double rho = args.get_double("rho", 0.95);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12));
+    const auto seed = args.get_int<std::uint64_t>("seed", 12);
     pds::ThreadPool::set_global_workers(args.get_jobs());
 
     const auto trace = make_trace(rho, sim_time, seed, 441);

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 1.0e5 : 4.0e5);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
+    const auto seed = args.get_int<std::uint64_t>("seed", 6);
     pds::ThreadPool::set_global_workers(args.get_jobs());
 
     std::cout << "=== Extension: per-class delay distributions at rho = 95%"

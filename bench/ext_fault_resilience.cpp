@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 1.2e5 : 4.0e5);
-    const auto seeds =
-        static_cast<std::uint32_t>(args.get_int("seeds", quick ? 2 : 5));
+    const auto seeds = args.get_int<std::uint32_t>("seeds", quick ? 2 : 5, 1);
     pds::ThreadPool::set_global_workers(args.get_jobs());
     const auto spans_out = args.get_string("spans-out", "");
     const bool spans_wall = args.get_bool("spans-wall", false);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     pds::StudyCConfig base;
     base.sim_time = args.get_double("sim-time", quick ? 5.0e4 : 2.0e5);
-    base.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+    base.seed = args.get_int<std::uint64_t>("seed", 5);
     base.offered_load = args.get_double("overload", 1.3);
     base.load_fractions =
         args.get_double_list("mix", {0.25, 0.25, 0.25, 0.25});

@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
     const pds::ArgParser args(argc, argv);
     args.require_known({"experiments", "rho", "seed", "quick", "jobs"});
     const bool quick = args.get_bool("quick", false);
-    const auto experiments = static_cast<std::uint32_t>(
-        args.get_int("experiments", quick ? 10 : 40));
+    const auto experiments =
+        args.get_int<std::uint32_t>("experiments", quick ? 10 : 40, 1);
     const double rho = args.get_double("rho", 0.9);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
+    const auto seed = args.get_int<std::uint64_t>("seed", 2);
     // One simulation only — the pool is sized for consistency with the
     // other benches (nothing fans out here).
     pds::ThreadPool::set_global_workers(args.get_jobs());

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 2.0e5 : 1.0e6);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    const auto seed = args.get_int<std::uint64_t>("seed", 7);
     pds::ThreadPool::set_global_workers(args.get_jobs());
 
     std::cout << "=== Extension: proportional schedulers beyond the paper"

@@ -102,10 +102,9 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 3.0e5 : 2.0e6);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 19));
+    const auto seed = args.get_int<std::uint64_t>("seed", 19);
     pds::ThreadPool::set_global_workers(args.get_jobs());
-    const auto sources =
-        static_cast<int>(args.get_int("sources", 8));
+    const auto sources = args.get_int<int>("sources", 8, 1);
 
     std::cout << "=== Extension: WTP/BPR under self-similar (Pareto on/off)"
                  " traffic ===\n"

@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 3.0e5 : 1.0e6);
-    const auto seeds = static_cast<std::uint32_t>(
-        args.get_int("seeds", quick ? 3 : 10));
+    const auto seeds = args.get_int<std::uint32_t>("seeds", quick ? 3 : 10, 1);
     pds::ThreadPool::set_global_workers(args.get_jobs());
 
     std::cout << "=== Figure 2: average-delay ratios vs class load"

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time = args.get_double(
         "sim-time", full ? 2.0e7 : (quick ? 1.0e6 : 1.0e7));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    const auto seed = args.get_int<std::uint64_t>("seed", 1);
     pds::ThreadPool::set_global_workers(args.get_jobs());
 
     std::cout << "=== Figure 3: R_D percentiles vs monitoring timescale ===\n"

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 5.0e4 : 2.0e5);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
+    const auto seed = args.get_int<std::uint64_t>("seed", 9);
     pds::ThreadPool::set_global_workers(args.get_jobs());
     const auto prefix = args.get_string("out-prefix", "fig5_wtp");
 

@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
     const bool quick = args.get_bool("quick", false);
     const double sim_time =
         args.get_double("sim-time", quick ? 5.0e4 : 3.0e5);
-    const auto seeds = static_cast<std::uint32_t>(
-        args.get_int("seeds", quick ? 2 : 4));
+    const auto seeds = args.get_int<std::uint32_t>("seeds", quick ? 2 : 4, 1);
     const std::vector<double> rhos =
         quick ? std::vector<double>{0.80, 0.95}
               : std::vector<double>{0.70, 0.80, 0.90, 0.95, 0.999};

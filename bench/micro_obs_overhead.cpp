@@ -230,11 +230,9 @@ int main(int argc, char** argv) {
                    "  [--packets=400000] [--reps=5] [--threshold=5]\n";
       return 0;
     }
-    const auto events =
-        static_cast<std::uint64_t>(args.get_int("events", 2000000));
-    const auto packets =
-        static_cast<std::uint64_t>(args.get_int("packets", 400000));
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 5));
+    const auto events = args.get_int<std::uint64_t>("events", 2000000, 1);
+    const auto packets = args.get_int<std::uint64_t>("packets", 400000, 1);
+    const auto reps = args.get_int<std::uint32_t>("reps", 5, 1);
     const double threshold = args.get_double("threshold", 5.0);
 
     // --- kernel event loop -------------------------------------------------

@@ -33,14 +33,13 @@ int main(int argc, char** argv) {
                         "full", "quick", "jobs"});
     const bool full = args.get_bool("full", false);
     const bool quick = args.get_bool("quick", false);
-    const auto experiments = static_cast<std::uint32_t>(
-        args.get_int("experiments", full ? 100 : (quick ? 5 : 25)));
+    const auto experiments = args.get_int<std::uint32_t>(
+        "experiments", full ? 100 : (quick ? 5 : 25), 1);
     const double warmup =
         args.get_double("warmup", full ? 100.0 : (quick ? 2.0 : 10.0));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    const auto seed = args.get_int<std::uint64_t>("seed", 1);
     // The paper reports consistency over five runs with different seeds.
-    const auto runs =
-        static_cast<std::size_t>(args.get_int("runs", full ? 5 : 1));
+    const auto runs = args.get_int<std::size_t>("runs", full ? 5 : 1, 1);
     const auto scheduler = pds::scheduler_kind_from_string(
         args.get_string("scheduler", "wtp"));
     pds::ThreadPool::set_global_workers(args.get_jobs());

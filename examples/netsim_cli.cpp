@@ -9,14 +9,18 @@
 //   netsim_cli --file=... --sweep-users=10,20,40,80 --jobs=4
 //
 // With no --file, a built-in demonstration scenario (a Y merge) runs.
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "exp/sweep.hpp"
 #include "net/scenario.hpp"
 #include "obs/report.hpp"
 #include "util/args.hpp"
+#include "util/line_lexer.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -106,10 +110,10 @@ int main(int argc, char** argv) {
 
     pds::ScenarioOptions options;
     if (args.has("seed")) {
-      options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+      options.seed = args.get_int<std::uint64_t>("seed", 1);
     }
     if (args.has("users")) {
-      options.users = static_cast<std::uint32_t>(args.get_int("users", 1));
+      options.users = args.get_int<std::uint32_t>("users", 1, 1);
     }
     options.horizon_scale =
         args.get_double("horizon-scale", args.get_bool("quick", false)
@@ -123,8 +127,7 @@ int main(int argc, char** argv) {
     if (!control_path.empty()) {
       options.control_plan = read_file(control_path, "control plan");
     }
-    options.max_events =
-        static_cast<std::uint64_t>(args.get_int("max-events", 0));
+    options.max_events = args.get_int<std::uint64_t>("max-events", 0);
     options.max_wall_seconds = args.get_double("max-wall-seconds", 0.0);
     options.metrics_out = args.get_string("metrics-out", "");
     options.metrics_window = args.get_double("metrics-window", 5000.0);
@@ -133,7 +136,15 @@ int main(int argc, char** argv) {
     const pds::Scenario scenario = pds::parse_scenario(text);
     const std::uint64_t seed_used = options.seed.value_or(scenario.run.seed);
 
-    const auto sweep_users = args.get_double_list("sweep-users", {});
+    std::vector<std::uint32_t> sweep_users;
+    for (const double users : args.get_double_list("sweep-users", {})) {
+      const auto n = pds::whole_number<std::uint32_t>(users, 1);
+      if (!n) {
+        throw std::invalid_argument(
+            "--sweep-users: value must be an integer in [1, 4294967295]");
+      }
+      sweep_users.push_back(*n);
+    }
     if (!sweep_users.empty()) {
       if (scenario.flows.empty()) {
         throw pds::UsageError(
@@ -151,7 +162,7 @@ int main(int argc, char** argv) {
       const auto cells =
           pds::run_sweep(sweep_users.size(), [&](std::size_t i) {
             pds::ScenarioOptions cell = options;
-            cell.users = static_cast<std::uint32_t>(sweep_users[i]);
+            cell.users = sweep_users[i];
             return pds::run_scenario(scenario, cell);
           });
       pds::TablePrinter table({"users", "route", "class", "rpcs", "failed",
@@ -159,9 +170,7 @@ int main(int argc, char** argv) {
                                "slo"});
       for (std::size_t i = 0; i < cells.size(); ++i) {
         for (const auto& fs : cells[i].flow_stats) {
-          table.add_row({std::to_string(static_cast<std::uint32_t>(
-                             sweep_users[i])),
-                         fs.route,
+          table.add_row({std::to_string(sweep_users[i]), fs.route,
                          std::to_string(pds::paper_class_label(fs.cls)),
                          std::to_string(fs.completed + fs.failed),
                          std::to_string(fs.failed),

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     for (const double f : config.load_fractions) mix_total += f;
     for (double& f : config.load_fractions) f /= mix_total;
     config.sim_time = args.get_double("sim-time", 4.0e5);
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    config.seed = args.get_int<std::uint64_t>("seed", 1);
     const auto arrivals = args.get_string("arrivals", "pareto");
     if (arrivals == "poisson") {
       config.arrivals = pds::ArrivalModel::kPoisson;
@@ -130,16 +130,15 @@ int main(int argc, char** argv) {
     config.controller.slo = args.get_double("controller-slo", 0.10);
     config.controller.eta = args.get_double("controller-eta", 0.5);
     config.controller.g_step = args.get_double("controller-g-step", 0.05);
-    config.max_events =
-        static_cast<std::uint64_t>(args.get_int("max-events", 0));
+    config.max_events = args.get_int<std::uint64_t>("max-events", 0);
     config.max_wall_seconds = args.get_double("max-wall-seconds", 0.0);
     config.spans_out = args.get_string("spans-out", "");
     config.conformance_tau =
         args.get_double("conformance-tau", 0.0) * pds::kPUnit;
     config.conformance_tolerance =
         args.get_double("conformance-tolerance", 0.25);
-    config.conformance_min_samples = static_cast<std::uint64_t>(
-        args.get_int("conformance-min-samples", 10));
+    config.conformance_min_samples =
+        args.get_int<std::uint64_t>("conformance-min-samples", 10);
     config.conformance_out = args.get_string("conformance-out", "");
     config.report_out = args.get_string("report-out", "");
     config.report_volatile = args.get_bool("report-volatile", false);

@@ -92,19 +92,30 @@ echo "== benchmark mirror: perfbench self-test =="
 CARGO_TARGET_DIR=build-perfbench python3 perfbench/selftest.py
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== fast mode: targeted ASan/UBSan over fault + ctrl + supervisor + obs + fuzz suites =="
+  echo "== fast mode: targeted ASan/UBSan over packet plane + fault + ctrl + supervisor + obs + fuzz suites =="
   # Even the fast path sanitizes the robustness layer: fault injection,
   # live reconfiguration (scheduler swaps hand raw backlogs across) and
   # run supervision exercise exception unwinding and teardown ordering, the
   # classic breeding ground for use-after-free. The obs suites join them
   # because atomic-file commit/discard and span-buffer teardown live on the
   # same unwind paths, and the grammar fuzzer because every malformed input
-  # must be rejected without undefined behaviour (UBSan is fatal here).
+  # must be rejected without undefined behaviour (UBSan is fatal here). The
+  # packet-plane suites cover the raw-memory class rings, the head snapshot
+  # the scans read, and Link's transmit staging buffer.
   cmake -B build-asan -S . -DPDS_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
-    conformance_test telemetry_test grammar_fuzz_test
+    conformance_test telemetry_test grammar_fuzz_test queueing_test \
+    scan_test burst_test link_test sched_property_test sched_pin_test \
+    fabric_conservation_test
   ./build-asan/tests/grammar_fuzz_test
+  ./build-asan/tests/queueing_test
+  ./build-asan/tests/scan_test
+  ./build-asan/tests/burst_test
+  ./build-asan/tests/link_test
+  ./build-asan/tests/sched_property_test
+  ./build-asan/tests/sched_pin_test
+  ./build-asan/tests/fabric_conservation_test
   ./build-asan/tests/fault_test
   ./build-asan/tests/ctrl_test
   ./build-asan/tests/controller_test

@@ -311,25 +311,40 @@ Scenario parse_scenario(const std::string& text) {
 
       LineOptions opts(lex, 3);
       src.start = opts.number_or("start", 0.0);
+      if (src.start < 0.0) lex.fail("start must be non-negative");
       src.size_bytes = opts.integer<std::uint32_t>("size");
       if (src.size_bytes < 1) lex.fail("source needs size >= 1");
+      // Renewal and mix sources: mean gap plus the interarrival law, where
+      // pareto_alpha == 0 is the internal Poisson marker, so a Pareto shape
+      // must be given as > 1 (a finite mean).
+      const auto read_arrivals = [&] {
+        src.gap = opts.number("gap");
+        if (src.gap <= 0.0) lex.fail("gap must be positive");
+        if (opts.flag("poisson")) return;
+        src.pareto_alpha = opts.number_or("pareto", 1.9);
+        if (src.pareto_alpha <= 1.0) lex.fail("pareto shape must exceed 1");
+      };
       switch (src.kind) {
         case ScenarioSourceKind::kRenewal:
           src.cls = opts.integer<ClassId>("class");
-          src.gap = opts.number("gap");
-          src.pareto_alpha =
-              opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
+          read_arrivals();
           break;
-        case ScenarioSourceKind::kMix:
+        case ScenarioSourceKind::kMix: {
           src.fractions = opts.list("fractions");
-          src.gap = opts.number("gap");
-          src.pareto_alpha =
-              opts.flag("poisson") ? 0.0 : opts.number_or("pareto", 1.9);
+          double total = 0.0;
+          for (const double f : src.fractions) {
+            if (f < 0.0) lex.fail("fractions must be non-negative");
+            total += f;
+          }
+          if (total <= 0.0) lex.fail("fractions must not all be zero");
+          read_arrivals();
           break;
+        }
         case ScenarioSourceKind::kCbr:
           src.cls = opts.integer<ClassId>("class");
-          src.count = opts.integer<std::uint32_t>("count");
+          src.count = opts.integer<std::uint32_t>("count", 1);
           src.interval = opts.number("interval");
+          if (src.interval <= 0.0) lex.fail("interval must be positive");
           break;
       }
       opts.finish();
@@ -376,6 +391,13 @@ Scenario parse_scenario(const std::string& text) {
         lex.fail("retries need a positive rto");
       }
       if (f.backoff < 1.0) lex.fail("backoff must be >= 1");
+      if (f.start < 0.0) lex.fail("start must be non-negative");
+      if (f.deadline < 0.0) lex.fail("deadline must be non-negative");
+      if (f.rto_cap < 0.0) lex.fail("rto_cap must be non-negative");
+      if (f.throttle_tokens < 0.0) lex.fail("throttle must be non-negative");
+      if (f.throttle_tokens > 0.0 && f.throttle_ratio <= 0.0) {
+        lex.fail("throttle_ratio must be positive");
+      }
       if (f.reverse.empty()) {
         // Responses return over the auto-computed shortest path back, which
         // only exists for routed (from=/to=) forward routes.
@@ -400,6 +422,7 @@ Scenario parse_scenario(const std::string& text) {
       scenario.run.warmup = opts.number_or("warmup", 0.0);
       scenario.run.seed = opts.integer_or<std::uint64_t>("seed", 1);
       opts.finish();
+      if (scenario.run.warmup < 0.0) lex.fail("warmup must be non-negative");
       if (!(scenario.run.until > scenario.run.warmup)) {
         lex.fail("run horizon must exceed the warmup");
       }

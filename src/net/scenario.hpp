@@ -48,9 +48,13 @@
 //
 // parse_scenario validates structure (names, references, parameter sets,
 // reachability) and values (finite numbers, integers in range, capacity >
-// 0, positive non-decreasing sdp=, a known sched=, until > warmup) and
-// throws std::invalid_argument with the offending line number (token rules
-// in util/line_lexer.hpp); run_scenario executes it and reports per-route
+// 0, positive non-decreasing sdp=, a known sched=, positive gap= and
+// interval=, count >= 1, pareto > 1, fractions= non-negative and not all
+// zero, non-negative start/warmup/deadline/rto_cap/throttle, a positive
+// throttle_ratio when throttled, until > warmup) and throws
+// std::invalid_argument with the offending line number (token rules in
+// util/line_lexer.hpp), so a value that parses also runs; run_scenario
+// executes it and reports per-route
 // per-class end-to-end queueing delays, per-link utilization, and — when
 // the scenario declares flows — per-workload flow-completion-time
 // percentiles and SLO attainment.

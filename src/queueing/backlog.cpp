@@ -4,39 +4,12 @@
 
 namespace pds {
 
-namespace {
-
-constexpr std::uint32_t padded(std::uint32_t n) noexcept {
-  return (n + (MultiClassBacklog::kLanePad - 1)) &
-         ~(MultiClassBacklog::kLanePad - 1);
-}
-
-}  // namespace
-
 MultiClassBacklog::MultiClassBacklog(std::uint32_t num_classes,
                                      PacketArena* arena)
-    : arena_(arena),
-      queues_(num_classes),
-      heads_(num_classes),
-      soa_arrival_(padded(num_classes), 0.0),
-      soa_head_bytes_(padded(num_classes), 0.0),
-      soa_mask_(padded(num_classes), 0) {
+    : arena_(arena), queues_(num_classes), heads_(num_classes) {
   PDS_CHECK(num_classes >= 1, "need at least one class");
   if (arena != nullptr) {
     for (auto& q : queues_) q.set_arena(arena);
-  }
-}
-
-void MultiClassBacklog::refresh_soa_head(ClassId cls) {
-  const ClassHead& h = heads_[cls];
-  if (h.packets == 0) {
-    soa_arrival_[cls] = 0.0;
-    soa_head_bytes_[cls] = 0.0;
-    soa_mask_[cls] = 0;
-  } else {
-    soa_arrival_[cls] = h.arrival;
-    soa_head_bytes_[cls] = static_cast<double>(h.head_bytes);
-    soa_mask_[cls] = ~std::uint64_t{0};
   }
 }
 
@@ -50,7 +23,6 @@ void MultiClassBacklog::push(Packet p) {
     // The arrival becomes the head of an idle class.
     h.arrival = p.arrival;
     h.head_bytes = p.size_bytes;
-    refresh_soa_head(p.cls);
   }
   queues_[p.cls].push(std::move(p));
 }
@@ -67,7 +39,6 @@ Packet MultiClassBacklog::pop(ClassId cls) {
     h.arrival = next.arrival;
     h.head_bytes = next.size_bytes;
   }
-  refresh_soa_head(cls);
   return p;
 }
 
@@ -88,29 +59,10 @@ Packet MultiClassBacklog::pop_tail(ClassId cls) {
   total_bytes_ -= p.size_bytes;
   ClassHead& h = heads_[cls];
   h.bytes -= p.size_bytes;
-  // A tail removal only changes the head fields when it empties the class,
-  // and `packets == 0` already marks those fields stale.
-  if (--h.packets == 0) refresh_soa_head(cls);
+  // A tail removal never changes the head fields: either the head stays,
+  // or the class empties and `packets == 0` marks them stale.
+  --h.packets;
   return p;
-}
-
-const ClassQueue& MultiClassBacklog::queue(ClassId cls) const {
-  PDS_CHECK(cls < queues_.size(), "class index out of range");
-  return queues_[cls];
-}
-
-ClassQueue& MultiClassBacklog::queue(ClassId cls) {
-  PDS_CHECK(cls < queues_.size(), "class index out of range");
-  return queues_[cls];
-}
-
-std::vector<ClassId> MultiClassBacklog::backlogged() const {
-  std::vector<ClassId> out;
-  out.reserve(queues_.size());
-  for (ClassId c = 0; c < queues_.size(); ++c) {
-    if (!queues_[c].empty()) out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace pds

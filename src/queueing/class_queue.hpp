@@ -1,9 +1,10 @@
-// Per-class FIFO queue with O(1) backlog accounting.
+// Per-class FIFO queue: the packet ring alone.
 //
 // Packets within one service class always depart in arrival order — every
 // scheduler in this library differentiates *between* classes, never inside a
-// class. The queue tracks both packet and byte backlog; byte backlog drives
-// the BPR rate allocation (Eq. 8), packet counts drive statistics.
+// class. The ring keeps no counters of its own: the per-class packet and
+// byte backlog a scheduler reads lives once, in MultiClassBacklog's
+// ClassHead snapshot (queueing/backlog.hpp).
 //
 // Storage is a power-of-two ring buffer over a flat Packet array rather than
 // a std::deque: deque's 512-byte block map costs an extra pointer chase per
@@ -22,7 +23,7 @@
 // back to plain operator new/delete. The arena must outlive the queue.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -48,9 +49,7 @@ class ClassQueue {
         cap_(std::exchange(other.cap_, 0)),
         mask_(std::exchange(other.mask_, 0)),
         head_(std::exchange(other.head_, 0)),
-        tail_(std::exchange(other.tail_, 0)),
-        bytes_(std::exchange(other.bytes_, 0)),
-        total_arrived_(std::exchange(other.total_arrived_, 0)) {}
+        tail_(std::exchange(other.tail_, 0)) {}
 
   ClassQueue& operator=(ClassQueue&& other) noexcept {
     if (this != &other) {
@@ -61,8 +60,6 @@ class ClassQueue {
       mask_ = std::exchange(other.mask_, 0);
       head_ = std::exchange(other.head_, 0);
       tail_ = std::exchange(other.tail_, 0);
-      bytes_ = std::exchange(other.bytes_, 0);
-      total_arrived_ = std::exchange(other.total_arrived_, 0);
     }
     return *this;
   }
@@ -76,8 +73,6 @@ class ClassQueue {
 
   void push(Packet p) {
     if (tail_ - head_ == cap_) grow();
-    bytes_ += p.size_bytes;
-    ++total_arrived_;
     buf_[tail_ & mask_] = p;
     ++tail_;
   }
@@ -87,7 +82,6 @@ class ClassQueue {
     PDS_REQUIRE(head_ != tail_);
     Packet p = buf_[head_ & mask_];
     ++head_;
-    bytes_ -= p.size_bytes;
     return p;
   }
 
@@ -96,9 +90,7 @@ class ClassQueue {
   Packet pop_tail() {
     PDS_REQUIRE(head_ != tail_);
     --tail_;
-    Packet p = buf_[tail_ & mask_];
-    bytes_ -= p.size_bytes;
-    return p;
+    return buf_[tail_ & mask_];
   }
 
   const Packet& head() const {
@@ -108,8 +100,6 @@ class ClassQueue {
 
   bool empty() const noexcept { return head_ == tail_; }
   std::size_t packets() const noexcept { return tail_ - head_; }
-  std::uint64_t bytes() const noexcept { return bytes_; }
-  std::uint64_t total_arrived() const noexcept { return total_arrived_; }
 
   // Allocated slot count (power of two, or zero before the first push).
   std::size_t capacity() const noexcept { return cap_; }
@@ -161,8 +151,6 @@ class ClassQueue {
   std::size_t mask_ = 0;  // cap_ - 1
   std::size_t head_ = 0;  // free-running; buf_[head_ & mask_] is the head
   std::size_t tail_ = 0;  // free-running; one past the most recent arrival
-  std::uint64_t bytes_ = 0;
-  std::uint64_t total_arrived_ = 0;
 };
 
 }  // namespace pds

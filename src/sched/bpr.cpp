@@ -7,8 +7,8 @@ namespace pds {
 
 BprScheduler::BprScheduler(const SchedulerConfig& config)
     : ClassBasedScheduler(config, /*needs_capacity=*/true),
-      rates_(backlog_.lane_count(), 0.0),
-      virtual_service_(backlog_.lane_count(), 0.0) {}
+      rates_(config.num_classes(), 0.0),
+      virtual_service_(config.num_classes(), 0.0) {}
 
 void BprScheduler::set_weights(const std::vector<double>& sdp) {
   ClassBasedScheduler::set_weights(sdp);

@@ -66,8 +66,6 @@ class BprScheduler final : public ClassBasedScheduler {
 
   void recompute_rates();
 
-  // Both vectors are lane-padded to backlog_.lane_count() (pad lanes stay
-  // 0.0) because the scan kernels read and write them a full lane at a time.
   std::vector<double> rates_;            // r_i(t^{k-1})
   std::vector<double> virtual_service_;  // v_i, in bytes
   SimTime last_departure_ = kTimeZero;

@@ -9,7 +9,9 @@ Link::Link(Simulator& sim, Scheduler& sched, double capacity,
     : sim_(sim),
       sched_(&sched),
       capacity_(capacity),
-      on_departure_(std::move(on_departure)) {
+      on_departure_(std::move(on_departure)),
+      burst_buf_(burst_),
+      burst_waits_(burst_) {
   PDS_CHECK(capacity > 0.0, "link capacity must be positive");
   PDS_CHECK(static_cast<bool>(on_departure_), "null departure handler");
 }
@@ -131,54 +133,13 @@ void Link::set_burst(std::uint32_t k) {
   PDS_CHECK(k >= 1 && k <= kMaxBurst, "burst must be in [1, kMaxBurst]");
   PDS_CHECK(!busy_, "cannot change burst while transmitting");
   burst_ = k;
-  if (k > 1) {
-    burst_buf_.resize(k);
-    burst_waits_.resize(k);
-  }
+  burst_buf_.resize(k);
+  burst_waits_.resize(k);
 }
 
 void Link::try_start_service() {
   if (busy_ || !service_enabled() || sched_->empty()) return;
-  if (burst_ > 1) {
-    start_burst();
-    return;
-  }
-  auto next = sched_->dequeue(sim_.now());
-  PDS_REQUIRE(next.has_value());  // work conservation: backlog => packet
-  Packet& p = in_flight_;
-  p = std::move(*next);
-
-  const SimTime wait = sim_.now() - p.arrival;
-  PDS_REQUIRE(wait >= 0.0);
-  p.cum_queueing += wait;
-  ++p.hops_done;
-  in_flight_wait_ = wait;
-
-  const SimTime tx =
-      static_cast<double>(p.size_bytes) / (capacity_ * capacity_factor_);
-  busy_ = true;
-  busy_time_ += tx;
-  bytes_sent_ += p.size_bytes;
-  ++packets_sent_;
-  PDS_OBS_NOTIFY(probe_,
-                 on_dequeue(p, probe_context(p.cls), sim_.now(), wait));
-
-  // A link transmits one packet at a time, so the in-flight slot is the
-  // completion handler's persistent state; the event captures only `this`.
-  sim_.schedule_in(tx,
-                   SimEvent([this] { complete_transmission(); }, "link.tx"));
-}
-
-void Link::complete_transmission() {
-  busy_ = false;
-  const SimTime wait = in_flight_wait_;
-  // Moved to the stack first: the departure handler may synchronously
-  // re-arrive into this link, which restarts service and refills the slot.
-  Packet done = std::move(in_flight_);
-  PDS_OBS_NOTIFY(probe_, on_depart(done, probe_context(done.cls),
-                                   sim_.now(), wait));
-  on_departure_(std::move(done), wait, sim_.now());
-  try_start_service();
+  start_burst();
 }
 
 void Link::start_burst() {

@@ -76,11 +76,11 @@ class Link {
   // Burst transmit: each scheduler decision drains up to `k` consecutive
   // packets (of the winning class, for the proportional schedulers) and
   // transmits them back to back as one busy period. k == 1 — the default —
-  // uses the single-packet path verbatim, so all existing traces stay
-  // byte-identical; k > 1 changes traces (per-packet waits are measured
-  // against staggered transmission starts, and departures fire together at
-  // burst end — see docs/architecture.md, "Batched packet plane"). May only
-  // be changed while the transmitter is idle; k <= kMaxBurst.
+  // is classic one-packet service; k > 1 changes traces (per-packet waits
+  // are measured against staggered transmission starts, and departures fire
+  // together at burst end — see docs/architecture.md, "Batched packet
+  // plane"). May only be changed while the transmitter is idle;
+  // k <= kMaxBurst.
   void set_burst(std::uint32_t k);
   std::uint32_t burst() const noexcept { return burst_; }
 
@@ -166,13 +166,10 @@ class Link {
 
  private:
   void try_start_service();
-  // Completion of the packet in in_flight_: delivers it and pulls the next
-  // one. The scheduled event captures only `this`; the transmitting packet
-  // lives in the in-flight slot, so starting a transmission performs no
-  // heap allocation and no packet copy.
-  void complete_transmission();
-  // Burst counterparts (burst_ > 1 only): one scheduler decision fills
-  // burst_buf_, one event completes the whole burst.
+  // The one transmit path: one scheduler decision fills burst_buf_ with up
+  // to burst_ packets, and one completion event delivers them all. The
+  // event captures only `this` and the packets ride in the preallocated
+  // buffer, so a transmission performs no heap allocation.
   void start_burst();
   void complete_burst();
 
@@ -207,10 +204,9 @@ class Link {
   double busy_time_ = 0.0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
-  Packet in_flight_;             // valid iff busy_
-  SimTime in_flight_wait_ = 0.0;  // queueing delay of in_flight_ at this hop
   std::uint32_t burst_ = 1;
-  // Staging for burst transmit (sized by set_burst, empty while burst_ == 1).
+  // Packets on the wire and their queueing delays at this hop; burst_
+  // entries each (sized at construction and by set_burst).
   std::vector<Packet> burst_buf_;
   std::vector<SimTime> burst_waits_;
   std::uint32_t burst_count_ = 0;  // packets in the burst in flight

@@ -7,9 +7,8 @@ namespace pds {
 
 PadScheduler::PadScheduler(const SchedulerConfig& config)
     : ClassBasedScheduler(config),
-      cum_delay_(backlog_.lane_count(), 0.0),
-      served_(config.num_classes(), 0),
-      served_f64_(backlog_.lane_count(), 0.0) {}
+      cum_delay_(config.num_classes(), 0.0),
+      served_(config.num_classes(), 0) {}
 
 double PadScheduler::normalized_average_delay(ClassId cls, SimTime now) const {
   PDS_CHECK(cls < num_classes(), "class index out of range");
@@ -27,12 +26,11 @@ double PadScheduler::normalized_average_delay(ClassId cls, SimTime now) const {
 void PadScheduler::note_served(const Packet& p, SimTime now) {
   cum_delay_[p.cls] += now - p.arrival;
   ++served_[p.cls];
-  served_f64_[p.cls] = static_cast<double>(served_[p.cls]);
 }
 
 ClassId PadScheduler::select(SimTime now) const {
-  return scan::pad_select(heads_view(), sdp_lanes().data(), cum_lanes(),
-                          served_lanes(), now);
+  return scan::pad_select(heads_view(), sdp().data(), cum_delay(), served(),
+                          now);
 }
 
 std::optional<Packet> PadScheduler::dequeue(SimTime now) {
@@ -58,8 +56,8 @@ HpdScheduler::HpdScheduler(const SchedulerConfig& config)
     : PadScheduler(config), g_(config.hpd_g) {}
 
 ClassId HpdScheduler::select(SimTime now) const {
-  return scan::hpd_select(heads_view(), sdp_lanes().data(), cum_lanes(),
-                          served_lanes(), now, g_);
+  return scan::hpd_select(heads_view(), sdp().data(), cum_delay(), served(),
+                          now, g_);
 }
 
 }  // namespace pds

@@ -22,10 +22,8 @@
 // were served now — this keeps the metric defined before the first
 // departure and responsive to a waiting head.
 //
-// The per-dequeue argmax runs through the scan kernels
-// (sched/scan.hpp); the class keeps lane-padded double mirrors of the
-// cumulative-delay and served-count vectors as the kernels' inputs (served
-// counts are exact as doubles below 2^53).
+// The per-dequeue argmax runs through the scan kernels (sched/scan.hpp),
+// which read the cumulative-delay and served-count vectors in place.
 #pragma once
 
 #include "sched/scheduler.hpp"
@@ -54,14 +52,13 @@ class PadScheduler : public ClassBasedScheduler {
 
   void note_served(const Packet& p, SimTime now);
 
-  // Lane-padded kernel inputs, shared with the HPD override.
-  const double* cum_lanes() const noexcept { return cum_delay_.data(); }
-  const double* served_lanes() const noexcept { return served_f64_.data(); }
+  // Kernel inputs, shared with the HPD override.
+  const double* cum_delay() const noexcept { return cum_delay_.data(); }
+  const std::uint64_t* served() const noexcept { return served_.data(); }
 
  private:
   std::vector<double> cum_delay_;      // sum of delays of served packets
-  std::vector<std::uint64_t> served_;  // number of served packets (exact)
-  std::vector<double> served_f64_;     // double mirror of served_
+  std::vector<std::uint64_t> served_;  // number of served packets
 };
 
 class HpdScheduler final : public PadScheduler {

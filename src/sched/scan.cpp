@@ -15,8 +15,8 @@ ClassId wtp_select(const Heads& h, const double* sdp, double now) {
   ClassId best = 0;
   double best_priority = 0.0;
   for (ClassId c = 0; c < h.n; ++c) {
-    if (h.mask[c] == 0) continue;
-    const double wait = now - h.arrival[c];
+    if (h.head[c].packets == 0) continue;
+    const double wait = now - h.head[c].arrival;
     PDS_REQUIRE(wait >= 0.0);
     const double p = wait * sdp[c];
     if (!found || p >= best_priority) {  // >=: tie goes to the higher class
@@ -34,8 +34,8 @@ ClassId additive_select(const Heads& h, const double* sdp, double now) {
   ClassId best = 0;
   double best_priority = 0.0;
   for (ClassId c = 0; c < h.n; ++c) {
-    if (h.mask[c] == 0) continue;
-    const double wait = now - h.arrival[c];
+    if (h.head[c].packets == 0) continue;
+    const double wait = now - h.head[c].arrival;
     PDS_REQUIRE(wait >= 0.0);
     const double p = wait + sdp[c];
     if (!found || p >= best_priority) {
@@ -49,14 +49,14 @@ ClassId additive_select(const Heads& h, const double* sdp, double now) {
 }
 
 ClassId pad_select(const Heads& h, const double* sdp, const double* cum,
-                   const double* served, double now) {
+                   const std::uint64_t* served, double now) {
   bool found = false;
   ClassId best = 0;
   double best_priority = 0.0;
   for (ClassId c = 0; c < h.n; ++c) {
-    if (h.mask[c] == 0) continue;
-    const double sum = cum[c] + (now - h.arrival[c]);
-    const double n = served[c] + 1.0;
+    if (h.head[c].packets == 0) continue;
+    const double sum = cum[c] + (now - h.head[c].arrival);
+    const double n = static_cast<double>(served[c]) + 1.0;
     const double p = (sum / n) * sdp[c];
     if (!found || p >= best_priority) {
       found = true;
@@ -69,16 +69,16 @@ ClassId pad_select(const Heads& h, const double* sdp, const double* cum,
 }
 
 ClassId hpd_select(const Heads& h, const double* sdp, const double* cum,
-                   const double* served, double now, double g) {
+                   const std::uint64_t* served, double now, double g) {
   bool found = false;
   ClassId best = 0;
   double best_priority = 0.0;
   for (ClassId c = 0; c < h.n; ++c) {
-    if (h.mask[c] == 0) continue;
-    const double head_wait = now - h.arrival[c];
+    if (h.head[c].packets == 0) continue;
+    const double head_wait = now - h.head[c].arrival;
     const double wtp_part = head_wait * sdp[c];
     const double sum = cum[c] + head_wait;
-    const double n = served[c] + 1.0;
+    const double n = static_cast<double>(served[c]) + 1.0;
     const double pad_part = (sum / n) * sdp[c];
     const double p = g * wtp_part + (1.0 - g) * pad_part;
     if (!found || p >= best_priority) {
@@ -97,16 +97,17 @@ ClassId bpr_select(const Heads& h, const double* rates, double* vs,
   ClassId best = 0;
   double best_remaining = 0.0;
   for (ClassId c = 0; c < h.n; ++c) {
-    if (h.mask[c] == 0) {
+    if (h.head[c].packets == 0) {
       vs[c] = 0.0;
       continue;
     }
-    if (!any_departure || h.arrival[c] > last_departure) {
+    if (!any_departure || h.head[c].arrival > last_departure) {
       vs[c] = 0.0;  // head reached the front after t^{k-1}
     } else {
       vs[c] += rates[c] * elapsed;
     }
-    const double remaining = h.head_bytes[c] - vs[c];
+    const double remaining =
+        static_cast<double>(h.head[c].head_bytes) - vs[c];
     if (!found || remaining <= best_remaining) {  // <=: tie to higher class
       found = true;
       best = c;

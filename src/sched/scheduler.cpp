@@ -28,9 +28,6 @@ void SchedulerConfig::validate(bool needs_capacity) const {
             "burst must be in [1, " + std::to_string(kMaxBurst) + "]");
 }
 
-static_assert(MultiClassBacklog::kLanePad == scan::kLanes,
-              "backlog SoA padding must match the scan kernels' lane width");
-
 std::uint32_t Scheduler::dequeue_burst(SimTime now, Packet* out,
                                        std::uint32_t max_k) {
   PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
@@ -47,11 +44,8 @@ ClassBasedScheduler::ClassBasedScheduler(const SchedulerConfig& config,
                                          bool needs_capacity)
     : backlog_(config.num_classes(), config.arena),
       sdp_(config.sdp),
-      sdp_lanes_(config.sdp),
-      link_capacity_(config.link_capacity),
-      burst_(config.burst) {
+      link_capacity_(config.link_capacity) {
   config.validate(needs_capacity);
-  sdp_lanes_.resize(backlog_.lane_count(), 0.0);
 }
 
 void ClassBasedScheduler::enqueue(Packet p, SimTime now) {
@@ -92,7 +86,6 @@ void ClassBasedScheduler::set_weights(const std::vector<double>& sdp) {
   check_weights(sdp, num_classes());
   // In-place rewrite: same length, no reallocation, backlogs untouched.
   std::copy(sdp.begin(), sdp.end(), sdp_.begin());
-  std::copy(sdp.begin(), sdp.end(), sdp_lanes_.begin());
 }
 
 SimTime ClassBasedScheduler::max_head_wait(SimTime now) const {

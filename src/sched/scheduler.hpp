@@ -1,9 +1,9 @@
 // Scheduler interface shared by all multi-class packet schedulers.
 //
 // A scheduler owns the per-class queues of one output link. The surrounding
-// Link pulls the next packet with dequeue() whenever the transmitter goes
-// idle; work conservation is guaranteed by construction because dequeue()
-// must return a packet whenever any class is backlogged.
+// Link pulls the next packets with dequeue_burst() whenever the transmitter
+// goes idle; work conservation is guaranteed by construction because a
+// dequeue must return a packet whenever any class is backlogged.
 //
 // Scheduler Differentiation Parameters (SDPs) follow the paper's convention:
 // s_0 <= s_1 <= ... <= s_{N-1}, with the highest class (largest s) receiving
@@ -49,9 +49,10 @@ struct SchedulerConfig {
   double drr_quantum_bytes = 1500.0;
 
   // Packets drained per scheduler decision (Link burst transmit). 1 — the
-  // default — keeps every existing trace byte-identical; k > 1 serves up to
-  // k consecutive head packets of the winning class per decision (see
+  // default — is classic one-packet service; k > 1 serves up to k
+  // consecutive head packets of the winning class per decision (see
   // docs/architecture.md, "Batched packet plane"). Bounded by kMaxBurst.
+  // Validated here; Network hands it to Link::set_burst, where it acts.
   std::uint32_t burst = 1;
 
   // Optional backing store for the per-class rings (see PacketArena). Not
@@ -80,6 +81,7 @@ class Scheduler {
 
   // Selects, removes and returns the next packet to transmit, or nullopt if
   // no class is backlogged. `now` is the instant transmission would start.
+  // (Link transmits through dequeue_burst, whose base form loops this.)
   virtual std::optional<Packet> dequeue(SimTime now) = 0;
 
   // Burst variant: removes up to `max_k` packets into `out` (capacity >=
@@ -182,18 +184,14 @@ class ClassBasedScheduler : public Scheduler {
   SimTime max_head_wait(SimTime now) const override;
 
   // --- Live scheduler swap (ctrl/) ---------------------------------------
-  // Hands this scheduler's backlog — class rings, head snapshot and SoA
-  // mirror intact — to a replacement during a live swap, leaving this
-  // scheduler with a fresh empty backlog so it stays safe to destroy or
-  // reuse. The counterpart adopt_backlog() installs the released backlog
+  // Hands this scheduler's backlog — class rings and head snapshot intact —
+  // to a replacement during a live swap, leaving this scheduler with a
+  // fresh empty backlog so it stays safe to destroy or reuse. The
+  // counterpart adopt_backlog() installs the released backlog
   // and lets subclasses rebuild derived state (DRR active ring, BPR rates)
   // via on_backlog_adopted().
   MultiClassBacklog release_backlog();
   void adopt_backlog(MultiClassBacklog&& backlog, SimTime now);
-
-  // Burst size this scheduler was configured with (the Link reads it when
-  // wiring its transmit loop).
-  std::uint32_t configured_burst() const noexcept { return burst_; }
 
  protected:
   explicit ClassBasedScheduler(const SchedulerConfig& config,
@@ -207,24 +205,16 @@ class ClassBasedScheduler : public Scheduler {
   const std::vector<double>& sdp() const noexcept { return sdp_; }
   double link_capacity() const noexcept { return link_capacity_; }
 
-  // SDPs padded to backlog_.lane_count() entries (pad lanes 0.0), the form
-  // the scan kernels consume.
-  const std::vector<double>& sdp_lanes() const noexcept { return sdp_lanes_; }
-
-  // SoA view of the backlog heads for the scan kernels.
+  // The backlog's head snapshot, as the scan kernels read it.
   scan::Heads heads_view() const noexcept {
-    return scan::Heads{backlog_.soa_head_arrival(), backlog_.soa_head_bytes(),
-                       backlog_.soa_mask(), backlog_.num_classes(),
-                       backlog_.lane_count()};
+    return scan::Heads{backlog_.heads(), backlog_.num_classes()};
   }
 
   MultiClassBacklog backlog_;
 
  private:
   std::vector<double> sdp_;
-  std::vector<double> sdp_lanes_;
   double link_capacity_;
-  std::uint32_t burst_;
 };
 
 }  // namespace pds

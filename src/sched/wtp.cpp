@@ -16,9 +16,9 @@ double WtpScheduler::head_priority(ClassId cls, SimTime now) const {
 
 std::optional<Packet> WtpScheduler::dequeue(SimTime now) {
   if (backlog_.empty()) return std::nullopt;
-  // One pass over the head-of-line SoA mirror (Eq. 11 argmax, ties to the
+  // One pass over the head-of-line snapshot (Eq. 11 argmax, ties to the
   // higher class); kernels in sched/scan.cpp.
-  const ClassId best = scan::wtp_select(heads_view(), sdp_lanes().data(), now);
+  const ClassId best = scan::wtp_select(heads_view(), sdp().data(), now);
   return backlog_.pop(best);
 }
 
@@ -26,7 +26,7 @@ std::uint32_t WtpScheduler::dequeue_burst(SimTime now, Packet* out,
                                           std::uint32_t max_k) {
   PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
   if (backlog_.empty()) return 0;
-  const ClassId best = scan::wtp_select(heads_view(), sdp_lanes().data(), now);
+  const ClassId best = scan::wtp_select(heads_view(), sdp().data(), now);
   return backlog_.pop_burst(best, max_k, out);
 }
 

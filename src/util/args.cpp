@@ -76,29 +76,7 @@ std::string ArgParser::get_string(const std::string& key,
 
 double ArgParser::get_double(const std::string& key, double def) const {
   const auto v = raw(key);
-  if (!v) return def;
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(*v, &pos);
-    PDS_CHECK(pos == v->size(), "trailing characters in --" + key);
-    return d;
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("--" + key + ": not a number: " + *v);
-  }
-}
-
-std::int64_t ArgParser::get_int(const std::string& key,
-                                std::int64_t def) const {
-  const auto v = raw(key);
-  if (!v) return def;
-  try {
-    std::size_t pos = 0;
-    const std::int64_t n = std::stoll(*v, &pos);
-    PDS_CHECK(pos == v->size(), "trailing characters in --" + key);
-    return n;
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("--" + key + ": not an integer: " + *v);
-  }
+  return v ? read_number(*v, flag_failure(key)) : def;
 }
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {
@@ -112,42 +90,18 @@ bool ArgParser::get_bool(const std::string& key, bool def) const {
 std::vector<double> ArgParser::get_double_list(
     const std::string& key, std::vector<double> def) const {
   const auto v = raw(key);
-  if (!v) return def;
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= v->size()) {
-    const auto comma = v->find(',', start);
-    const std::string item =
-        v->substr(start, comma == std::string::npos ? std::string::npos
-                                                    : comma - start);
-    PDS_CHECK(!item.empty(), "empty element in --" + key);
-    out.push_back(std::stod(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  PDS_CHECK(!out.empty(), "empty list in --" + key);
-  return out;
+  return v ? read_list(*v, "the list", flag_failure(key)) : def;
 }
 
 std::uint32_t ArgParser::get_jobs() const {
-  std::int64_t jobs = 0;
-  if (has("jobs")) {
-    jobs = get_int("jobs", 0);
-  } else {
-    const char* env = std::getenv("PDS_JOBS");
-    if (env == nullptr) return 0;
-    try {
-      std::size_t pos = 0;
-      jobs = std::stoll(env, &pos);
-      PDS_CHECK(pos == std::string(env).size() && jobs >= 0,
-                "PDS_JOBS must be a non-negative integer");
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument(std::string("PDS_JOBS: not an integer: ") +
-                                  env);
-    }
-  }
-  PDS_CHECK(jobs >= 0, "--jobs must be >= 0 (0 = hardware concurrency)");
-  return static_cast<std::uint32_t>(jobs);
+  if (has("jobs")) return get_int<std::uint32_t>("jobs", 0);
+  const char* env = std::getenv("PDS_JOBS");
+  if (env == nullptr) return 0;
+  return read_integer<std::uint32_t>(
+      env, "value", 0, std::numeric_limits<std::uint32_t>::max(),
+      [](const std::string& complaint) {
+        throw std::invalid_argument("PDS_JOBS: " + complaint);
+      });
 }
 
 std::vector<std::string> ArgParser::unknown_keys(

@@ -2,15 +2,23 @@
 //
 // Supports `--key=value`, `--key value`, and boolean `--flag` forms. Unknown
 // keys are collected so callers can reject typos. Values are converted on
-// access with a caller-supplied default.
+// access with a caller-supplied default, under the number rules the input
+// grammars use (util/line_lexer.hpp): a number must parse completely and be
+// finite, list elements included, and an integer must be whole and inside
+// its destination type. A bad value throws std::invalid_argument naming its
+// flag ("--users: value must be an integer in [1, 4294967295]").
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/line_lexer.hpp"
 
 namespace pds {
 
@@ -33,8 +41,18 @@ class ArgParser {
   // std::invalid_argument when the value cannot be converted.
   std::string get_string(const std::string& key, std::string def) const;
   double get_double(const std::string& key, double def) const;
-  std::int64_t get_int(const std::string& key, std::int64_t def) const;
   bool get_bool(const std::string& key, bool def) const;
+
+  // An integer of the destination type T, bounded to [lo, hi] (by default
+  // T's whole range): never truncated, wrapped or rounded.
+  template <typename T = std::int64_t>
+  T get_int(const std::string& key, std::type_identity_t<T> def,
+            std::type_identity_t<T> lo = std::numeric_limits<T>::min(),
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) const {
+    const auto v = raw(key);
+    if (!v) return def;
+    return read_integer<T>(*v, "value", lo, hi, flag_failure(key));
+  }
 
   // Comma-separated list of doubles, e.g. `--sdp=1,2,4,8`.
   std::vector<double> get_double_list(const std::string& key,
@@ -61,6 +79,13 @@ class ArgParser {
 
  private:
   std::optional<std::string> raw(const std::string& key) const;
+
+  // The `fail` of the shared number readers: prefixes the flag.
+  static auto flag_failure(const std::string& key) {
+    return [&key](const std::string& complaint) {
+      throw std::invalid_argument("--" + key + ": " + complaint);
+    };
+  }
 
   std::map<std::string, std::string> values_;
   std::vector<std::string> order_;

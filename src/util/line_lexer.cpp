@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace pds {
@@ -37,13 +36,7 @@ void LineLexer::fail_at(std::size_t line, const std::string& msg) const {
 }
 
 double LineLexer::number(const std::string& raw) const {
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end != raw.c_str() + raw.size()) {
-    fail("malformed number: " + raw);
-  }
-  if (!std::isfinite(v)) fail("number must be finite, got " + raw);
-  return v;
+  return read_number(raw, [this](const std::string& m) { fail(m); });
 }
 
 LineOptions::LineOptions(const LineLexer& lexer, std::size_t first)
@@ -88,19 +81,8 @@ double LineOptions::number_or(const std::string& key, double def) {
 }
 
 std::vector<double> LineOptions::list(const std::string& key) {
-  const std::string raw = require(key);
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto comma = raw.find(',', start);
-    const auto item = raw.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (item.empty()) fail("empty element in " + key);
-    out.push_back(lexer_.number(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
+  return read_list(require(key), key,
+                   [this](const std::string& m) { fail(m); });
 }
 
 std::vector<double> LineOptions::weights(const std::string& key) {

@@ -1,6 +1,7 @@
 // Shared lexer of the line-oriented input grammars: scenarios
 // (net/scenario.hpp), fault plans (fault/fault_plan.hpp) and control plans
-// (ctrl/control_plan.hpp).
+// (ctrl/control_plan.hpp), plus the number rules the command-line flags
+// (util/args.hpp) share with them.
 //
 // A line splits on whitespace; a token that starts with '#' comments out
 // the rest of the line, and lines without tokens are skipped. After a
@@ -12,18 +13,26 @@
 //   - numbers must parse completely ("malformed number: X") and be finite
 //     ("number must be finite, got X");
 //   - integers must be whole and inside the field's type, never truncated
-//     or wrapped ("<key> must be an integer in [lo, hi]");
+//     or wrapped ("<key> must be an integer in [lo, hi]"); a plain integer
+//     literal is read exactly, other forms ("1e3") as a number;
 //   - a list element may not be empty ("empty element in <key>");
 //   - a bare token nobody consumed reports "expected key=value, got X",
 //     and a key nobody read reports "unknown option <key>".
+//
+// The number rules are the free read_* functions below. Each returns the
+// value or calls `fail(complaint)`, which must throw; the caller's `fail`
+// says where the token came from (a grammar line, a --flag).
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,6 +51,64 @@ std::optional<T> whole_number(double v, T lo = 0,
     return std::nullopt;
   }
   return static_cast<T>(v);
+}
+
+// `raw` as a finite double; the whole token must parse.
+template <typename Fail>
+double read_number(const std::string& raw, const Fail& fail) {
+  char* end = nullptr;
+  const double v = std::strtod(raw.c_str(), &end);
+  if (raw.empty() || end != raw.c_str() + raw.size()) {
+    fail("malformed number: " + raw);
+  }
+  if (!std::isfinite(v)) fail("number must be finite, got " + raw);
+  return v;
+}
+
+// `raw` as a T in [lo, hi]; `name` is the subject of the range complaint.
+// An integer literal is read exactly (no rounding through double above
+// 2^53); any other form must be a finite, whole number.
+template <typename T, typename Fail>
+T read_integer(const std::string& raw, const std::string& name, T lo, T hi,
+               const Fail& fail) {
+  using Wide = std::conditional_t<std::is_signed_v<T>, long long,
+                                  unsigned long long>;
+  const auto range = [&] {
+    fail(name + " must be an integer in [" + std::to_string(lo) + ", " +
+         std::to_string(hi) + "]");
+  };
+  Wide wide = 0;
+  const char* last = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), last, wide);
+  if (ptr == last && !raw.empty()) {
+    if (ec != std::errc() || wide < static_cast<Wide>(lo) ||
+        wide > static_cast<Wide>(hi)) {
+      range();
+    }
+    return static_cast<T>(wide);
+  }
+  const auto n = whole_number<T>(read_number(raw, fail), lo, hi);
+  if (!n) range();
+  return *n;
+}
+
+// Comma-separated finite numbers ("1,2,4,8"); `name` is the subject of the
+// empty-element complaint.
+template <typename Fail>
+std::vector<double> read_list(const std::string& raw, const std::string& name,
+                              const Fail& fail) {
+  std::vector<double> out;
+  std::size_t start = 0;
+  while (true) {
+    const auto comma = raw.find(',', start);
+    const auto item = raw.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (item.empty()) fail("empty element in " + name);
+    out.push_back(read_number(item, fail));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return out;
 }
 
 class LineLexer {
@@ -98,12 +165,8 @@ class LineOptions {
   template <typename T>
   T integer(const std::string& key, T lo = 0,
             T hi = std::numeric_limits<T>::max()) {
-    const auto n = whole_number<T>(number(key), lo, hi);
-    if (!n) {
-      fail(key + " must be an integer in [" + std::to_string(lo) + ", " +
-           std::to_string(hi) + "]");
-    }
-    return *n;
+    return read_integer<T>(require(key), key, lo, hi,
+                           [this](const std::string& m) { fail(m); });
   }
   template <typename T>
   T integer_or(const std::string& key, T def, T lo = 0,

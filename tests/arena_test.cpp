@@ -104,25 +104,24 @@ TEST(ClassQueue, MoveTransfersArenaOwnership) {
   EXPECT_EQ(moved.pop().id, 7u);
 }
 
-TEST(MultiClassBacklog, ArenaBackedBacklogKeepsSoAMirrorExact) {
+TEST(MultiClassBacklog, ArenaBackedBacklogKeepsHeadSnapshotExact) {
   PacketArena arena;
   MultiClassBacklog backlog(3, &arena);
-  EXPECT_EQ(backlog.lane_count(), 4u);  // padded to kLanePad
   backlog.push(testutil::packet(0, 1, 200, 5.0));
   backlog.push(testutil::packet(1, 1, 300, 6.0));
   backlog.push(testutil::packet(2, 2, 400, 7.0));
-  EXPECT_EQ(backlog.soa_mask()[0], 0u);
-  EXPECT_EQ(backlog.soa_mask()[1], ~std::uint64_t{0});
-  EXPECT_EQ(backlog.soa_mask()[2], ~std::uint64_t{0});
-  EXPECT_EQ(backlog.soa_mask()[3], 0u);  // pad lane stays idle
-  EXPECT_DOUBLE_EQ(backlog.soa_head_arrival()[1], 5.0);
-  EXPECT_DOUBLE_EQ(backlog.soa_head_bytes()[1], 200.0);
+  EXPECT_EQ(backlog.head_of(0).packets, 0u);
+  EXPECT_EQ(backlog.head_of(1).packets, 2u);
+  EXPECT_EQ(backlog.head_of(2).packets, 1u);
+  EXPECT_EQ(backlog.head_of(1).bytes, 500u);
+  EXPECT_DOUBLE_EQ(backlog.head_of(1).arrival, 5.0);
+  EXPECT_EQ(backlog.head_of(1).head_bytes, 200u);
   backlog.pop(1);
-  EXPECT_DOUBLE_EQ(backlog.soa_head_arrival()[1], 6.0);
-  EXPECT_DOUBLE_EQ(backlog.soa_head_bytes()[1], 300.0);
+  EXPECT_DOUBLE_EQ(backlog.head_of(1).arrival, 6.0);
+  EXPECT_EQ(backlog.head_of(1).head_bytes, 300u);
   backlog.pop(1);
-  EXPECT_EQ(backlog.soa_mask()[1], 0u);
-  EXPECT_DOUBLE_EQ(backlog.soa_head_arrival()[1], 0.0);
+  EXPECT_EQ(backlog.head_of(1).packets, 0u);
+  EXPECT_EQ(backlog.head_of(1).bytes, 0u);
 }
 
 TEST(MultiClassBacklog, PopBurstMatchesRepeatedPop) {

@@ -1,7 +1,8 @@
 // Burst-dequeue semantics: one scheduler decision drains up to k consecutive
-// head packets of the winning class. k=1 must stay byte-identical to the
-// classic per-packet transmit loop; k>1 amortizes decision and event cost
-// while keeping per-packet waits measured against staggered start times.
+// head packets of the winning class. Link has one transmit path, the burst
+// loop; at k=1 it must match the classic per-packet dequeue() loop exactly;
+// k>1 amortizes decision and event cost while keeping per-packet waits
+// measured against staggered start times.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -68,16 +69,64 @@ TEST(Burst, LinkRejectsOutOfRangeBurst) {
   EXPECT_EQ(link.burst(), 4u);
 }
 
+// The classic one-packet server written out without a Link or a
+// simulator: whenever the transmitter is idle and a class is backlogged,
+// dequeue() picks the packet, which completes size/capacity later. An
+// arrival at the instant a transmission completes joins the queue before
+// the next decision, as the simulator orders the pre-scheduled arrival
+// event ahead of the completion.
+std::vector<testutil::Departure> classic_loop(
+    Scheduler& sched, double capacity,
+    const std::vector<testutil::ScriptedArrival>& in) {
+  std::vector<testutil::Departure> out;
+  Packet on_wire;
+  SimTime wire_wait = 0.0;
+  SimTime free_at = 0.0;
+  bool busy = false;
+  const auto start = [&](SimTime now) {
+    auto p = sched.dequeue(now);
+    if (!p.has_value()) return;
+    on_wire = *p;
+    wire_wait = now - on_wire.arrival;
+    free_at = now + static_cast<double>(on_wire.size_bytes) / capacity;
+    busy = true;
+  };
+  std::size_t next = 0;
+  while (next < in.size() || busy) {
+    if (busy && (next == in.size() || free_at < in[next].time)) {
+      out.push_back({on_wire.id, on_wire.cls, wire_wait, free_at});
+      busy = false;
+      start(free_at);
+      continue;
+    }
+    const auto& a = in[next];
+    sched.enqueue(testutil::packet(next, a.cls, a.bytes, a.time), a.time);
+    ++next;
+    if (!busy) start(a.time);
+  }
+  return out;
+}
+
 TEST(Burst, BurstOfOneIsIdenticalToTheClassicLoop) {
-  const auto classic = replay_burst(1, kScript);
-  auto sched = make_scheduler(SchedulerKind::kWtp, wtp_config());
-  std::vector<testutil::Departure> plain =
-      testutil::replay(*sched, 10.0, kScript);
-  ASSERT_EQ(classic.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(classic[i].id, plain[i].id) << i;
-    EXPECT_DOUBLE_EQ(classic[i].wait, plain[i].wait) << i;
-    EXPECT_DOUBLE_EQ(classic[i].completed, plain[i].completed) << i;
+  // Link's one transmit path at k=1 against dequeue() one packet at a time,
+  // for the schedulers that override dequeue_burst and for the base loop.
+  for (const auto kind :
+       {SchedulerKind::kWtp, SchedulerKind::kBpr, SchedulerKind::kAdditiveWtp,
+        SchedulerKind::kPad, SchedulerKind::kHpd, SchedulerKind::kFcfs,
+        SchedulerKind::kScfq}) {
+    SchedulerConfig config = wtp_config();
+    config.link_capacity = 10.0;
+    auto linked = make_scheduler(kind, config);
+    auto bare = make_scheduler(kind, config);
+    const auto got = testutil::replay(*linked, 10.0, kScript);
+    const auto want = classic_loop(*bare, 10.0, kScript);
+    ASSERT_EQ(got.size(), want.size()) << to_string(kind);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << to_string(kind) << " " << i;
+      EXPECT_EQ(got[i].wait, want[i].wait) << to_string(kind) << " " << i;
+      EXPECT_EQ(got[i].completed, want[i].completed)
+          << to_string(kind) << " " << i;
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 // accepted or rejected with a std::invalid_argument that names their line —
 // never a crash, a contract failure deep in the library, or undefined
 // behaviour (check.sh runs this suite under ASan/UBSan with UBSan fatal).
+// Accepted scenario mutants are also run, briefly and under an event
+// budget, so a value that only fails at run time shows up here too.
 //
 // Mutants come from the project's own Rng with a fixed seed and a fixed
 // budget, so every run replays the same inputs. Each mutant applies one to
@@ -20,6 +22,7 @@
 
 #include "ctrl/control_injector.hpp"
 #include "ctrl/control_plan.hpp"
+#include "dsim/simulator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/scenario.hpp"
@@ -252,6 +255,43 @@ TEST(GrammarFuzz, ScenarioMutantsParseOrNameTheirLine) {
       }
     }
   }
+}
+
+// Every mutant the parser accepts must also run: at 1% of its horizon and
+// under an event budget, each run finishes or trips the budget. A contract
+// failure ("check failed", "invariant violated") or any other exception is
+// a value the parser should have rejected with its line. Replays the mutant
+// stream of the test above.
+TEST(GrammarFuzz, AcceptedScenarioMutantsRunOrTripTheBudget) {
+  ScenarioOptions options;
+  options.horizon_scale = 0.01;
+  options.max_events = 5000;
+  Rng rng(kFuzzSeed);
+  int ran = 0;
+  int tripped = 0;
+  for (const std::string& seed : shipped_scenarios()) {
+    for (int i = 0; i < kMutantsPerInput; ++i) {
+      const std::string text = mutant(seed, rng);
+      Scenario scenario;
+      try {
+        scenario = parse_scenario(text);
+      } catch (const std::invalid_argument&) {
+        continue;
+      }
+      try {
+        run_scenario(scenario, options);
+        ++ran;
+      } catch (const SimBudgetExceeded&) {
+        ++tripped;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what() << "\n" << text;
+      }
+    }
+  }
+  // The budget is generous enough that most mutants run to the end.
+  EXPECT_GT(ran, 1000);
+  RecordProperty("ran", ran);
+  RecordProperty("tripped", tripped);
 }
 
 TEST(GrammarFuzz, FaultPlanMutantsArmOrNameTheirLine) {

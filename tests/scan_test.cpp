@@ -10,37 +10,26 @@
 namespace pds {
 namespace {
 
-// SoA head state padded to scan::padded_lanes(n), every lane idle.
+// Head snapshot of n classes plus the per-class kernel inputs, every class
+// idle.
 struct HeadState {
   explicit HeadState(std::uint32_t classes)
-      : n(classes),
-        lanes(scan::padded_lanes(classes)),
-        arrival(lanes, 0.0),
-        head_bytes(lanes, 0.0),
-        mask(lanes, 0),
-        sdp(lanes, 0.0),
-        cum(lanes, 0.0),
-        served(lanes, 0.0) {}
+      : n(classes), head(n), sdp(n, 0.0), cum(n, 0.0), served(n, 0) {}
 
-  void backlog(std::uint32_t c, double at, double bytes) {
-    mask[c] = ~std::uint64_t{0};
-    arrival[c] = at;
-    head_bytes[c] = bytes;
+  void backlog(std::uint32_t c, double at, std::uint32_t bytes) {
+    head[c].arrival = at;
+    head[c].bytes = bytes;
+    head[c].head_bytes = bytes;
+    head[c].packets = 1;
   }
 
-  scan::Heads heads() const {
-    return scan::Heads{arrival.data(), head_bytes.data(), mask.data(), n,
-                       lanes};
-  }
+  scan::Heads heads() const { return scan::Heads{head.data(), n}; }
 
   std::uint32_t n;
-  std::uint32_t lanes;
-  std::vector<double> arrival;
-  std::vector<double> head_bytes;
-  std::vector<std::uint64_t> mask;
+  std::vector<ClassHead> head;
   std::vector<double> sdp;
   std::vector<double> cum;
-  std::vector<double> served;
+  std::vector<std::uint64_t> served;
 };
 
 TEST(ScanKernels, ExactTieGoesToHighestClass) {
@@ -49,12 +38,12 @@ TEST(ScanKernels, ExactTieGoesToHighestClass) {
   for (std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
     HeadState st(n);
     for (std::uint32_t c = 0; c < n; ++c) {
-      st.backlog(c, 10.0, 100.0);
+      st.backlog(c, 10.0, 100);
       st.sdp[c] = 1.0;
     }
     const auto h = st.heads();
-    std::vector<double> rates(st.lanes, 1.0);
-    std::vector<double> vs(st.lanes, 0.0);
+    std::vector<double> rates(st.n, 1.0);
+    std::vector<double> vs(st.n, 0.0);
     EXPECT_EQ(scan::wtp_select(h, st.sdp.data(), 20.0), n - 1);
     EXPECT_EQ(scan::additive_select(h, st.sdp.data(), 20.0), n - 1);
     EXPECT_EQ(scan::pad_select(h, st.sdp.data(), st.cum.data(),
@@ -73,10 +62,10 @@ TEST(ScanKernels, SingleBackloggedClassWinsRegardlessOfIndex) {
     for (std::uint32_t only = 0; only < n; ++only) {
       HeadState st(n);
       for (std::uint32_t c = 0; c < n; ++c) st.sdp[c] = 1.0 + c;
-      st.backlog(only, 5.0, 200.0);
+      st.backlog(only, 5.0, 200);
       const auto h = st.heads();
-      std::vector<double> rates(st.lanes, 1.0);
-      std::vector<double> vs(st.lanes, 0.0);
+      std::vector<double> rates(st.n, 1.0);
+      std::vector<double> vs(st.n, 0.0);
       EXPECT_EQ(scan::wtp_select(h, st.sdp.data(), 9.0), only);
       EXPECT_EQ(scan::additive_select(h, st.sdp.data(), 9.0), only);
       EXPECT_EQ(scan::pad_select(h, st.sdp.data(), st.cum.data(),

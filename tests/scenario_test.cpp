@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "exp/thread_pool.hpp"
 #include "net/scenario.hpp"
 #include "obs/report.hpp"
@@ -284,6 +287,86 @@ TEST(ScenarioErrors, StrayBareTokensNameTheirLine) {
   EXPECT_EQ(parse_error("link a capacity=10 sched=fcfs sdp=1 fast\n"),
             "scenario line 1: expected key=value, got fast");
 }
+
+// Values that used to parse and then fail deep in the library, or run
+// silently wrong (pareto=0 ran Poisson, 0 being the internal Poisson
+// marker), are parse errors that name their line.
+struct ValueErrorCase {
+  const char* name;
+  const char* line3;  // the directive on line 3, after kOneLink
+  const char* run;    // the run directive on line 4
+  const char* error;
+};
+
+class ScenarioValueErrors : public testing::TestWithParam<ValueErrorCase> {};
+
+TEST_P(ScenarioValueErrors, NameTheirLine) {
+  const ValueErrorCase& c = GetParam();
+  EXPECT_EQ(parse_error(kOneLink + c.line3 + "\n" + c.run + "\n"), c.error);
+}
+
+void PrintTo(const ValueErrorCase& c, std::ostream* os) { *os << c.name; }
+
+std::string value_case_name(const testing::TestParamInfo<ValueErrorCase>& p) {
+  return p.param.name;
+}
+
+constexpr const char* kRun = "run until=100";
+
+INSTANTIATE_TEST_SUITE_P(
+    RunTimeFailures, ScenarioValueErrors,
+    testing::Values(
+        ValueErrorCase{"gap_zero", "source renewal r class=0 gap=0 size=100",
+                       kRun, "scenario line 3: gap must be positive"},
+        ValueErrorCase{"source_start_negative",
+                       "source renewal r class=0 gap=5 size=100 start=-1",
+                       kRun, "scenario line 3: start must be non-negative"},
+        ValueErrorCase{"flows_start_negative",
+                       "flows r class=0 users=1 size=100 think=5 reverse=r "
+                       "start=-1",
+                       kRun, "scenario line 3: start must be non-negative"},
+        ValueErrorCase{"interval_zero",
+                       "source cbr r class=0 count=5 size=100 interval=0",
+                       kRun, "scenario line 3: interval must be positive"},
+        ValueErrorCase{"count_zero",
+                       "source cbr r class=0 count=0 size=100 interval=5",
+                       kRun,
+                       "scenario line 3: count must be an integer in "
+                       "[1, 4294967295]"},
+        ValueErrorCase{"fractions_negative",
+                       "source mix r fractions=-1 gap=5 size=100", kRun,
+                       "scenario line 3: fractions must be non-negative"},
+        ValueErrorCase{"fractions_all_zero",
+                       "source mix r fractions=0 gap=5 size=100", kRun,
+                       "scenario line 3: fractions must not all be zero"},
+        ValueErrorCase{"pareto_one",
+                       "source renewal r class=0 gap=5 size=100 pareto=1",
+                       kRun, "scenario line 3: pareto shape must exceed 1"},
+        ValueErrorCase{"pareto_zero_is_not_poisson",
+                       "source mix r fractions=1 gap=5 size=100 pareto=0",
+                       kRun, "scenario line 3: pareto shape must exceed 1"},
+        ValueErrorCase{"deadline_negative",
+                       "flows r class=0 users=1 size=100 think=5 reverse=r "
+                       "deadline=-1",
+                       kRun, "scenario line 3: deadline must be non-negative"},
+        ValueErrorCase{"rto_cap_negative",
+                       "flows r class=0 users=1 size=100 think=5 reverse=r "
+                       "rto_cap=-1",
+                       kRun, "scenario line 3: rto_cap must be non-negative"},
+        ValueErrorCase{"throttle_negative",
+                       "flows r class=0 users=1 size=100 think=5 reverse=r "
+                       "throttle=-1",
+                       kRun, "scenario line 3: throttle must be non-negative"},
+        ValueErrorCase{"throttle_ratio_zero",
+                       "flows r class=0 users=1 size=100 think=5 reverse=r "
+                       "throttle=10 throttle_ratio=0",
+                       kRun,
+                       "scenario line 3: throttle_ratio must be positive"},
+        ValueErrorCase{"warmup_negative",
+                       "source renewal r class=0 gap=5 size=100",
+                       "run until=100 warmup=-5",
+                       "scenario line 4: warmup must be non-negative"}),
+    value_case_name);
 
 TEST(ScenarioErrors, ClassesBeyondTheRouteClassCountNameTheirLine) {
   // These used to pass the parser and abort the run in the class backlog.

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -96,6 +97,111 @@ TEST(ArgParser, UnknownKeysDetected) {
 TEST(ArgParser, NegativeValuesViaEquals) {
   // `--key value` would treat "-3" as ambiguous; the = form is exact.
   EXPECT_EQ(parse({"--off=-3"}).get_int("off", 0), -3);
+}
+
+// The command-line number rules are the input grammars' (finite, fully
+// parsed, integers bounded to their destination type), and every error
+// names its flag. One case per input that used to slip through.
+
+std::string arg_error(const char* arg,
+                      const std::function<void(const ArgParser&)>& read) {
+  try {
+    read(parse({arg}));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+constexpr const char* kU32Range = "value must be an integer in [1, 4294967295]";
+constexpr const char* kU64Range =
+    "value must be an integer in [0, 18446744073709551615]";
+
+TEST(ArgParser, InfiniteSimTimeIsRejected) {
+  EXPECT_EQ(arg_error("--sim-time=inf",
+                      [](const ArgParser& a) { a.get_double("sim-time", 1); }),
+            "--sim-time: number must be finite, got inf");
+}
+
+TEST(ArgParser, NegativeUsersAreRejected) {
+  EXPECT_EQ(arg_error("--users=-5",
+                      [](const ArgParser& a) {
+                        a.get_int<std::uint32_t>("users", 1, 1);
+                      }),
+            std::string("--users: ") + kU32Range);
+}
+
+TEST(ArgParser, UsersBeyondTheirTypeAreRejected) {
+  EXPECT_EQ(arg_error("--users=4294967297",
+                      [](const ArgParser& a) {
+                        a.get_int<std::uint32_t>("users", 1, 1);
+                      }),
+            std::string("--users: ") + kU32Range);
+}
+
+TEST(ArgParser, NegativeSeedIsRejected) {
+  EXPECT_EQ(arg_error("--seed=-1",
+                      [](const ArgParser& a) {
+                        a.get_int<std::uint64_t>("seed", 1);
+                      }),
+            std::string("--seed: ") + kU64Range);
+}
+
+TEST(ArgParser, NegativeMaxEventsIsRejected) {
+  EXPECT_EQ(arg_error("--max-events=-1",
+                      [](const ArgParser& a) {
+                        a.get_int<std::uint64_t>("max-events", 0);
+                      }),
+            std::string("--max-events: ") + kU64Range);
+}
+
+TEST(ArgParser, NegativeConformanceMinSamplesIsRejected) {
+  EXPECT_EQ(arg_error("--conformance-min-samples=-1",
+                      [](const ArgParser& a) {
+                        a.get_int<std::uint64_t>("conformance-min-samples", 10);
+                      }),
+            std::string("--conformance-min-samples: ") + kU64Range);
+}
+
+TEST(ArgParser, MalformedListElementsAreRejected) {
+  EXPECT_EQ(arg_error("--sdp=1x,2x,4,8",
+                      [](const ArgParser& a) { a.get_double_list("sdp", {}); }),
+            "--sdp: malformed number: 1x");
+}
+
+TEST(ArgParser, OverflowingNumberIsRejected) {
+  EXPECT_EQ(arg_error("--sim-time=1e999",
+                      [](const ArgParser& a) { a.get_double("sim-time", 1); }),
+            "--sim-time: number must be finite, got 1e999");
+}
+
+TEST(ArgParser, NanIsRejectedInNumbersAndLists) {
+  EXPECT_EQ(arg_error("--rho=nan",
+                      [](const ArgParser& a) { a.get_double("rho", 0.9); }),
+            "--rho: number must be finite, got nan");
+  EXPECT_EQ(arg_error("--taus=1,nan",
+                      [](const ArgParser& a) {
+                        a.get_double_list("taus", {});
+                      }),
+            "--taus: number must be finite, got nan");
+  EXPECT_EQ(arg_error("--mix=40,NaN,20,10",
+                      [](const ArgParser& a) { a.get_double_list("mix", {}); }),
+            "--mix: number must be finite, got NaN");
+  EXPECT_EQ(arg_error("--metrics-window=nan",
+                      [](const ArgParser& a) {
+                        a.get_double("metrics-window", 1);
+                      }),
+            "--metrics-window: number must be finite, got nan");
+}
+
+TEST(ArgParser, LargeSeedsAreReadExactly) {
+  // An integer literal never rounds through double: 2^53 + 1 survives.
+  EXPECT_EQ(parse({"--seed=9007199254740993"})
+                .get_int<std::uint64_t>("seed", 1),
+            9007199254740993ULL);
+  EXPECT_EQ(parse({"--seed=18446744073709551615"})
+                .get_int<std::uint64_t>("seed", 1),
+            18446744073709551615ULL);
 }
 
 TEST(ArgParser, RequireKnownPassesWhenAllKeysAreAllowed) {
