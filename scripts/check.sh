@@ -72,15 +72,18 @@ echo "== observability: compile-out proof + disabled-path overhead guard =="
 # -DPDS_OBS=OFF must keep compiling everything that touches the telemetry
 # plane (the macros and #if gates are only honest if both sides build), and
 # the compiled-in-but-disabled paths must stay within the <5% contract. The
-# overhead smoke uses reduced sizes: the guard thresholds are generous
-# enough to hold there, and the full run stays available by hand.
+# packet ledger reads only Link's own counters, so it must hold with the
+# probes compiled out too. The overhead smoke uses reduced sizes: the guard
+# thresholds are generous enough to hold there, and the full run stays
+# available by hand.
 cmake -B build-obsoff -S . -DPDS_OBS=OFF >/dev/null
 cmake --build build-obsoff -j "${JOBS}" \
   --target simulate_cli ext_fault_resilience micro_obs_overhead \
-  obs_test conformance_test telemetry_test
+  obs_test conformance_test telemetry_test ledger_test
 ./build-obsoff/tests/obs_test
 ./build-obsoff/tests/conformance_test
 ./build-obsoff/tests/telemetry_test
+./build-obsoff/tests/ledger_test
 cmake --build build -j "${JOBS}" --target micro_obs_overhead
 ./build/bench/micro_obs_overhead --events=300000 --packets=80000 --reps=3
 
@@ -101,13 +104,15 @@ if [[ "${1:-}" == "--fast" ]]; then
   # same unwind paths, and the grammar fuzzer because every malformed input
   # must be rejected without undefined behaviour (UBSan is fatal here). The
   # packet-plane suites cover the raw-memory class rings, the head snapshot
-  # the scans read, and Link's transmit staging buffer.
+  # the scans read, and Link's transmit staging buffer; the buffer suites
+  # cover Link's drop policies, whose PLR push-out pops a raw ring tail.
   cmake -B build-asan -S . -DPDS_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
     conformance_test telemetry_test grammar_fuzz_test queueing_test \
     scan_test burst_test link_test sched_property_test sched_pin_test \
-    fabric_conservation_test
+    fabric_conservation_test dropper_test lossy_property_test study_c_test \
+    ledger_test
   ./build-asan/tests/grammar_fuzz_test
   ./build-asan/tests/queueing_test
   ./build-asan/tests/scan_test
@@ -116,6 +121,10 @@ if [[ "${1:-}" == "--fast" ]]; then
   ./build-asan/tests/sched_property_test
   ./build-asan/tests/sched_pin_test
   ./build-asan/tests/fabric_conservation_test
+  ./build-asan/tests/dropper_test
+  ./build-asan/tests/lossy_property_test
+  ./build-asan/tests/study_c_test
+  ./build-asan/tests/ledger_test
   ./build-asan/tests/fault_test
   ./build-asan/tests/ctrl_test
   ./build-asan/tests/controller_test

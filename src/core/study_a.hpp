@@ -177,8 +177,8 @@ struct StudyAResult {
 
   // Fault accounting (iff config.fault_plan): episode instances completed
   // and packets dropped by link-down episodes in drop mode. Burst-loss drops
-  // are counted at the LossyLink layer and do not appear here (Study A's
-  // link is lossless apart from faults).
+  // need a buffered link (Link::burst_drops()) and do not appear here
+  // (Study A's link is lossless apart from faults).
   std::uint64_t fault_episodes = 0;
   std::uint64_t fault_drops = 0;
 

@@ -47,13 +47,11 @@ StudyCResult run_study_c(const StudyCConfig& config) {
   }
 
   ClassDelayStats delays(n, warmup);
-  LossyLink link(
-      sim, *scheduler, config.capacity, config.buffer_packets, config.policy,
-      std::move(plr),
-      [&](Packet&& p, SimTime wait, SimTime now) {
-        delays.record(p.cls, wait, now);
-      },
-      [](const Packet&, SimTime) {});
+  Link link(sim, *scheduler, config.capacity,
+            [&](Packet&& p, SimTime wait, SimTime now) {
+              delays.record(p.cls, wait, now);
+            });
+  link.set_buffer(config.buffer_packets, config.policy, std::move(plr));
 
   // Per-class Pareto sources at the requested offered load (values above 1
   // are legal here — the dropper sheds the excess).
@@ -93,7 +91,7 @@ StudyCResult run_study_c(const StudyCConfig& config) {
           ? static_cast<double>(result.total_drops) /
                 static_cast<double>(result.total_arrivals)
           : 0.0;
-  result.measured_utilization = link.link().busy_time() / config.sim_time;
+  result.measured_utilization = link.busy_time() / config.sim_time;
   return result;
 }
 

@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "dropper/lossy_link.hpp"
 #include "packet/size_law.hpp"
 #include "sched/factory.hpp"
+#include "sched/link.hpp"
 
 namespace pds {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "sched/pad.hpp"
 #include "util/contracts.hpp"
@@ -30,7 +31,7 @@ ControlInjector::ControlInjector(Simulator& sim, ControlPlan plan)
   for (const ControlEpisode& ep : plan_.episodes) {
     engine_.add_episode(ep, to_string(ep.kind),
                         ep.kind == ControlKind::kSwap
-                            ? ",\"sched\":\"" + to_string(ep.sched) + "\""
+                            ? ",\"sched\":" + Json(to_string(ep.sched)).dump()
                             : "");
   }
 }

@@ -30,19 +30,14 @@ FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan)
 
 void FaultInjector::attach(const std::string& name, Link& link) {
   engine_.attach(name);
-  targets_.push_back(Target{&link, nullptr});
-}
-
-void FaultInjector::attach(const std::string& name, LossyLink& lossy) {
-  engine_.attach(name);
-  targets_.push_back(Target{&lossy.link_mut(), &lossy});
+  targets_.push_back(&link);
 }
 
 void FaultInjector::arm() {
   engine_.expand();
   for (const auto& inst : engine_.instances()) {
     const FaultEpisode& ep = plan_.episodes[inst.episode];
-    if (ep.kind == FaultKind::kLoss && targets_[inst.target].lossy == nullptr) {
+    if (ep.kind == FaultKind::kLoss && !targets_[inst.target]->has_buffer()) {
       engine_.fail(ep.line, "loss episode targets " +
                                 engine_.target_name(inst.target) +
                                 ", which is not a lossy link");
@@ -55,19 +50,19 @@ void FaultInjector::arm() {
 void FaultInjector::begin(std::size_t instance) {
   const auto& inst = engine_.instances()[instance];
   const FaultEpisode& ep = plan_.episodes[inst.episode];
-  const Target& target = targets_[inst.target];
+  Link& link = *targets_[inst.target];
   switch (ep.kind) {
     case FaultKind::kDown:
-      target.link->take_down(ep.mode);
+      link.take_down(ep.mode);
       break;
     case FaultKind::kDegrade:
-      target.link->set_capacity_factor(ep.factor);
+      link.set_capacity_factor(ep.factor);
       break;
     case FaultKind::kStall:
-      target.link->stall();
+      link.stall();
       break;
     case FaultKind::kLoss:
-      target.lossy->set_burst_loss(
+      link.set_burst_loss(
           ep.rate, Rng(episode_seed(plan_.seed,
                                     static_cast<std::uint64_t>(instance))));
       break;
@@ -76,19 +71,19 @@ void FaultInjector::begin(std::size_t instance) {
 
 void FaultInjector::end(std::size_t instance) {
   const auto& inst = engine_.instances()[instance];
-  const Target& target = targets_[inst.target];
+  Link& link = *targets_[inst.target];
   switch (plan_.episodes[inst.episode].kind) {
     case FaultKind::kDown:
-      target.link->bring_up();
+      link.bring_up();
       break;
     case FaultKind::kDegrade:
-      target.link->set_capacity_factor(1.0);
+      link.set_capacity_factor(1.0);
       break;
     case FaultKind::kStall:
-      target.link->resume();
+      link.resume();
       break;
     case FaultKind::kLoss:
-      target.lossy->clear_burst_loss();
+      link.clear_burst_loss();
       break;
   }
 }

@@ -2,17 +2,18 @@
 //
 // Usage:
 //   FaultInjector inj(sim, parse_fault_plan(text));
-//   inj.attach("backbone", link);       // plain Link: down/degrade/stall
-//   inj.attach("edge", lossy_link);     // LossyLink: additionally loss
+//   inj.attach("backbone", link);       // down/degrade/stall; loss too
+//                                       // when the link has a buffer
 //   inj.arm();                          // validate + schedule episodes
 //   sim.run_until(t_end);
 //
 // The timed-plan engine (fault/timed_plan.hpp) expands targets, enforces
 // the overlap rule and schedules the "fault.begin"/"fault.end" boundaries.
 // The injector keeps the fault appliers and one check: loss episodes must
-// target a LossyLink. Every arm() error names its plan line. Loss-burst
-// randomness comes from an Rng seeded by (plan seed, instance index), so a
-// faulted run replays byte for byte (docs/robustness.md).
+// target a buffered link (Link::set_buffer). Every arm() error names its
+// plan line. Loss-burst randomness comes from an Rng seeded by (plan seed,
+// instance index), so a faulted run replays byte for byte
+// (docs/robustness.md).
 //
 // The injector must outlive the simulation run (scheduled events capture
 // its engine).
@@ -22,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "dropper/lossy_link.hpp"
 #include "dsim/simulator.hpp"
 #include "fault/fault_plan.hpp"
 #include "sched/link.hpp"
@@ -39,13 +39,12 @@ class FaultInjector {
   // Registers a target before arm(). Names must be unique; the link must
   // outlive the injector's run.
   void attach(const std::string& name, Link& link);
-  void attach(const std::string& name, LossyLink& lossy);
 
   // Validates the plan against the attached targets and schedules every
   // episode boundary. Call exactly once, before running the simulator, at a
   // simulation time no later than the earliest episode. Throws
-  // std::invalid_argument on unknown targets, loss episodes aimed at plain
-  // links, or same-kind overlapping episodes on one target.
+  // std::invalid_argument on unknown targets, loss episodes aimed at links
+  // without a buffer, or same-kind overlapping episodes on one target.
   void arm();
 
   // Episode instances after wildcard expansion (0 until arm()).
@@ -69,17 +68,12 @@ class FaultInjector {
   std::string active_summary() const { return engine_.active_summary(); }
 
  private:
-  struct Target {
-    Link* link = nullptr;
-    LossyLink* lossy = nullptr;  // non-null iff the target is a LossyLink
-  };
-
   void begin(std::size_t instance);
   void end(std::size_t instance);
 
   FaultPlan plan_;
   TimedPlan engine_;
-  std::vector<Target> targets_;  // attach order, as the engine's
+  std::vector<Link*> targets_;  // attach order, as the engine's
 };
 
 }  // namespace pds

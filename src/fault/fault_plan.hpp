@@ -11,7 +11,7 @@
 //   stall   <target> at=<t> for=<dt>
 //   loss    <target> at=<t> for=<dt> rate=<p>
 //
-// `target` is the name a Link/LossyLink was attached under (see
+// `target` is the name a Link was attached under (see
 // fault_injector.hpp), `*`, or a prefix wildcard (`pod0*`) — the target
 // language of timed plans (fault/timed_plan.hpp), which topology-aware plans
 // use to fail whole pods/tiers by naming convention. Times are absolute
@@ -20,9 +20,10 @@
 // outage, `mode=hold` queues them and releases the backlog on recovery.
 // `degrade` scales the effective service rate by `factor` in (0, 1).
 // `stall` pauses the scheduler (arrivals queue, nothing transmits).
-// `loss` drops each arrival at a LossyLink with probability `rate` in
-// (0, 1], using an Rng derived deterministically from the plan seed and
-// the episode index — faults never perturb byte-identical replay.
+// `loss` drops each arrival at a buffered link (Link::set_buffer; the
+// scenario's `buffer=`) with probability `rate` in (0, 1], using an Rng
+// derived deterministically from the plan seed and the episode index —
+// faults never perturb byte-identical replay.
 //
 // Example (a flap plus a brown-out):
 //

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/probe.hpp"
+#include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "util/contracts.hpp"
 
@@ -198,8 +199,9 @@ void TimedPlan::emit_span(const Instance& inst) const {
   spans_->emit(Span{ep.at * span_scale_, (ep.end() - ep.at) * span_scale_,
                     kSpanSimPid, track_.span_tid, entry.kind + " " + target,
                     track_.span_category,
-                    "\"kind\":\"" + entry.kind + "\",\"target\":\"" + target +
-                        "\"" + entry.span_args});
+                    "\"kind\":" + Json(entry.kind).dump() +
+                        ",\"target\":" + Json(target).dump() +
+                        entry.span_args});
 #else
   (void)inst;
 #endif

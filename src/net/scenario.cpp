@@ -659,22 +659,21 @@ void fill_report(ScenarioReport& report, const Scenario& scenario,
   const Network& net = rep.net;
   for (const auto& link : scenario.links) {
     const LinkId id = rep.link_ids.at(link.name);
+    const Link& l = net.link(id);
     ScenarioReport::LinkStats ls;
     ls.link = link.name;
     ls.sched = to_string(link.kind);
     ls.utilization = net.utilization(id);
-    ls.packets_sent = net.link(id).packets_sent();
-    ls.fault_drops = net.link(id).fault_drops();
-    if (const LossyLink* lossy = net.lossy(id)) {
-      ls.burst_drops = lossy->burst_drops();
-      for (ClassId c = 0; c < net.link(id).scheduler().num_classes(); ++c) {
-        ls.buffer_drops += lossy->drops(c);
-      }
+    ls.packets_sent = l.packets_sent();
+    ls.fault_drops = l.fault_drops();
+    ls.burst_drops = l.burst_drops();
+    for (ClassId c = 0; c < l.scheduler().num_classes(); ++c) {
+      ls.buffer_drops += l.drops(c);
     }
-    ls.control_drops = net.link(id).drain_drops() + net.link(id).shed_drops();
+    ls.control_drops = l.drain_drops() + l.shed_drops();
     report.fault_drops += ls.fault_drops;
-    report.shed_drops += net.link(id).shed_drops();
-    report.drain_drops += net.link(id).drain_drops();
+    report.shed_drops += l.shed_drops();
+    report.drain_drops += l.drain_drops();
     report.link_stats.push_back(std::move(ls));
   }
   for (std::size_t i = 0; i < rep.workloads.size(); ++i) {

@@ -84,7 +84,7 @@ struct ScenarioLink {
   // single-packet service, which keeps traces byte-identical).
   std::uint32_t burst = 1;
   // Finite shared packet buffer (buffer= option). 0 — the default — keeps
-  // the paper's lossless link; > 0 wraps the link in a drop-tail LossyLink
+  // the paper's lossless link; > 0 gives the link a drop-tail buffer
   // (Network::make_lossy), which also lets fault `loss` episodes target it.
   std::uint64_t buffer = 0;
   // Node binding for graph links (edge/topology directives); both empty for

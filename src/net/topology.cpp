@@ -117,10 +117,8 @@ LinkId Network::add_link(SchedulerKind kind,
       sim_, *schedulers_.back(), capacity,
       [this](Packet&& p, SimTime, SimTime) { forward(std::move(p)); }));
   links_.back()->set_burst(config.burst);
-  lossies_.emplace_back();
   kinds_.push_back(kind);
   configs_.push_back(std::move(config));
-  capacities_.push_back(capacity);
   names_.push_back(name.empty() ? "link" + std::to_string(id)
                                 : std::move(name));
   return id;
@@ -129,24 +127,17 @@ LinkId Network::add_link(SchedulerKind kind,
 void Network::make_lossy(LinkId id, std::uint64_t buffer_packets) {
   PDS_CHECK(!injected_, "cannot convert links after the first injection");
   PDS_CHECK(id < links_.size(), "unknown link");
-  PDS_CHECK(links_[id] != nullptr, "link is already lossy");
-  lossies_[id] = std::make_unique<LossyLink>(
-      sim_, *schedulers_[id], capacities_[id], buffer_packets,
-      DropPolicy::kDropIncoming, nullptr,
-      [this](Packet&& p, SimTime, SimTime) { forward(std::move(p)); },
-      [](const Packet&, SimTime) {});
-  lossies_[id]->link_mut().set_burst(configs_[id].burst);
-  links_[id].reset();
+  links_[id]->set_buffer(buffer_packets);
 }
 
-LossyLink* Network::lossy(LinkId id) {
+Link* Network::lossy(LinkId id) {
   PDS_CHECK(id < links_.size(), "unknown link");
-  return lossies_[id].get();
+  return links_[id]->has_buffer() ? links_[id].get() : nullptr;
 }
 
-const LossyLink* Network::lossy(LinkId id) const {
+const Link* Network::lossy(LinkId id) const {
   PDS_CHECK(id < links_.size(), "unknown link");
-  return lossies_[id].get();
+  return links_[id]->has_buffer() ? links_[id].get() : nullptr;
 }
 
 SchedulerKind Network::link_kind(LinkId id) const {
@@ -157,11 +148,6 @@ SchedulerKind Network::link_kind(LinkId id) const {
 const SchedulerConfig& Network::link_config(LinkId id) const {
   PDS_CHECK(id < configs_.size(), "unknown link");
   return configs_[id];
-}
-
-double Network::link_capacity(LinkId id) const {
-  PDS_CHECK(id < capacities_.size(), "unknown link");
-  return capacities_[id];
 }
 
 RouteId Network::add_route(std::vector<LinkId> path, ExitHandler on_exit) {
@@ -179,15 +165,7 @@ void Network::inject(Packet p, RouteId route) {
   PDS_CHECK(p.hops_done == 0, "packet already travelled; reset hops_done");
   injected_ = true;
   p.route = route;
-  deliver(std::move(p), routes_[route].path.front());
-}
-
-void Network::deliver(Packet&& p, LinkId id) {
-  if (links_[id] != nullptr) {
-    links_[id]->arrive(std::move(p));
-  } else {
-    lossies_[id]->arrive(std::move(p));
-  }
+  links_[routes_[route].path.front()]->arrive(std::move(p));
 }
 
 void Network::forward(Packet&& p) {
@@ -195,7 +173,7 @@ void Network::forward(Packet&& p) {
   const RouteState& route = routes_[p.route];
   PDS_REQUIRE(p.hops_done <= route.path.size());
   if (p.hops_done < route.path.size()) {
-    deliver(std::move(p), route.path[p.hops_done]);
+    links_[route.path[p.hops_done]]->arrive(std::move(p));
   } else {
     route.on_exit(p, sim_.now());
   }
@@ -203,12 +181,12 @@ void Network::forward(Packet&& p) {
 
 const Link& Network::link(LinkId id) const {
   PDS_CHECK(id < links_.size(), "unknown link");
-  return links_[id] != nullptr ? *links_[id] : lossies_[id]->link();
+  return *links_[id];
 }
 
 Link& Network::link_mut(LinkId id) {
   PDS_CHECK(id < links_.size(), "unknown link");
-  return links_[id] != nullptr ? *links_[id] : lossies_[id]->link_mut();
+  return *links_[id];
 }
 
 const std::string& Network::link_name(LinkId id) const {
@@ -323,11 +301,7 @@ void build_topology(Network& net, const TopologySpec& spec,
 
 void attach_network(FaultInjector& injector, Network& net) {
   for (LinkId id = 0; id < net.num_links(); ++id) {
-    if (LossyLink* lossy = net.lossy(id)) {
-      injector.attach(net.link_name(id), *lossy);
-    } else {
-      injector.attach(net.link_name(id), net.link_mut(id));
-    }
+    injector.attach(net.link_name(id), net.link_mut(id));
   }
 }
 

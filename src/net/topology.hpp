@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "dropper/lossy_link.hpp"
 #include "dsim/simulator.hpp"
 #include "sched/factory.hpp"
 #include "sched/link.hpp"
@@ -46,6 +45,11 @@ class FaultInjector;
 
 using LinkId = std::uint32_t;
 using NodeId = std::uint32_t;
+
+// Kept only so perfbench/traced.cpp, which names the type, builds
+// unchanged (Network::make_lossy/lossy keep their names for the same
+// reason): a buffered link is a Link (Link::set_buffer).
+using LossyLink = Link;
 
 // Directed edge labelled with the link that realizes it, for path
 // computation (shared by Network and the scenario parser's validation).
@@ -132,18 +136,16 @@ class Network {
   // every link with the kind/config swap replacements are built from.
   SchedulerKind link_kind(LinkId id) const;
   const SchedulerConfig& link_config(LinkId id) const;
-  double link_capacity(LinkId id) const;
 
-  // Wraps link `id` in a finite drop-tail buffer (LossyLink, kDropIncoming):
-  // arrivals that would exceed `buffer_packets` queued packets are dropped
-  // and counted by the LossyLink (drops()/burst_drops()). Call before the
-  // first injection; converting a link twice is an error. The inner Link is
-  // rebuilt, so convert before attaching probes or injectors.
+  // Gives link `id` a finite drop-tail buffer (Link::set_buffer,
+  // kDropIncoming): arrivals that would exceed `buffer_packets` queued
+  // packets are dropped and counted in the link's drops(). Call before the
+  // first injection; buffering a link twice is an error.
   void make_lossy(LinkId id, std::uint64_t buffer_packets);
 
-  // The loss stage of a converted link; nullptr for lossless links.
-  LossyLink* lossy(LinkId id);
-  const LossyLink* lossy(LinkId id) const;
+  // Link `id` when it has a buffer; nullptr for lossless links.
+  Link* lossy(LinkId id);
+  const Link* lossy(LinkId id) const;
 
   // Utilization of a link measured from time 0 to `now`.
   double utilization(LinkId id) const;
@@ -155,22 +157,15 @@ class Network {
   };
 
   void forward(Packet&& p);
-  // Arrival entry point for link `id`: the loss stage when the link has
-  // one, the plain Link otherwise.
-  void deliver(Packet&& p, LinkId id);
 
   Simulator& sim_;
   // Backs every edge's class rings; declared before the schedulers so their
   // queues release into a still-live arena at destruction.
   PacketArena arena_;
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
-  // Exactly one of links_[id] / lossies_[id] is non-null per link: make_lossy
-  // moves a link's service plane inside a LossyLink (which owns its Link).
   std::vector<std::unique_ptr<Link>> links_;
-  std::vector<std::unique_ptr<LossyLink>> lossies_;
   std::vector<SchedulerKind> kinds_;
   std::vector<SchedulerConfig> configs_;  // arena pointer already defaulted
-  std::vector<double> capacities_;
   std::vector<std::string> names_;
   std::vector<RouteState> routes_;
   std::vector<std::string> node_names_;
@@ -209,8 +204,8 @@ void build_topology(Network& net, const TopologySpec& spec,
                     double capacity, const std::string& prefix = "");
 
 // Register every link of `net` with an injector under its link_name(), in
-// link-id order; fault targets with a drop stage attach as LossyLinks, and
-// control targets carry the stored kind/config swaps are built from.
+// link-id order; control targets carry the stored kind/config swaps are
+// built from.
 void attach_network(FaultInjector& injector, Network& net);
 void attach_network(ControlInjector& injector, Network& net);
 

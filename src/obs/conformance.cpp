@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "util/atomic_file.hpp"
 
 namespace pds {
@@ -194,11 +195,11 @@ ViolationLog::~ViolationLog() = default;
 void ViolationLog::write(const ConformanceViolation& v) {
   std::ostream& os = out_->stream();
   os << "{\"window\":" << v.window << ",\"t0\":" << fmt(v.t0)
-     << ",\"t1\":" << fmt(v.t1) << ",\"lo\":\"" << namer_(v.lo)
-     << "\",\"hi\":\"" << namer_(v.lo + 1)
-     << "\",\"observed\":" << fmt(v.observed)
+     << ",\"t1\":" << fmt(v.t1) << ",\"lo\":" << Json(namer_(v.lo)).dump()
+     << ",\"hi\":" << Json(namer_(v.lo + 1)).dump()
+     << ",\"observed\":" << fmt(v.observed)
      << ",\"target\":" << fmt(v.target) << ",\"error\":" << fmt(v.error)
-     << ",\"fault\":\"" << v.fault << "\"}\n";
+     << ",\"fault\":" << Json(v.fault).dump() << "}\n";
   ++written_;
 }
 

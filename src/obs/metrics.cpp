@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/report.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -112,18 +113,18 @@ void MetricsSnapshotWriter::write_snapshot(SimTime now) {
     }
   } else {
     for (const auto& [name, c] : registry_.counters()) {
-      out_stream << "{\"time\":" << t << ",\"name\":\"" << name
-           << "\",\"type\":\"counter\",\"value\":" << c.total()
+      out_stream << "{\"time\":" << t << ",\"name\":" << Json(name).dump()
+           << ",\"type\":\"counter\",\"value\":" << c.total()
            << ",\"count\":" << c.window_delta() << "}\n";
     }
     for (const auto& [name, g] : registry_.gauges()) {
-      out_stream << "{\"time\":" << t << ",\"name\":\"" << name
-           << "\",\"type\":\"gauge\",\"value\":" << fmt(g.value()) << "}\n";
+      out_stream << "{\"time\":" << t << ",\"name\":" << Json(name).dump()
+           << ",\"type\":\"gauge\",\"value\":" << fmt(g.value()) << "}\n";
     }
     for (const auto& [name, s] : registry_.summaries()) {
       const RunningStats& w = s.window();
-      out_stream << "{\"time\":" << t << ",\"name\":\"" << name
-           << "\",\"type\":\"summary\",\"count\":" << w.count();
+      out_stream << "{\"time\":" << t << ",\"name\":" << Json(name).dump()
+           << ",\"type\":\"summary\",\"count\":" << w.count();
       if (w.count() > 0) {
         out_stream << ",\"mean\":" << fmt(w.mean())
              << ",\"stddev\":" << fmt(w.stddev())

@@ -1,5 +1,5 @@
 // Packet-lifecycle probe interface — the single attach point the data path
-// (schedulers, links, droppers, chains) exposes to the observability layer.
+// (schedulers and links) exposes to the observability layer.
 //
 // Design rules, in decreasing order of importance:
 //  * The disabled path must cost near zero. Probes are raw pointers checked
@@ -7,9 +7,9 @@
 //    with PDS_OBS_ENABLED=0 (-DPDS_OBS=OFF) compiles the notification sites
 //    out entirely.
 //  * One event per lifecycle transition, emitted by the component that owns
-//    the transition: Scheduler -> enqueue, Link -> arrive/dequeue/depart,
-//    LossyLink (dropper) -> drop. A packet that crosses H hops therefore
-//    produces exactly H depart events and at most one drop event.
+//    the transition: Scheduler -> enqueue, Link -> arrive/dequeue/depart/
+//    drop. A packet that crosses H hops therefore produces exactly H depart
+//    events and at most one drop event.
 //  * Probe methods are plain virtuals with empty default bodies, so a
 //    concrete probe only overrides the transitions it cares about.
 #pragma once

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <tuple>
 
+#include "obs/report.hpp"
 #include "util/atomic_file.hpp"
 
 namespace pds {
@@ -31,29 +31,6 @@ std::string fmt_us(double v) {
   return os.str();
 }
 
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Mirrors the pool's contiguous split of [0, count) into
 // min(workers, count) shards: which shard does cell `i` start in?
 std::uint32_t home_shard(std::size_t i, std::size_t count,
@@ -76,8 +53,8 @@ std::string cell_args(const CellRecord& cell) {
 }
 
 void render_event(std::ostringstream& os, const Span& s) {
-  os << "{\"name\":\"" << escape_json(s.name) << "\",\"cat\":\""
-     << escape_json(s.cat) << "\",\"ph\":\"X\",\"ts\":" << fmt_us(s.ts)
+  os << "{\"name\":" << Json(s.name).dump() << ",\"cat\":"
+     << Json(s.cat).dump() << ",\"ph\":\"X\",\"ts\":" << fmt_us(s.ts)
      << ",\"dur\":" << fmt_us(s.dur) << ",\"pid\":" << s.pid
      << ",\"tid\":" << s.tid;
   if (!s.args.empty()) os << ",\"args\":{" << s.args << "}";
@@ -86,9 +63,9 @@ void render_event(std::ostringstream& os, const Span& s) {
 
 void render_meta(std::ostringstream& os, const char* name, std::uint32_t pid,
                  const std::uint32_t* tid, const std::string& value) {
-  os << "{\"name\":\"" << name << "\",\"ph\":\"M\",\"pid\":" << pid;
+  os << "{\"name\":" << Json(name).dump() << ",\"ph\":\"M\",\"pid\":" << pid;
   if (tid != nullptr) os << ",\"tid\":" << *tid;
-  os << ",\"args\":{\"name\":\"" << escape_json(value) << "\"}}";
+  os << ",\"args\":{\"name\":" << Json(value).dump() << "}}";
 }
 
 std::string track_process_name(std::uint32_t pid) {

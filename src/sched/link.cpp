@@ -11,9 +11,30 @@ Link::Link(Simulator& sim, Scheduler& sched, double capacity,
       capacity_(capacity),
       on_departure_(std::move(on_departure)),
       burst_buf_(burst_),
-      burst_waits_(burst_) {
+      burst_waits_(burst_),
+      arrivals_(sched.num_classes(), 0),
+      drops_(sched.num_classes(), 0) {
   PDS_CHECK(capacity > 0.0, "link capacity must be positive");
   PDS_CHECK(static_cast<bool>(on_departure_), "null departure handler");
+}
+
+void Link::set_buffer(std::uint64_t buffer_packets, DropPolicy policy,
+                      std::unique_ptr<PlrDropper> plr) {
+  PDS_CHECK(!has_buffer(), "link already has a buffer");
+  for (const std::uint64_t a : arrivals_) {
+    PDS_CHECK(a == 0, "set_buffer must precede the first arrival");
+  }
+  PDS_CHECK(buffer_packets >= 1, "buffer must hold at least one packet");
+  if (policy == DropPolicy::kPlr) {
+    PDS_CHECK(plr != nullptr, "PLR policy requires a dropper");
+    PDS_CHECK(plr->num_classes() == sched_->num_classes(),
+              "dropper/scheduler class count mismatch");
+  } else {
+    PDS_CHECK(plr == nullptr, "dropper given but policy is not PLR");
+  }
+  buffer_packets_ = buffer_packets;
+  policy_ = policy;
+  plr_ = std::move(plr);
 }
 
 ProbeContext Link::probe_context(ClassId cls) const {
@@ -22,6 +43,9 @@ ProbeContext Link::probe_context(ClassId cls) const {
 }
 
 void Link::arrive(Packet p) {
+  PDS_CHECK(p.cls < arrivals_.size(), "class index out of range");
+  ++arrivals_[p.cls];
+  if (buffer_packets_ != 0 && !admit_to_buffer(p)) return;
   p.arrival = sim_.now();
   PDS_OBS_NOTIFY(probe_, on_arrive(p, probe_context(p.cls), sim_.now()));
   if (down_ && outage_mode_ == OutageMode::kDropArrivals) {
@@ -32,6 +56,73 @@ void Link::arrive(Packet p) {
   if (ctrl_gate_ && !admit(p)) return;
   sched_->enqueue(std::move(p), sim_.now());
   try_start_service();
+}
+
+bool Link::admit_to_buffer(const Packet& p) {
+  const ClassId cls = p.cls;
+  if (plr_) plr_->note_arrival(cls);
+
+  // Fault-injected burst loss sits in front of the buffer: a lost packet
+  // never contends for admission and never charges the drop policy.
+  if (burst_rate_ > 0.0 && burst_rng_.uniform01() < burst_rate_) {
+    ++burst_drops_;
+    PDS_OBS_NOTIFY(probe_, on_drop(p, probe_context(cls), sim_.now()));
+    return false;
+  }
+
+  if (sched_->total_backlog_packets() < buffer_packets_) return true;
+
+  // Buffer overflow.
+  if (policy_ == DropPolicy::kDropIncoming) {
+    ++drops_[cls];
+    PDS_OBS_NOTIFY(probe_, on_drop(p, probe_context(cls), sim_.now()));
+    return false;
+  }
+
+  // PLR: the arriving packet's class is a candidate victim even when it has
+  // nothing queued (the arrival itself would be pushed out). The scratch
+  // vector is a member so repeated overflows reuse its capacity.
+  backlogged_.assign(sched_->num_classes(), false);
+  for (ClassId c = 0; c < sched_->num_classes(); ++c) {
+    backlogged_[c] = sched_->backlog_packets(c) > 0;
+  }
+  backlogged_[cls] = true;
+  const auto victim = plr_->pick_victim(backlogged_);
+  PDS_REQUIRE(victim.has_value());
+  ++drops_[*victim];
+  if (*victim == cls && sched_->backlog_packets(cls) == 0) {
+    PDS_OBS_NOTIFY(probe_, on_drop(p, probe_context(cls), sim_.now()));
+    return false;
+  }
+  const auto pushed_out = sched_->drop_tail(*victim);
+  PDS_REQUIRE(pushed_out.has_value());
+  PDS_OBS_NOTIFY(probe_, on_drop(*pushed_out, probe_context(pushed_out->cls),
+                                 sim_.now()));
+  return true;
+}
+
+void Link::set_burst_loss(double rate, Rng rng) {
+  PDS_CHECK(has_buffer(), "burst loss needs a buffered link");
+  PDS_CHECK(rate > 0.0 && rate <= 1.0, "burst loss rate must be in (0, 1]");
+  burst_rate_ = rate;
+  burst_rng_ = rng;
+}
+
+std::uint64_t Link::arrivals(ClassId cls) const {
+  PDS_CHECK(cls < arrivals_.size(), "class index out of range");
+  return arrivals_[cls];
+}
+
+std::uint64_t Link::drops(ClassId cls) const {
+  PDS_CHECK(cls < drops_.size(), "class index out of range");
+  return drops_[cls];
+}
+
+double Link::loss_rate(ClassId cls) const {
+  PDS_CHECK(cls < arrivals_.size(), "class index out of range");
+  if (arrivals_[cls] == 0) return 0.0;
+  return static_cast<double>(drops_[cls]) /
+         static_cast<double>(arrivals_[cls]);
 }
 
 bool Link::admit(const Packet& p) {

@@ -7,22 +7,41 @@
 // from arrival to the start of its transmission; the departure handler fires
 // when the last byte leaves (which is when the packet reaches the next hop).
 //
-// The link is lossless (unbounded buffers), matching the paper's Section 3
-// operating assumption of ECN-regulated sources in the stable region. The
-// exceptions are scripted: fault injection (src/fault/ — an outage in
-// drop-on-down mode discards arrivals, counted in fault_drops()) and the
-// control plane (src/ctrl/ — class drains and the overload shed guard
-// discard arrivals, counted in drain_drops()/shed_drops()).
+// By default the link is lossless (unbounded buffers), matching the paper's
+// Section 3 operating assumption of ECN-regulated sources in the stable
+// region. set_buffer gives it a finite shared buffer with a drop policy —
+// the coupled delay+loss differentiation the paper names as future work —
+// which only changes which arrivals the server admits. The other drops are
+// scripted: fault injection (src/fault/ — an outage in drop-on-down mode
+// discards arrivals, counted in fault_drops(); a loss burst on a buffered
+// link, counted in burst_drops()) and the control plane (src/ctrl/ — class
+// drains and the overload shed guard discard arrivals, counted in
+// drain_drops()/shed_drops()).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "dropper/plr_dropper.hpp"
 #include "dsim/simulator.hpp"
+#include "rng/rng.hpp"
 #include "sched/scheduler.hpp"
 
 namespace pds {
+
+// What a buffered link (Link::set_buffer) does with an arrival that would
+// exceed its buffer:
+//  * kDropIncoming (drop-tail baseline): the arriving packet is discarded.
+//  * kPlr: the PLR dropper picks a victim class; the victim's most recent
+//    packet is pushed out and the arrival is admitted. (If the arriving
+//    packet's own class is chosen and it has no queued packets, the arrival
+//    itself is the victim.)
+enum class DropPolicy {
+  kDropIncoming,
+  kPlr,
+};
 
 // What happens to packets that arrive while the link is down (see
 // Link::take_down). Packets already queued when the outage begins are held
@@ -66,9 +85,27 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Hands a packet to the scheduler at the current simulation time and
-  // starts transmitting if the line is idle.
+  // Counts the arrival, applies the buffer's admission (when set_buffer was
+  // called), then hands the packet to the scheduler at the current
+  // simulation time and starts transmitting if the line is idle.
   void arrive(Packet p);
+
+  // --- Finite buffer (the loss-differentiation extension) ----------------
+
+  // Caps the total queued packets at `buffer_packets` (the packets on the
+  // wire do not count against the buffer) under `policy`. `plr` must be
+  // non-null iff policy is kPlr; its class count must match the
+  // scheduler's. Call at most once, before the first arrival.
+  void set_buffer(std::uint64_t buffer_packets,
+                  DropPolicy policy = DropPolicy::kDropIncoming,
+                  std::unique_ptr<PlrDropper> plr = nullptr);
+  bool has_buffer() const noexcept { return buffer_packets_ != 0; }
+
+  // Per-class arrivals (every link counts them) and drop-policy drops (zero
+  // on a link without a buffer).
+  std::uint64_t arrivals(ClassId cls) const;
+  std::uint64_t drops(ClassId cls) const;
+  double loss_rate(ClassId cls) const;
 
   double capacity() const noexcept { return capacity_; }
   bool busy() const noexcept { return busy_; }
@@ -113,6 +150,17 @@ class Link {
 
   std::uint64_t fault_drops() const noexcept { return fault_drops_; }
 
+  // Bursty loss episodes, on buffered links only. While active, every
+  // arrival is independently dropped with probability `rate` before any
+  // buffer/policy logic, using the (deterministically seeded) generator
+  // handed in by the fault injector. Burst drops are NOT counted in
+  // drops()/loss_rate() — those track the drop *policy* under test — but
+  // they do fire the probe's on_drop and the burst_drops() counter.
+  void set_burst_loss(double rate, Rng rng);
+  void clear_burst_loss() noexcept { burst_rate_ = 0.0; }
+  bool burst_loss_active() const noexcept { return burst_rate_ > 0.0; }
+  std::uint64_t burst_drops() const noexcept { return burst_drops_; }
+
   // --- Control plane (driven by ctrl/ControlInjector) --------------------
 
   // Called for every arrival dropped by a class drain or the shed guard.
@@ -156,8 +204,11 @@ class Link {
   // with `hop` for multi-hop attribution. The link emits, per transmitted
   // packet, exactly one on_arrive (before handing it to the scheduler), one
   // on_dequeue (start of transmission, with the queueing delay), and one
-  // on_depart (end of transmission). Attaching here also attaches to the
-  // scheduler so its on_enqueue events carry the same hop.
+  // on_depart (end of transmission), and exactly one on_drop per lost
+  // packet. A packet the buffer or a loss burst drops — the arrival itself
+  // or a pushed-out queued one — gets an on_drop and no on_arrive.
+  // Attaching here also attaches to the scheduler so its on_enqueue events
+  // carry the same hop.
   void set_probe(PacketProbe* probe, std::uint32_t hop = 0) noexcept {
     probe_ = probe;
     hop_ = hop;
@@ -174,6 +225,11 @@ class Link {
   void complete_burst();
 
   ProbeContext probe_context(ClassId cls) const;
+
+  // Burst loss and the buffer's admission for one arrival on a buffered
+  // link; counts and reports every drop. Returns false when the arrival
+  // itself is dropped.
+  bool admit_to_buffer(const Packet& p);
 
   // Control-plane admission check for one arrival; counts and reports the
   // drop when it fails. Only called while ctrl_gate_ is set, keeping the
@@ -212,6 +268,18 @@ class Link {
   std::uint32_t burst_count_ = 0;  // packets in the burst in flight
   PacketProbe* probe_ = nullptr;
   std::uint32_t hop_ = 0;
+  // Admission state, kept after the transmit state so the fields the
+  // transmit loop reads stay packed together. arrivals_ and drops_ hold one
+  // counter per class on every link.
+  std::vector<std::uint64_t> arrivals_;
+  std::vector<std::uint64_t> drops_;
+  std::uint64_t buffer_packets_ = 0;  // 0 = unbounded (no buffer)
+  DropPolicy policy_ = DropPolicy::kDropIncoming;
+  std::unique_ptr<PlrDropper> plr_;
+  std::vector<bool> backlogged_;  // PLR victim-pick scratch, reused
+  double burst_rate_ = 0.0;       // 0 = no burst-loss episode active
+  Rng burst_rng_;
+  std::uint64_t burst_drops_ = 0;
 };
 
 }  // namespace pds

@@ -3,10 +3,10 @@
 // Every artifact a run publishes (metrics time series, violation logs, span
 // traces, run reports) must be all-or-nothing: a killed or throwing run may
 // leave a stale `.tmp` behind but never a truncated file under the final
-// name. AtomicOutFile generalizes the CsvWriter behavior (util/csv.hpp):
-// bytes accumulate in `path + ".tmp"`, close() commits with an atomic
-// rename, and a destructor running during stack unwinding removes the
-// partial temp file instead of publishing it.
+// name. AtomicOutFile is that one mechanism, and CsvWriter (util/csv.hpp)
+// commits through it too: bytes accumulate in `path + ".tmp"`, close()
+// commits with an atomic rename, and a destructor running during stack
+// unwinding removes the partial temp file instead of publishing it.
 #pragma once
 
 #include <fstream>

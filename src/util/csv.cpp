@@ -1,72 +1,32 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
-#include <exception>
-#include <stdexcept>
-
 #include "util/contracts.hpp"
 
 namespace pds {
 
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
-    : path_(path),
-      tmp_path_(path + ".tmp"),
-      out_(tmp_path_),
-      columns_(header.size()),
-      uncaught_at_ctor_(std::uncaught_exceptions()) {
+    : out_(path), columns_(header.size()) {
   PDS_CHECK(!header.empty(), "CSV needs at least one column");
-  if (!out_) throw std::runtime_error("cannot open for writing: " + path);
-  for (std::size_t c = 0; c < header.size(); ++c) {
-    out_ << header[c] << (c + 1 == header.size() ? "\n" : ",");
-  }
+  write_row(header);
 }
 
-CsvWriter::~CsvWriter() {
-  if (closed_) return;
-  if (std::uncaught_exceptions() > uncaught_at_ctor_) {
-    // Unwinding: the file is partial by definition — discard, don't publish.
-    out_.close();
-    std::remove(tmp_path_.c_str());
-    return;
-  }
-  try {
-    close();
-  } catch (...) {
-    // Destructors must not throw; the temp file was already cleaned up.
+template <typename T>
+void CsvWriter::write_row(const std::vector<T>& values) {
+  PDS_CHECK(!out_.closed(), "CSV writer already closed: " + path());
+  PDS_CHECK(values.size() == columns_, "CSV row width mismatch");
+  std::ostream& os = out_.stream();
+  for (std::size_t c = 0; c < values.size(); ++c) {
+    os << values[c] << (c + 1 == values.size() ? "\n" : ",");
   }
 }
 
 void CsvWriter::add_row(const std::vector<double>& values) {
-  PDS_CHECK(!closed_, "CSV writer already closed: " + path_);
-  PDS_CHECK(values.size() == columns_, "CSV row width mismatch");
-  for (std::size_t c = 0; c < values.size(); ++c) {
-    out_ << values[c] << (c + 1 == values.size() ? "\n" : ",");
-  }
+  write_row(values);
 }
 
 void CsvWriter::add_row(const std::vector<std::string>& values) {
-  PDS_CHECK(!closed_, "CSV writer already closed: " + path_);
-  PDS_CHECK(values.size() == columns_, "CSV row width mismatch");
-  for (std::size_t c = 0; c < values.size(); ++c) {
-    out_ << values[c] << (c + 1 == values.size() ? "\n" : ",");
-  }
-}
-
-void CsvWriter::close() {
-  if (closed_) return;
-  closed_ = true;
-  out_.flush();
-  const bool wrote_ok = static_cast<bool>(out_);
-  out_.close();
-  if (!wrote_ok) {
-    std::remove(tmp_path_.c_str());
-    throw std::runtime_error("write failed: " + tmp_path_);
-  }
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp_path_.c_str());
-    throw std::runtime_error("cannot rename " + tmp_path_ + " to " + path_);
-  }
+  write_row(values);
 }
 
 }  // namespace pds

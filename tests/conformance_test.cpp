@@ -237,5 +237,25 @@ TEST(ViolationLog, WritesJsonlAndCommitsOnClose) {
   EXPECT_FALSE(std::getline(in, line));
 }
 
+TEST(ViolationLog, EscapesTheFaultContext) {
+  TempFile file("conformance_escape.jsonl");
+  ConformanceMonitor m({1.0, 2.0}, opts(10.0, 0.25));
+  m.set_fault_context([] { return std::string("down \"a\\b\""); });
+  {
+    ViolationLog log(file.path);
+    m.set_violation_sink(
+        [&log](const ConformanceViolation& v) { log.write(v); });
+    feed(m, {12.0, 4.0}, 5.0);
+    m.finish();
+    log.close();
+    EXPECT_EQ(log.written(), 1u);
+  }
+  std::ifstream in(file.path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find(R"("fault":"down \"a\\b\"")"), std::string::npos)
+      << line;
+}
+
 }  // namespace
 }  // namespace pds

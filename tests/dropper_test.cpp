@@ -2,9 +2,9 @@
 
 #include <memory>
 
-#include "dropper/lossy_link.hpp"
 #include "dropper/plr_dropper.hpp"
 #include "rng/distributions.hpp"
+#include "sched/link.hpp"
 #include "sched/wtp.hpp"
 #include "traffic/source.hpp"
 
@@ -89,22 +89,24 @@ TEST(PlrDropper, SteadyStateRatiosFollowLdps) {
   EXPECT_NEAR(r0 / r1, 2.0, 0.1);
 }
 
-// ------------------------------------------------------------ LossyLink
+// ------------------------------------------------- buffered (lossy) Link
 
 struct LossyFixture {
   Simulator sim;
   PacketIdAllocator ids;
   WtpScheduler sched;
   std::uint64_t departed = 0;
-  std::uint64_t dropped = 0;
-  LossyLink link;
+  Link link;
 
   LossyFixture(std::uint64_t buffer, DropPolicy policy,
                std::unique_ptr<PlrDropper> plr, double capacity = 100.0)
       : sched(make_config()),
-        link(sim, sched, capacity, buffer, policy, std::move(plr),
-             [this](Packet&&, SimTime, SimTime) { ++departed; },
-             [this](const Packet&, SimTime) { ++dropped; }) {}
+        link(sim, sched, capacity,
+             [this](Packet&&, SimTime, SimTime) { ++departed; }) {
+    link.set_buffer(buffer, policy, std::move(plr));
+  }
+
+  std::uint64_t dropped() const { return link.drops(0) + link.drops(1); }
 
   static SchedulerConfig make_config() {
     SchedulerConfig c;
@@ -128,9 +130,9 @@ TEST(LossyLink, AdmitsUntilBufferFull) {
   f.link.arrive(f.make_packet(0));
   f.link.arrive(f.make_packet(0));
   f.link.arrive(f.make_packet(0));
-  EXPECT_EQ(f.dropped, 0u);
+  EXPECT_EQ(f.dropped(), 0u);
   f.link.arrive(f.make_packet(0));  // buffer (2 queued) is full
-  EXPECT_EQ(f.dropped, 1u);
+  EXPECT_EQ(f.dropped(), 1u);
   EXPECT_EQ(f.link.drops(0), 1u);
   f.sim.run();
   EXPECT_EQ(f.departed, 3u);
@@ -153,7 +155,7 @@ TEST(LossyLink, PlrPushesOutTheVictimTailAndAdmitsArrival) {
   f.link.arrive(f.make_packet(0));      // queued
   f.link.arrive(f.make_packet(0));      // queued, buffer now full
   f.link.arrive(f.make_packet(1));      // overflow: victim = class 0 (tie)
-  EXPECT_EQ(f.dropped, 1u);
+  EXPECT_EQ(f.dropped(), 1u);
   EXPECT_EQ(f.link.drops(0), 1u);
   EXPECT_EQ(f.sched.backlog_packets(1), 1u);  // the arrival was admitted
   EXPECT_EQ(f.sched.backlog_packets(0), 1u);
@@ -169,7 +171,7 @@ TEST(LossyLink, PlrCanDropTheArrivalItself) {
   f.link.arrive(f.make_packet(0));  // overflow
   // Victim choice: both classes at loss rate 0 -> tie -> lower class (0);
   // class 0 has nothing queued, so the arrival itself is the victim.
-  EXPECT_EQ(f.dropped, 1u);
+  EXPECT_EQ(f.dropped(), 1u);
   EXPECT_EQ(f.link.drops(0), 1u);
   EXPECT_EQ(f.sched.backlog_packets(1), 1u);
 }
@@ -179,19 +181,31 @@ TEST(LossyLink, ValidatesConstruction) {
   SchedulerConfig c;
   c.sdp = {1.0, 2.0};
   WtpScheduler sched(c);
-  const auto departure = [](Packet&&, SimTime, SimTime) {};
-  const auto drop = [](const Packet&, SimTime) {};
-  EXPECT_THROW(LossyLink(sim, sched, 10.0, 0, DropPolicy::kDropIncoming,
-                         nullptr, departure, drop),
+  Link link(sim, sched, 10.0, [](Packet&&, SimTime, SimTime) {});
+  EXPECT_FALSE(link.has_buffer());
+  EXPECT_THROW(link.set_burst_loss(0.5, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(link.set_buffer(0), std::invalid_argument);
+  EXPECT_THROW(link.set_buffer(5, DropPolicy::kPlr), std::invalid_argument);
+  EXPECT_THROW(link.set_buffer(5, DropPolicy::kPlr,
+                               std::make_unique<PlrDropper>(
+                                   std::vector<double>{1.0}, 0)),
                std::invalid_argument);
-  EXPECT_THROW(LossyLink(sim, sched, 10.0, 5, DropPolicy::kPlr, nullptr,
-                         departure, drop),
+  EXPECT_THROW(link.set_buffer(5, DropPolicy::kDropIncoming,
+                               std::make_unique<PlrDropper>(
+                                   std::vector<double>{2.0, 1.0}, 0)),
                std::invalid_argument);
-  auto mismatched =
-      std::make_unique<PlrDropper>(std::vector<double>{1.0}, 0);
-  EXPECT_THROW(LossyLink(sim, sched, 10.0, 5, DropPolicy::kPlr,
-                         std::move(mismatched), departure, drop),
-               std::invalid_argument);
+  EXPECT_FALSE(link.has_buffer());
+  link.set_buffer(5);
+  EXPECT_TRUE(link.has_buffer());
+  EXPECT_THROW(link.set_buffer(5), std::invalid_argument);
+  Packet out_of_range;
+  out_of_range.cls = 2;
+  EXPECT_THROW(link.arrive(out_of_range), std::invalid_argument);
+
+  WtpScheduler late_sched(c);
+  Link late(sim, late_sched, 10.0, [](Packet&&, SimTime, SimTime) {});
+  late.arrive(Packet{});
+  EXPECT_THROW(late.set_buffer(5), std::invalid_argument);
 }
 
 TEST(LossyLink, SustainedOverloadYieldsProportionalLossRates) {
@@ -213,7 +227,7 @@ TEST(LossyLink, SustainedOverloadYieldsProportionalLossRates) {
   const double r1 = f.link.loss_rate(1);
   EXPECT_GT(r1, 0.05);
   EXPECT_NEAR(r0 / r1, 2.0, 0.25);
-  EXPECT_EQ(f.departed + f.dropped, 60000u);
+  EXPECT_EQ(f.departed + f.dropped(), 60000u);
 }
 
 }  // namespace

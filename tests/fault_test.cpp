@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "dropper/lossy_link.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "sched/fcfs.hpp"
@@ -215,15 +214,10 @@ struct LossyFixture {
   Simulator sim;
   FcfsScheduler sched{1};
   std::uint64_t departed = 0;
-  std::uint64_t dropped = 0;
-  LossyLink lossy{sim,
-                  sched,
-                  100.0,
-                  1000,
-                  DropPolicy::kDropIncoming,
-                  nullptr,
-                  [this](Packet&&, SimTime, SimTime) { ++departed; },
-                  [this](const Packet&, SimTime) { ++dropped; }};
+  Link lossy{sim, sched, 100.0,
+             [this](Packet&&, SimTime, SimTime) { ++departed; }};
+
+  LossyFixture() { lossy.set_buffer(1000); }
 
   // Feeds `count` packets, one per 2 time units from t = 1.
   void feed(std::uint64_t count) {
@@ -243,8 +237,7 @@ TEST(LossBurst, DropsArrivalsAtTheGivenRateDeterministically) {
   EXPECT_TRUE(a.lossy.burst_loss_active());
   EXPECT_GT(a.lossy.burst_drops(), 150u);  // ~250 expected
   EXPECT_LT(a.lossy.burst_drops(), 350u);
-  EXPECT_EQ(a.lossy.burst_drops(), a.dropped);
-  EXPECT_EQ(a.departed + a.dropped, 500u);
+  EXPECT_EQ(a.departed + a.lossy.burst_drops(), 500u);
   // Burst drops are fault accounting, not drop-policy accounting.
   EXPECT_EQ(a.lossy.drops(0), 0u);
 
@@ -322,7 +315,7 @@ TEST(FaultInjector, ValidatesTargetsAndOverlaps) {
     EXPECT_THROW(inj.arm(), std::invalid_argument);
   }
   {
-    // Loss episodes need a LossyLink, not a plain Link.
+    // Loss episodes need a buffered link (Link::set_buffer).
     FaultInjector inj(sim, parse_fault_plan("loss l at=1 for=1 rate=0.5\n"));
     inj.attach("l", link);
     EXPECT_THROW(inj.arm(), std::invalid_argument);

@@ -1,17 +1,17 @@
 // Per-link packet ledger: at run end every packet that reached a link is
 // accounted for — transmitted, dropped by exactly one mechanism, or still
-// queued:
+// queued — using only the link's own counters:
 //
-//   arrivals = packets_sent + fault + drain + shed + buffer + burst drops
-//              + queued backlog
+//   sum_c arrivals(c) = packets_sent + fault + drain + shed
+//                       + sum_c drops(c) + burst drops + queued backlog
 //
 // A packet on the wire counts as sent (packets_sent moves at transmission
 // start). The fabric is assembled from public parts the way the scenario
-// runner assembles it, with faults and control actions on lossy and on
-// lossless links alike.
+// runner assembles it, with faults and control actions on buffered and on
+// lossless links alike. No probe is involved, so the identity also holds
+// in a -DPDS_OBS=OFF build.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "ctrl/control_injector.hpp"
@@ -25,19 +25,7 @@
 namespace pds {
 namespace {
 
-// Counts Link::arrive calls per link; links are attached with hop = id.
-class ArrivalCounter : public PacketProbe {
- public:
-  explicit ArrivalCounter(std::size_t links) : arrivals(links, 0) {}
-
-  void on_arrive(const Packet&, const ProbeContext& ctx, SimTime) override {
-    ++arrivals[ctx.hop];
-  }
-
-  std::vector<std::uint64_t> arrivals;
-};
-
-// Drop totals of one kind of link (lossy or lossless).
+// Drop totals of one kind of link (buffered or lossless).
 struct DropTotals {
   std::uint64_t fault = 0;
   std::uint64_t drain = 0;
@@ -66,8 +54,6 @@ const char* kControlPlan =
     "class p0edge1>p0agg0 at=25000 add=0\n";
 
 TEST(PacketLedger, EveryLinkAccountsForEveryArrival) {
-  if (!PDS_OBS_ENABLED) GTEST_SKIP() << "lossless arrivals need the probe";
-
   Simulator sim;
   PacketIdAllocator ids;
   FlowIdAllocator flow_ids;
@@ -126,54 +112,47 @@ TEST(PacketLedger, EveryLinkAccountsForEveryArrival) {
   attach_network(control, net);
   control.arm();
 
-  ArrivalCounter counter(net.num_links());
-  for (LinkId id = 0; id < net.num_links(); ++id) {
-    if (net.lossy(id) == nullptr) net.link_mut(id).set_probe(&counter, id);
-  }
-
   sim.run_until(30000.0);
   background.stop();
 
-  DropTotals lossy_totals;
-  DropTotals plain_totals;
+  DropTotals buffered_totals;
+  DropTotals lossless_totals;
   for (LinkId id = 0; id < net.num_links(); ++id) {
     const Link& link = net.link(id);
     const Scheduler& sched = link.scheduler();
-    const LossyLink* lossy = net.lossy(id);
-    DropTotals& totals = lossy != nullptr ? lossy_totals : plain_totals;
-    std::uint64_t arrivals = counter.arrivals[id];
+    DropTotals& totals =
+        link.has_buffer() ? buffered_totals : lossless_totals;
+    std::uint64_t arrivals = 0;
     std::uint64_t buffer = 0;
-    std::uint64_t burst = 0;
-    if (lossy != nullptr) {
-      arrivals = 0;
-      for (ClassId c = 0; c < sched.num_classes(); ++c) {
-        arrivals += lossy->arrivals(c);
-        buffer += lossy->drops(c);
-      }
-      burst = lossy->burst_drops();
+    for (ClassId c = 0; c < sched.num_classes(); ++c) {
+      arrivals += link.arrivals(c);
+      buffer += link.drops(c);
     }
     EXPECT_EQ(arrivals, link.packets_sent() + link.fault_drops() +
                             link.drain_drops() + link.shed_drops() + buffer +
-                            burst + sched.total_backlog_packets())
+                            link.burst_drops() +
+                            sched.total_backlog_packets())
         << net.link_name(id);
     totals.fault += link.fault_drops();
     totals.drain += link.drain_drops();
     totals.shed += link.shed_drops();
     totals.buffer += buffer;
-    totals.burst += burst;
+    totals.burst += link.burst_drops();
   }
 
   // The plans exercised every ledger term on both kinds of link, and the
   // flows retried.
   EXPECT_EQ(faults.episodes_completed(), faults.scheduled_episodes());
   EXPECT_EQ(control.episodes_completed(), control.scheduled_episodes());
-  for (const DropTotals* t : {&lossy_totals, &plain_totals}) {
+  for (const DropTotals* t : {&buffered_totals, &lossless_totals}) {
     EXPECT_GT(t->fault, 0u);
     EXPECT_GT(t->drain, 0u);
     EXPECT_GT(t->shed, 0u);
   }
-  EXPECT_GT(lossy_totals.buffer, 0u);
-  EXPECT_GT(lossy_totals.burst, 0u);
+  EXPECT_GT(buffered_totals.buffer, 0u);
+  EXPECT_GT(buffered_totals.burst, 0u);
+  EXPECT_EQ(lossless_totals.buffer, 0u);
+  EXPECT_EQ(lossless_totals.burst, 0u);
   EXPECT_GT(workload.stats().retries, 0u);
 }
 

@@ -8,9 +8,9 @@
 
 #include <memory>
 
-#include "dropper/lossy_link.hpp"
 #include "rng/distributions.hpp"
 #include "sched/factory.hpp"
+#include "sched/link.hpp"
 
 namespace pds {
 namespace {
@@ -52,10 +52,9 @@ RunOutcome drive(const Case& c, std::uint64_t seed) {
   }
 
   RunOutcome out;
-  LossyLink link(
-      sim, *sched, 100.0, c.buffer, c.policy, std::move(plr),
-      [&](Packet&&, SimTime, SimTime) { ++out.departures; },
-      [&](const Packet&, SimTime) { ++out.drops; });
+  Link link(sim, *sched, 100.0,
+            [&](Packet&&, SimTime, SimTime) { ++out.departures; });
+  link.set_buffer(c.buffer, c.policy, std::move(plr));
 
   Rng rng(seed);
   const ExponentialDist gap(1.0 / c.offered);  // 100 B pkts at 100 B/tu
@@ -78,9 +77,10 @@ RunOutcome drive(const Case& c, std::uint64_t seed) {
   }
   // Snapshot the backlog before draining; a packet mid-transmission has
   // been dequeued but not yet delivered, so it counts as backlog here.
-  std::uint64_t backlog = link.link().busy() ? 1 : 0;
+  std::uint64_t backlog = link.busy() ? 1 : 0;
   for (ClassId cls = 0; cls < 4; ++cls) {
     backlog += sched->backlog_packets(cls);
+    out.drops += link.drops(cls);
   }
   out.final_backlog = backlog;
   return out;

@@ -776,7 +776,7 @@ run until=50000 warmup=5000 seed=3
 )";
 
 TEST(ScenarioOptionsRun, LossFaultsOnBufferedLinksReportBurstDrops) {
-  // buffer= wraps the link in a LossyLink, which is what lets fault `loss`
+  // buffer= gives the link a buffer, which is what lets fault `loss`
   // episodes target it; the episode's drops surface as burst_drops.
   ScenarioOptions options;
   options.fault_plan = "loss a at=10000 for=20000 rate=0.5\n";

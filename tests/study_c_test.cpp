@@ -2,6 +2,10 @@
 // differentiation, the paper's stated future work.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <string>
+
 #include "core/study_c.hpp"
 
 namespace pds {
@@ -97,6 +101,65 @@ TEST(StudyC, ValidatesConfig) {
   c.buffer_packets = 0;
   EXPECT_THROW(run_study_c(c), std::invalid_argument);
 }
+
+// Pins: FNV-1a over the exact bits of a short run's loss rates, survivor
+// delays, counters and utilization under each drop policy. These cover the
+// PLR push-out path (victim choice, tail pop, re-admission) that no other
+// pin reaches; a hash change must be an intentional, reviewed break of the
+// determinism contract.
+struct StudyCPin {
+  const char* name;
+  DropPolicy policy;
+  std::uint64_t plr_window;
+  std::uint64_t hash;
+};
+
+std::string pin_name(const testing::TestParamInfo<StudyCPin>& info) {
+  return info.param.name;
+}
+
+void PrintTo(const StudyCPin& pin, std::ostream* os) { *os << pin.name; }
+
+std::uint64_t study_c_hash(const StudyCResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto bytes = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const double v : r.loss_rates) bytes(&v, sizeof v);
+  for (const double v : r.mean_delays) bytes(&v, sizeof v);
+  bytes(&r.total_arrivals, sizeof r.total_arrivals);
+  bytes(&r.total_drops, sizeof r.total_drops);
+  bytes(&r.measured_utilization, sizeof r.measured_utilization);
+  return h;
+}
+
+class StudyCPins : public testing::TestWithParam<StudyCPin> {};
+
+TEST_P(StudyCPins, ResultMatchesPinnedHash) {
+  const StudyCPin& pin = GetParam();
+  auto c = overload_config();
+  c.sim_time = 3.0e4;
+  c.policy = pin.policy;
+  c.plr_window = pin.plr_window;
+  if (pin.policy == DropPolicy::kDropIncoming) c.ldp.clear();
+  const auto r = run_study_c(c);
+  EXPECT_GT(r.total_drops, 0u);
+  const std::uint64_t h = study_c_hash(r);
+  EXPECT_EQ(h, pin.hash) << std::hex << "got 0x" << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, StudyCPins,
+    testing::Values(
+        StudyCPin{"drop_tail", DropPolicy::kDropIncoming, 0,
+                  0xa549213f206a87adULL},
+        StudyCPin{"plr_inf", DropPolicy::kPlr, 0, 0x6c07561bfd347f83ULL},
+        StudyCPin{"plr_2000", DropPolicy::kPlr, 2000, 0xc34cbc5d55ad918aULL}),
+    pin_name);
 
 }  // namespace
 }  // namespace pds
