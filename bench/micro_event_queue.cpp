@@ -1,8 +1,8 @@
-// Event-queue and dispatch microbenchmarks: binary heap vs calendar queue
-// under the hold-model workload (the standard benchmark for simulator event
-// sets: alternate pop and push-at-future-time on a steady population), plus
-// an end-to-end packet pipeline (source -> scheduler -> link) that measures
-// the allocation cost of the kernel's event dispatch per simulated packet.
+// Event-queue and dispatch microbenchmarks: the kernel's binary heap under
+// the hold-model workload (the standard benchmark for simulator event sets:
+// alternate pop and push-at-future-time on a steady population), plus an
+// end-to-end packet pipeline (source -> scheduler -> link) that measures the
+// allocation cost of the kernel's event dispatch per simulated packet.
 //
 // Every benchmark reports `allocs_per_*` counters backed by the counting
 // operator-new in alloc_counter.cpp — the regression guard for the hot-path
@@ -31,43 +31,36 @@ struct TxPayload {
   double tx;
 };
 
-void hold_model(benchmark::State& state, pds::EventQueueKind kind) {
+void BM_Heap(benchmark::State& state) {
   const auto population = static_cast<std::size_t>(state.range(0));
   std::uint64_t allocs = 0;
   std::uint64_t ops = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto q = pds::make_event_queue(kind);
+    pds::HeapEventQueue q;
     pds::Rng rng(99);
     std::uint64_t seq = 0;
     TxPayload payload{nullptr, nullptr, 0.0, 0.0};
     for (std::size_t i = 0; i < population; ++i) {
-      q->push(pds::EventItem{rng.uniform01() * 100.0, seq++,
-                             [payload] { benchmark::DoNotOptimize(payload); }});
+      q.push(pds::EventItem{rng.uniform01() * 100.0, seq++,
+                            [payload] { benchmark::DoNotOptimize(payload); }});
     }
     state.ResumeTiming();
     const std::uint64_t before = pds::bench::heap_allocations();
     // Hold model: each pop schedules a replacement a random offset ahead.
     for (int step = 0; step < 10000; ++step) {
-      auto item = q->pop();
+      auto item = q.pop();
       item.time += rng.uniform01() * 100.0;
       item.seq = seq++;
-      q->push(std::move(item));
+      q.push(std::move(item));
     }
     allocs += pds::bench::heap_allocations() - before;
     ops += 10000;
-    benchmark::DoNotOptimize(q->size());
+    benchmark::DoNotOptimize(q.size());
   }
   state.SetItemsProcessed(state.iterations() * 10000);
   state.counters["allocs_per_op"] =
       ops ? static_cast<double>(allocs) / static_cast<double>(ops) : 0.0;
-}
-
-void BM_Heap(benchmark::State& s) {
-  hold_model(s, pds::EventQueueKind::kBinaryHeap);
-}
-void BM_Calendar(benchmark::State& s) {
-  hold_model(s, pds::EventQueueKind::kCalendar);
 }
 
 // The kernel->link->source hot path end to end: four renewal sources feed a
@@ -76,7 +69,7 @@ void BM_Calendar(benchmark::State& s) {
 // `allocs_per_pkt` is the steady-state heap-allocation cost of one simulated
 // packet — measured after a warmup that lets the event queue and the class
 // rings reach their working size, it must be exactly 0.0 (see the guard).
-void packet_pipeline(benchmark::State& state, pds::EventQueueKind kind) {
+void BM_PacketPipelineHeap(benchmark::State& state) {
   constexpr double kCapacity = 1000.0;    // bytes per time unit
   constexpr std::uint32_t kBytes = 500;   // fixed packet size
   constexpr double kMeanGap = 500.0 / 225.0;  // per-class load 0.225
@@ -88,7 +81,7 @@ void packet_pipeline(benchmark::State& state, pds::EventQueueKind kind) {
   std::uint64_t events = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    pds::Simulator sim(kind);
+    pds::Simulator sim;
     // Declared before the scheduler so the rings release into a live arena.
     pds::PacketArena arena;
     pds::SchedulerConfig cfg;
@@ -137,16 +130,7 @@ void packet_pipeline(benchmark::State& state, pds::EventQueueKind kind) {
   if (!err.empty()) state.SkipWithError(err.c_str());
 }
 
-void BM_PacketPipelineHeap(benchmark::State& s) {
-  packet_pipeline(s, pds::EventQueueKind::kBinaryHeap);
-}
-void BM_PacketPipelineCalendar(benchmark::State& s) {
-  packet_pipeline(s, pds::EventQueueKind::kCalendar);
-}
-
 }  // namespace
 
 BENCHMARK(BM_Heap)->Arg(64)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_Calendar)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_PacketPipelineHeap);
-BENCHMARK(BM_PacketPipelineCalendar);

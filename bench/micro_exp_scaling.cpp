@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
 
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::vector<std::uint32_t> ladder;
-    for (const double w :
-         args.get_double_list("workers", {1.0, 2.0, 4.0, 8.0,
-                                          static_cast<double>(hw)})) {
+    for (const double w : args.get_double_list(
+             "workers", {1.0, 2.0, 4.0, 8.0,
+                         static_cast<double>(std::min(hw, pds::kMaxJobs))})) {
       ladder.push_back(pds::ThreadPool::resolve_workers(
           static_cast<std::uint32_t>(w)));
     }

@@ -5,8 +5,8 @@
 // free (<5% by default):
 //
 //  1. Kernel event loop (guarded). Baseline replicates the pre-hook
-//     Simulator loop exactly — same contract checks, same virtual queue
-//     dispatch, same bookkeeping — minus the SimMonitor branch, i.e. the
+//     Simulator loop exactly — same contract checks, same binary heap held
+//     by value, same bookkeeping — minus the SimMonitor branch, i.e. the
 //     binary you would get from -DPDS_OBS=OFF. Against it we time the real
 //     Simulator with no monitor (the disabled branch) and with a
 //     SimProfiler attached.
@@ -71,12 +71,11 @@ double best_seconds(std::uint32_t reps, F&& body) {
 }
 
 // The kernel as it was before the SimMonitor hook existed: identical
-// scheduling checks, virtual EventQueue dispatch and per-event bookkeeping,
-// so the only difference from Simulator-without-monitor is the hook branch —
-// the cost compiling obs out would remove.
+// scheduling checks, pending-event heap and per-event bookkeeping, so the
+// only difference from Simulator-without-monitor is the hook branch — the
+// cost compiling obs out would remove.
 struct RawKernel {
-  std::unique_ptr<pds::EventQueue> q =
-      pds::make_event_queue(pds::EventQueueKind::kBinaryHeap);
+  pds::HeapEventQueue q;
   pds::SimTime now = 0.0;
   std::uint64_t seq = 0;
   std::uint64_t executed = 0;
@@ -88,7 +87,7 @@ struct RawKernel {
   [[gnu::noinline]] void schedule_at(pds::SimTime t, pds::SimEvent action) {
     PDS_CHECK(t >= now, "cannot schedule an event in the past");
     PDS_CHECK(static_cast<bool>(action), "null event action");
-    q->push(pds::EventItem{t, seq++, std::move(action)});
+    q.push(pds::EventItem{t, seq++, std::move(action)});
   }
 
   [[gnu::noinline]] void schedule_in(pds::SimTime dt, pds::SimEvent action) {
@@ -98,9 +97,9 @@ struct RawKernel {
 
   [[gnu::noinline]] void drain(pds::SimTime horizon, bool bounded) {
     stopped = false;
-    while (!q->empty() && !stopped) {
-      if (bounded && q->next_time() > horizon) break;
-      pds::EventItem ev = q->pop();
+    while (!q.empty() && !stopped) {
+      if (bounded && q.next_time() > horizon) break;
+      pds::EventItem ev = q.pop();
       PDS_REQUIRE(ev.time >= now);
       now = ev.time;
       ++executed;

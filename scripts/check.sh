@@ -20,9 +20,10 @@ echo "== bench targets compile (micro benches guard the allocation budget) =="
 cmake --build build -j "${JOBS}" --target micro_event_queue micro_schedulers
 
 echo "== micro benches: quick run (hot-path smoke, ~5 s) =="
-# Not a performance gate — a smoke run that exercises the event-queue and
-# scheduler hot paths end to end, so a calendar-resize bug or allocation
-# regression that the unit tests abstract away still fails the check.
+# Not a performance gate — a smoke run that exercises the kernel's binary
+# heap and the scheduler hot paths end to end. BM_PacketPipelineHeap is the
+# 0-alloc pipeline gate: it reports an error when a steady-state packet
+# allocates, a regression the unit tests abstract away.
 ./build/bench/micro_event_queue --benchmark_min_time=0.05 \
   --benchmark_format=console 2>/dev/null | tail -n +4
 ./build/bench/micro_schedulers --benchmark_min_time=0.05 \
@@ -95,7 +96,7 @@ echo "== benchmark mirror: perfbench self-test =="
 CARGO_TARGET_DIR=build-perfbench python3 perfbench/selftest.py
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== fast mode: targeted ASan/UBSan over packet plane + fault + ctrl + supervisor + obs + fuzz suites =="
+  echo "== fast mode: targeted ASan/UBSan over kernel + packet plane + fault + ctrl + supervisor + obs + fuzz suites =="
   # Even the fast path sanitizes the robustness layer: fault injection,
   # live reconfiguration (scheduler swaps hand raw backlogs across) and
   # run supervision exercise exception unwinding and teardown ordering, the
@@ -106,13 +107,20 @@ if [[ "${1:-}" == "--fast" ]]; then
   # packet-plane suites cover the raw-memory class rings, the head snapshot
   # the scans read, and Link's transmit staging buffer; the buffer suites
   # cover Link's drop policies, whose PLR push-out pops a raw ring tail.
+  # The kernel suites cover the binary heap Simulator holds by value, whose
+  # hole-based sifts relocate move-only SimEvents.
   cmake -B build-asan -S . -DPDS_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
     conformance_test telemetry_test grammar_fuzz_test queueing_test \
     scan_test burst_test link_test sched_property_test sched_pin_test \
     fabric_conservation_test dropper_test lossy_property_test study_c_test \
-    ledger_test
+    ledger_test event_queue_test dsim_test sim_event_test \
+    dispatch_equiv_test
+  ./build-asan/tests/event_queue_test
+  ./build-asan/tests/dsim_test
+  ./build-asan/tests/sim_event_test
+  ./build-asan/tests/dispatch_equiv_test
   ./build-asan/tests/grammar_fuzz_test
   ./build-asan/tests/queueing_test
   ./build-asan/tests/scan_test

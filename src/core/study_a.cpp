@@ -66,7 +66,7 @@ StudyAResult run_study_a(const StudyAConfig& config) {
   const std::uint32_t n = config.num_classes();
   const SimTime warmup = config.warmup_end();
 
-  Simulator sim(config.event_queue);
+  Simulator sim;
   PacketIdAllocator ids;
   Rng master(config.seed);
 

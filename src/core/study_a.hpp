@@ -46,9 +46,8 @@ struct StudyAConfig {
   double warmup_fraction = 0.1;   // leading fraction excluded from stats
   std::uint64_t seed = 1;
 
-  // Kernel pending-event set; results are identical for both (see the
-  // event-queue differential tests), the calendar can be faster at large
-  // event populations.
+  // Exists only for perfbench/traced.cpp, which passes it to Simulator's
+  // constructor; the kernel has one pending-event set and ignores it.
   EventQueueKind event_queue = EventQueueKind::kBinaryHeap;
 
   // Monitoring timescales (time units) for the Figure 3 metric; empty

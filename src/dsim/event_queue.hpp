@@ -1,31 +1,13 @@
-// Pending-event sets for the simulation kernel.
+// The simulation kernel's pending-event set: a binary heap, O(log n) per
+// operation for any event-time distribution.
 //
-// The default is a binary heap: O(log n), robust for any event-time
-// distribution. The alternative is a calendar queue (Brown, CACM 1988) — the
-// structure ns-2's scheduler made famous — which buckets events by time
-// modulo a rotating "year" and achieves amortized O(1) enqueue/dequeue when
-// event times are roughly uniform over a window, the common case for packet
-// simulations. The calendar resizes itself (doubling / halving the day count
-// and re-estimating the day width from a sample of queued events) as the
-// population changes.
-//
-// Both implementations provide the same total order: ascending time, FIFO
-// (sequence) within equal times — the determinism contract the rest of the
-// library relies on. The differential tests drive both with identical
-// workloads and require identical output.
-//
-// Neither implementation is virtual. `EventQueue` is a *sealed* two-way
-// variant: the kernel's run loop is instantiated once per concrete queue
-// (see Simulator::drain), so every push/pop/next_time on the hot path is a
-// direct — and for the heap, fully inlined — call. The virtual interface
-// this replaced cost one indirect call per queue operation per event.
+// It gives the total order the rest of the library relies on: ascending
+// time, FIFO (sequence) within equal times. The heap is not virtual and
+// lives in Simulator by value, so every push/pop/next_time in the kernel's
+// run loop is a direct, fully inlinable call.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "dsim/sim_event.hpp"
@@ -46,12 +28,11 @@ struct EventItem {
   const char* label() const noexcept { return action.label(); }
 };
 
-// Binary-heap implementation (the default). Hand-rolled over a vector
-// rather than std::priority_queue: pop() must *move* the root out (the
-// move-only EventItem forbids the copy std::priority_queue's top()/pop()
-// split implies), and sift-down with a hole avoids redundant relocations.
-// Header-inline so the kernel's instantiated run loop can flatten push/pop
-// into straight-line code.
+// Hand-rolled over a vector rather than std::priority_queue: pop() must
+// *move* the root out (the move-only EventItem forbids the copy
+// std::priority_queue's top()/pop() split implies), and sift-down with a
+// hole avoids redundant relocations. Header-inline so the kernel's run loop
+// can flatten push/pop into straight-line code.
 class HeapEventQueue final {
  public:
   void push(EventItem item) {
@@ -113,352 +94,9 @@ class HeapEventQueue final {
   std::vector<EventItem> heap_;  // min-heap on (time, seq)
 };
 
-// Calendar-queue implementation.
-//
-// Buckets ("days") keep events sorted ascending (time, seq) behind a live
-// cursor: pop is a cursor bump instead of an O(day) erase-from-front, and
-// the dead prefix is reclaimed when the day drains or on insert once it
-// outweighs the live tail. Day lookup is a division plus a power-of-two
-// mask (the day count is always a power of two, so the mask is exactly the
-// fmod it replaces). A one-day cache keeps next_time()/pop() O(1) between
-// pops: a push only moves the cache, never invalidates it.
-class CalendarEventQueue final {
- public:
-  CalendarEventQueue() : days_(kMinDays), day_mask_(kMinDays - 1) {}
-
-  void push(EventItem item) {
-    PDS_CHECK(item.time >= 0.0, "negative event time");
-    // width_ is always a power of two, so multiplying by its reciprocal
-    // is exact IEEE scaling — bit-identical to the division it replaces,
-    // at a fraction of the latency.
-    const double virtual_day = item.time * inv_width_;
-    std::size_t d;
-    double window_end;
-    if (virtual_day < kMaxExactDay) [[likely]] {
-      d = static_cast<std::size_t>(virtual_day) & day_mask_;
-      window_end =
-          (static_cast<double>(static_cast<std::uint64_t>(virtual_day)) +
-           1.0) *
-          width_;
-    } else {
-      d = static_cast<std::size_t>(std::fmod(
-          std::floor(virtual_day), static_cast<double>(days_.size())));
-      window_end = -1.0;  // beyond exact integer range: no fast path
-    }
-    // The cache survives pushes: the global minimum only changes if the
-    // new item is earlier than the current one, in which case the new
-    // item's day becomes the cached day (inserting into the cached day
-    // keeps its front correct either way). The probe compares against the
-    // mirrored scalar minimum instead of dereferencing the cached day's
-    // front — no pointer chase on the hottest path. The window end rides
-    // along so the repeat-pop fast path (see pop()) stays armed.
-    if (cache_valid_ &&
-        (item.time < cached_min_time_ ||
-         (item.time == cached_min_time_ && item.seq < cached_min_seq_))) {
-      cached_day_ = d;
-      cached_day_end_ = window_end;
-      cached_min_time_ = item.time;
-      cached_min_seq_ = item.seq;
-    }
-    insert_sorted(days_[d], std::move(item));
-    ++count_;
-    if (count_ > kGrowFactor * days_.size()) [[unlikely]] {
-      resize(2 * days_.size());
-    }
-  }
-
-  EventItem pop() {
-    // Single maintenance branch for both width-recalibration triggers:
-    // the one-shot early calibration (the default day width is arbitrary,
-    // and a steady workload whose width is merely mediocre would keep it
-    // forever — count-triggered resizes never fire on a steady
-    // population), and fallback distress (locate_next arms recalibrate_at_
-    // once the direct-scan fallback has run often enough to prove a
-    // mis-fitted width). Both re-estimate the width from the live
-    // population at an unchanged day count.
-    if (++pops_ >= recalibrate_at_) [[unlikely]] resize(days_.size());
-    locate_next();
-    Day& day = days_[cached_day_];
-    EventItem item = std::move(day.front());
-    day.pop_front();
-    --count_;
-    last_popped_ = item.time;
-    // Repeat-pop fast path: a window index determines its day uniquely,
-    // so if the popped day's new front still lies inside the cached
-    // window, every event elsewhere sits in a later window — the front is
-    // the new global minimum and the cache stays valid, skipping the
-    // division and day scan of the next locate entirely. Consecutive
-    // events usually share a day (~2 per day by construction), so this is
-    // the common case.
-    if (day.empty() || !(day.front().time < cached_day_end_)) {
-      cache_valid_ = false;
-    } else {
-      cached_min_time_ = day.front().time;
-      cached_min_seq_ = day.front().seq;
-    }
-    const std::size_t n = days_.size();
-    if (n > kMinDays && count_ < n / kShrinkDivisor) [[unlikely]] {
-      resize(n / 2);
-    }
-    return item;
-  }
-
-  SimTime next_time() const {
-    locate_next();
-    return cached_min_time_;
-  }
-
-  bool empty() const noexcept { return count_ == 0; }
-  std::size_t size() const noexcept { return count_; }
-
-  // Introspection for tests.
-  std::size_t num_days() const noexcept { return days_.size(); }
-  double day_width() const noexcept { return width_; }
-
- private:
-  // Resize policy (see resize() for the day-width estimator). Growth at
-  // count > 2n is Brown's classic setting; shrinking waits for count < n/4
-  // (not n/2) so a population oscillating around one threshold never
-  // ping-pongs between sizes — a resize is O(n), so hysteresis matters
-  // more than tight occupancy.
-  static constexpr std::size_t kMinDays = 4;  // power of two
-  static constexpr std::size_t kGrowFactor = 2;
-  static constexpr std::size_t kShrinkDivisor = 4;
-  // Fallback pops tolerated before a width-only recalibration.
-  static constexpr std::size_t kRecalibrateAfter = 16;
-  // Pop count at which the one-shot early width calibration runs.
-  static constexpr std::uint64_t kEarlyCalibrateAt = 256;
-  // Reclaim a day's popped prefix during an insert once it passes this
-  // length and outweighs the live tail; until then a pop is a cursor bump.
-  static constexpr std::size_t kCompactThreshold = 32;
-  // Capacity floor resize() guarantees for every day bucket. Compaction
-  // bounds a day's size by kCompactThreshold + 1 dead items plus the live
-  // tail (≤ kGrowFactor * days while the day count fits the population), so
-  // this floor makes steady-state pushes allocation-free for any
-  // well-calibrated workload; a day crowding past it merely falls back to
-  // ordinary vector growth.
-  static constexpr std::size_t kDayReserve = 2 * kCompactThreshold;
-  // Above 2^53 a double no longer represents the virtual-day integer
-  // exactly; fall back to the fmod path (never reached by realistic sim
-  // times).
-  static constexpr double kMaxExactDay = 9007199254740992.0;
-
-  struct Day {
-    std::vector<EventItem> items;  // ascending (time, seq) from `live`
-    std::size_t live = 0;          // index of the first un-popped item
-
-    bool empty() const noexcept { return live == items.size(); }
-    EventItem& front() noexcept { return items[live]; }
-    const EventItem& front() const noexcept { return items[live]; }
-    void pop_front() noexcept {
-      ++live;
-      if (live == items.size()) {
-        items.clear();
-        live = 0;
-      }
-    }
-  };
-
-  static bool earlier(const EventItem& a, const EventItem& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-
-  std::size_t day_of(SimTime t) const {
-    const double virtual_day = t * inv_width_;
-    if (virtual_day < kMaxExactDay) {
-      // Truncation == floor for non-negative times, and the power-of-two
-      // mask is exactly fmod(floor(t/w), days): identical bucketing to the
-      // fmod formulation at a fraction of the cost.
-      return static_cast<std::size_t>(virtual_day) & day_mask_;
-    }
-    return static_cast<std::size_t>(std::fmod(
-        std::floor(virtual_day), static_cast<double>(days_.size())));
-  }
-
-  void insert_sorted(Day& day, EventItem item) {
-    // Reclaim the popped prefix on *every* insert path once it outweighs
-    // the live tail. Compacting only on the (rare) shift-insert path let an
-    // append-only day that interleaves pushes and pops without ever fully
-    // draining grow its vector without bound — a slow capacity ratchet that
-    // shows up as steady-state heap allocations. With this check on the
-    // append path too, a day's size is bounded by the prefix threshold plus
-    // the live population (itself capped at kGrowFactor * days by the grow
-    // trigger), so the kDayReserve capacity floor set in resize() makes the
-    // steady state allocation-free.
-    if (day.live > kCompactThreshold && 2 * day.live >= day.items.size()) {
-      day.items.erase(
-          day.items.begin(),
-          day.items.begin() + static_cast<std::ptrdiff_t>(day.live));
-      day.live = 0;
-    }
-    // Append fast path: event times drift forward, so the common insert
-    // lands at the tail of its day. seq breaks the tie, so an equal-time
-    // arrival also appends.
-    if (day.empty() || !earlier(item, day.items.back())) {
-      day.items.push_back(std::move(item));
-      return;
-    }
-    // Backward shift-insert: a day holds a handful of items, so the
-    // linear scan beats upper_bound's branchy binary search, and the
-    // hole technique moves each shifted element once.
-    day.items.emplace_back();
-    std::size_t i = day.items.size() - 1;
-    while (i > day.live && earlier(item, day.items[i - 1])) {
-      day.items[i] = std::move(day.items[i - 1]);
-      --i;
-    }
-    day.items[i] = std::move(item);
-  }
-
-  void resize(std::size_t new_days);
-
-  // Finds the next item without removing it; fills cache fields.
-  void locate_next() const {
-    if (cache_valid_) return;
-    PDS_REQUIRE(count_ > 0);
-    // One scaling serves both the starting day index and the day
-    // boundary (truncation == floor for the non-negative clock).
-    const double virtual_day = std::floor(last_popped_ * inv_width_);
-    const std::size_t start_day =
-        virtual_day < kMaxExactDay
-            ? static_cast<std::size_t>(virtual_day) & day_mask_
-            : static_cast<std::size_t>(
-                  std::fmod(virtual_day, static_cast<double>(days_.size())));
-    for (std::size_t i = 0; i < days_.size(); ++i) {
-      const std::size_t d = (start_day + i) & day_mask_;
-      // Multiply-per-step rather than accumulated addition: keeps the
-      // window boundary bit-identical with the one push() derives for the
-      // same window, so the repeat-pop fast path and the scan agree.
-      const double day_end = (virtual_day + 1.0 + static_cast<double>(i)) *
-                             width_;
-      if (!days_[d].empty() && days_[d].front().time < day_end) {
-        cached_day_ = d;
-        cached_day_end_ = day_end;
-        cached_min_time_ = days_[d].front().time;
-        cached_min_seq_ = days_[d].front().seq;
-        cache_valid_ = true;
-        return;
-      }
-    }
-    // Every pending event lies a full year or more ahead: fall back to a
-    // direct minimum scan across bucket heads (and count the miss — see
-    // pop() for the width recalibration it can trigger).
-    if (++fallback_pops_ >= kRecalibrateAfter) recalibrate_at_ = 0;
-    bool found = false;
-    std::size_t best = 0;
-    for (std::size_t d = 0; d < days_.size(); ++d) {
-      if (days_[d].empty()) continue;
-      if (!found || earlier(days_[d].front(), days_[best].front())) {
-        found = true;
-        best = d;
-      }
-    }
-    PDS_REQUIRE(found);
-    cached_day_ = best;
-    cached_day_end_ = -1.0;  // outside any window: no repeat-pop fast path
-    cached_min_time_ = days_[best].front().time;
-    cached_min_seq_ = days_[best].front().seq;
-    cache_valid_ = true;
-  }
-
-  std::vector<Day> days_;         // size is always a power of two
-  // Resize-time staging buffer for the live events. A member (rather than a
-  // resize() local) so repeated width recalibrations on a steady population
-  // reuse its capacity instead of reallocating — the packet plane's
-  // steady-state zero-allocation budget includes the event queue.
-  std::vector<EventItem> scratch_;
-  std::size_t day_mask_;          // days_.size() - 1
-  // Day length in time units. Always a power of two, so inv_width_ is its
-  // exact reciprocal and t * inv_width_ == t / width_ bit-for-bit (IEEE
-  // scaling by a power of two is exact) — and window boundaries
-  // (k * width_) are themselves exact, so an event can never straddle a
-  // boundary by a rounding ulp and be missed by the window scan.
-  double width_ = 1.0;
-  double inv_width_ = 1.0;
-  std::size_t count_ = 0;
-  SimTime last_popped_ = 0.0;
-
-  // When valid, days_[cached_day_].front() is the global (time, seq)
-  // minimum. Maintained across pushes, rebuilt lazily after a pop.
-  mutable bool cache_valid_ = false;
-  mutable std::size_t cached_day_ = 0;
-  // Real-time end of the cached minimum's window; -1 when unknown
-  // (fallback locate or beyond-2^53 push). Gates the repeat-pop fast
-  // path in pop().
-  mutable double cached_day_end_ = -1.0;
-  // Scalar mirror of the cached minimum's (time, seq): push's cache probe
-  // and next_time() read these instead of chasing days_[cached_day_]'s
-  // front through two levels of vector indirection.
-  mutable double cached_min_time_ = 0.0;
-  mutable std::uint64_t cached_min_seq_ = 0;
-  // Pops served by the direct-scan fallback since the last resize.
-  mutable std::size_t fallback_pops_ = 0;
-  // Lifetime pop count, and the pop count at which the next width
-  // recalibration fires. Starts at the one-shot early calibration (the
-  // default width is arbitrary, and a steady population never triggers a
-  // count-based resize, so a merely mediocre width would persist forever);
-  // locate_next's fallback branch pulls it forward on distress; any
-  // resize — which re-estimates the width anyway — disarms it.
-  std::uint64_t pops_ = 0;
-  mutable std::uint64_t recalibrate_at_ = kEarlyCalibrateAt;
-};
-
-enum class EventQueueKind { kBinaryHeap, kCalendar };
-
-// Sealed pending-event set: exactly the two implementations above behind a
-// tag, no virtual dispatch. The forwarding methods are one predictable
-// branch; performance-critical callers dispatch once per *run* via visit()
-// and then use the concrete queue directly.
-class EventQueue final {
- public:
-  explicit EventQueue(EventQueueKind kind) : kind_(kind) {}
-
-  EventQueueKind kind() const noexcept { return kind_; }
-
-  void push(EventItem item) {
-    if (kind_ == EventQueueKind::kBinaryHeap) {
-      heap_.push(std::move(item));
-    } else {
-      calendar_.push(std::move(item));
-    }
-  }
-
-  EventItem pop() {
-    return kind_ == EventQueueKind::kBinaryHeap ? heap_.pop()
-                                                : calendar_.pop();
-  }
-
-  SimTime next_time() const {
-    return kind_ == EventQueueKind::kBinaryHeap ? heap_.next_time()
-                                                : calendar_.next_time();
-  }
-
-  bool empty() const noexcept {
-    return kind_ == EventQueueKind::kBinaryHeap ? heap_.empty()
-                                                : calendar_.empty();
-  }
-
-  std::size_t size() const noexcept {
-    return kind_ == EventQueueKind::kBinaryHeap ? heap_.size()
-                                                : calendar_.size();
-  }
-
-  // Invokes `v` with the concrete queue (HeapEventQueue& or
-  // CalendarEventQueue&). The kernel's run loop uses this to instantiate
-  // its drain once per implementation, hoisting the kind branch out of the
-  // per-event path entirely.
-  template <typename Visitor>
-  decltype(auto) visit(Visitor&& v) {
-    return kind_ == EventQueueKind::kBinaryHeap ? v(heap_) : v(calendar_);
-  }
-
- private:
-  EventQueueKind kind_;
-  HeapEventQueue heap_;
-  CalendarEventQueue calendar_;
-};
-
-std::unique_ptr<EventQueue> make_event_queue(EventQueueKind kind);
+// Exists only for perfbench/traced.cpp, which constructs
+// `Simulator(config.event_queue)`: the binary heap is the one pending-event
+// set, and nothing reads this tag.
+enum class EventQueueKind { kBinaryHeap };
 
 }  // namespace pds

@@ -10,8 +10,6 @@
 
 namespace pds {
 
-Simulator::Simulator(EventQueueKind queue) : events_(queue) {}
-
 void Simulator::schedule_at(SimTime t, Action action, const char* label) {
   PDS_CHECK(t >= now_, "cannot schedule an event in the past");
   PDS_CHECK(static_cast<bool>(action), "null event action");
@@ -34,11 +32,6 @@ void Simulator::run_until(SimTime t_end) {
 }
 
 void Simulator::drain(SimTime horizon, DrainBound bound) {
-  events_.visit([&](auto& queue) { drain_impl(queue, horizon, bound); });
-}
-
-template <typename Queue>
-void Simulator::drain_impl(Queue& queue, SimTime horizon, DrainBound bound) {
   // The wall-clock half of the budget is only sampled every
   // kWallCheckPeriod events: the check never influences which events run
   // (it aborts, it does not reorder), and amortized it costs nothing.
@@ -50,15 +43,17 @@ void Simulator::drain_impl(Queue& queue, SimTime horizon, DrainBound bound) {
   std::uint64_t run_executed = 0;
 
   stopped_ = false;
-  while (!queue.empty() && !stopped_) {
-    if (bound == DrainBound::kInclusive && queue.next_time() > horizon) break;
+  while (!events_.empty() && !stopped_) {
+    if (bound == DrainBound::kInclusive && events_.next_time() > horizon) {
+      break;
+    }
     if (budgeted) {
       if (budget_events_ > 0 && run_executed >= budget_events_) {
         throw SimBudgetExceeded(
             "event budget exceeded: " + std::to_string(run_executed) +
                 " events executed in one run call (limit " +
                 std::to_string(budget_events_) + ")",
-            now_, run_executed, queue.size());
+            now_, run_executed, events_.size());
       }
       if (budget_wall_seconds_ > 0.0 &&
           run_executed % kWallCheckPeriod == 0) {
@@ -69,17 +64,17 @@ void Simulator::drain_impl(Queue& queue, SimTime horizon, DrainBound bound) {
               "wall-clock budget exceeded: " +
                   std::to_string(elapsed.count()) + " s elapsed (limit " +
                   std::to_string(budget_wall_seconds_) + " s)",
-              now_, run_executed, queue.size());
+              now_, run_executed, events_.size());
         }
       }
     }
-    EventItem ev = queue.pop();
+    EventItem ev = events_.pop();
     PDS_REQUIRE(ev.time >= now_);
     now_ = ev.time;
     ++executed_;
     ++run_executed;
     if (monitor_ != nullptr) {
-      monitor_->on_event_begin(now_, ev.label(), queue.size());
+      monitor_->on_event_begin(now_, ev.label(), events_.size());
       ev.action();
       monitor_->on_event_end(now_, ev.label());
     } else {

@@ -63,12 +63,11 @@ class Simulator {
   // heap; closures may own their captures by move). See dsim/sim_event.hpp.
   using Action = SimEvent;
 
-  // The pending-event set defaults to a binary heap; packet-level
-  // workloads with roughly uniform event spacing can opt into the calendar
-  // queue (see dsim/event_queue.hpp). Both give identical execution orders.
-  // The queue is a sealed variant held by value — no virtual dispatch and
-  // no pointer indirection on the per-event path.
-  explicit Simulator(EventQueueKind queue = EventQueueKind::kBinaryHeap);
+  // The pending-event set is a binary heap held by value (see
+  // dsim/event_queue.hpp): no virtual dispatch and no pointer indirection
+  // on the per-event path. The ignored EventQueueKind parameter exists only
+  // for perfbench/traced.cpp, which passes StudyAConfig::event_queue.
+  explicit Simulator(EventQueueKind = EventQueueKind::kBinaryHeap) {}
 
   // Non-copyable: scheduled actions capture `this` of client objects.
   Simulator(const Simulator&) = delete;
@@ -137,13 +136,8 @@ class Simulator {
   enum class DrainBound : std::uint8_t { kNone, kInclusive };
 
   void drain(SimTime horizon, DrainBound bound);
-  // The run loop, instantiated once per concrete queue type so every queue
-  // operation inside it is a direct (inlinable) call. drain() dispatches on
-  // the sealed EventQueue's kind exactly once per run call.
-  template <typename Queue>
-  void drain_impl(Queue& queue, SimTime horizon, DrainBound bound);
 
-  EventQueue events_;
+  HeapEventQueue events_;
   SimTime now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

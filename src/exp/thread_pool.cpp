@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
+#include "util/args.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -61,12 +63,21 @@ ThreadPool::ThreadPool(std::uint32_t workers)
     : n_participants_(resolve_workers(workers)) {
   stats_.workers.resize(n_participants_);
   threads_.reserve(n_participants_ - 1);
-  for (std::uint32_t id = 1; id < n_participants_; ++id) {
-    threads_.emplace_back([this, id] { worker_main(id); });
+  try {
+    for (std::uint32_t id = 1; id < n_participants_; ++id) {
+      threads_.emplace_back([this, id] { worker_main(id); });
+    }
+  } catch (...) {
+    // A thread failed to start: join the ones that did, whose destructors
+    // would otherwise call std::terminate.
+    stop_workers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() noexcept {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
@@ -93,16 +104,15 @@ void ThreadPool::reset_stats() {
 }
 
 std::uint32_t ThreadPool::resolve_workers(std::uint32_t requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("PDS_JOBS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    PDS_CHECK(end != env && *end == '\0',
-              "PDS_JOBS must be a non-negative integer");
-    if (v > 0) return static_cast<std::uint32_t>(v);
+  if (requested > kMaxJobs) {
+    throw std::invalid_argument(
+        "--jobs/PDS_JOBS: worker count must be at most " +
+        std::to_string(kMaxJobs) + ", got " + std::to_string(requested));
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  if (requested > 0) return requested;
+  if (const std::uint32_t env = jobs_from_env(); env > 0) return env;
+  return std::clamp<std::uint32_t>(std::thread::hardware_concurrency(), 1,
+                                   kMaxJobs);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -26,7 +26,8 @@
 //  * One job runs at a time; concurrent submitters from distinct threads
 //    serialize on an internal mutex.
 //  * Worker count resolution: explicit argument > PDS_JOBS env >
-//    hardware_concurrency; 0 means "auto" at every level.
+//    hardware_concurrency; 0 means "auto" at every level, and no level
+//    may exceed kMaxJobs (util/args.hpp).
 //
 // Determinism: the pool promises nothing about execution *order*. Callers
 // that need deterministic output write results by index into pre-sized
@@ -104,14 +105,18 @@ class ThreadPool {
   // from inside a parallel region.
   static void set_global_workers(std::uint32_t workers);
 
-  // requested > 0 -> requested; else PDS_JOBS env (when a positive
-  // integer); else hardware_concurrency (min 1).
+  // requested > 0 -> requested; else PDS_JOBS env (when positive); else
+  // hardware_concurrency clamped to [1, kMaxJobs]. Throws
+  // std::invalid_argument when `requested` exceeds kMaxJobs
+  // (util/args.hpp) or PDS_JOBS is not an integer in [0, kMaxJobs].
   static std::uint32_t resolve_workers(std::uint32_t requested);
 
  private:
   struct Shard;
   struct Job;
 
+  // Signals stop and joins every started worker.
+  void stop_workers() noexcept;
   void worker_main(std::uint32_t id);
   void work_on(Job& job, std::uint32_t self);
   static void run_index(Job& job, std::uint32_t self, std::size_t index);

@@ -3,9 +3,9 @@
 // Attach with `sim.set_monitor(&profiler)` and every executed event is
 // attributed — by the static label given at schedule time — to a category
 // accumulating wall-clock time and event counts. The profiler also samples
-// the pending-event-queue depth at every event, giving the event-set
-// occupancy distribution that decides between the binary heap and the
-// calendar queue (see dsim/event_queue.hpp).
+// the pending-event-queue depth at every event, giving the occupancy of
+// the kernel's binary heap (see dsim/event_queue.hpp), whose push and pop
+// cost grows with the log of that depth.
 //
 // Overhead when attached is two steady_clock reads plus a hash-map upsert
 // per event; when not attached the kernel pays a single null check.

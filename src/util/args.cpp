@@ -93,15 +93,18 @@ std::vector<double> ArgParser::get_double_list(
   return v ? read_list(*v, "the list", flag_failure(key)) : def;
 }
 
-std::uint32_t ArgParser::get_jobs() const {
-  if (has("jobs")) return get_int<std::uint32_t>("jobs", 0);
+std::uint32_t jobs_from_env() {
   const char* env = std::getenv("PDS_JOBS");
   if (env == nullptr) return 0;
   return read_integer<std::uint32_t>(
-      env, "value", 0, std::numeric_limits<std::uint32_t>::max(),
-      [](const std::string& complaint) {
+      env, "value", 0, kMaxJobs, [](const std::string& complaint) {
         throw std::invalid_argument("PDS_JOBS: " + complaint);
       });
+}
+
+std::uint32_t ArgParser::get_jobs() const {
+  if (has("jobs")) return get_int<std::uint32_t>("jobs", 0, 0, kMaxJobs);
+  return jobs_from_env();
 }
 
 std::vector<std::string> ArgParser::unknown_keys(

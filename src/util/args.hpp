@@ -30,6 +30,17 @@ class UsageError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// Largest worker count the experiment engine accepts. --jobs and PDS_JOBS
+// are bounded by it, ThreadPool::resolve_workers rejects a larger request
+// before any thread starts, and the hardware default is clamped to it.
+inline constexpr std::uint32_t kMaxJobs = 256;
+
+// The PDS_JOBS environment variable as a worker count in [0, kMaxJobs]; 0
+// when unset. The one reader of the variable (ArgParser::get_jobs and
+// ThreadPool::resolve_workers both call it), under the read_integer rule;
+// a bad value throws std::invalid_argument("PDS_JOBS: ...").
+std::uint32_t jobs_from_env();
+
 class ArgParser {
  public:
   ArgParser(int argc, const char* const* argv);
@@ -58,9 +69,9 @@ class ArgParser {
   std::vector<double> get_double_list(const std::string& key,
                                       std::vector<double> def) const;
 
-  // Worker count for the experiment engine: `--jobs` when given, else the
-  // PDS_JOBS environment variable, else 0. 0 means "auto" — the thread
-  // pool resolves it to hardware_concurrency. Callers pass the result to
+  // Worker count for the experiment engine, in [0, kMaxJobs]: `--jobs`
+  // when given, else jobs_from_env(). 0 means "auto" — the thread pool
+  // resolves it to hardware_concurrency. Callers pass the result to
   // ThreadPool::set_global_workers and list "jobs" among their recognized
   // keys.
   std::uint32_t get_jobs() const;

@@ -1,8 +1,10 @@
-// Differential test for the event-dispatch refactor: the kernel's execution
-// order must be bit-identical under both pending-event-set implementations.
-// Runs Study A twice with the same seed — binary heap vs calendar queue —
-// and asserts the PacketTracer lifecycle files are byte-identical, plus the
-// aggregate results agree exactly.
+// Golden pins of the kernel's execution order: FNV-1a hashes of Study A's
+// PacketTracer lifecycle trace (Pareto and Poisson arrivals) and of a Study
+// A run under fault and control plans. The traced lifecycles cover
+// arrival/enqueue/dequeue/depart with full timestamps, so any change to
+// execution order, trace sampling or output formatting shows up as a hash
+// mismatch and must be an intentional, reviewed break of the determinism
+// contract. The pins need the observability sites compiled in (PDS_OBS=ON).
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -31,6 +33,17 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
+// FNV-1a from 1469598103934665603, the standard offset basis without its
+// last digit: the trace pins below were recorded with this basis.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ULL;  // FNV-1a prime
+  }
+  return hash;
+}
+
 StudyAConfig base_config() {
   StudyAConfig c;
   c.sim_time = 2.0e4;
@@ -39,99 +52,38 @@ StudyAConfig base_config() {
   return c;
 }
 
-TEST(DispatchEquivalence, HeapAndCalendarProduceByteIdenticalTraces) {
-  TempFile heap_file("pds_equiv_heap.csv");
-  TempFile cal_file("pds_equiv_calendar.csv");
-
-  StudyAConfig heap_cfg = base_config();
-  heap_cfg.event_queue = EventQueueKind::kBinaryHeap;
-  heap_cfg.trace_out = heap_file.path;
-  const StudyAResult heap = run_study_a(heap_cfg);
-
-  StudyAConfig cal_cfg = base_config();
-  cal_cfg.event_queue = EventQueueKind::kCalendar;
-  cal_cfg.trace_out = cal_file.path;
-  const StudyAResult cal = run_study_a(cal_cfg);
-
-  // The traced lifecycles cover arrival/enqueue/dequeue/depart with full
-  // timestamps, so byte equality pins the whole execution order.
-  ASSERT_GT(heap.trace_records, 0u);
-  EXPECT_EQ(heap.trace_records, cal.trace_records);
-  const std::string heap_bytes = slurp(heap_file.path);
-  const std::string cal_bytes = slurp(cal_file.path);
-  ASSERT_FALSE(heap_bytes.empty());
-  EXPECT_TRUE(heap_bytes == cal_bytes)
-      << "PacketTracer output diverged between event queue kinds";
-
-  // Aggregates must agree exactly too (same arithmetic, same order).
-  EXPECT_EQ(heap.total_departures, cal.total_departures);
-  ASSERT_EQ(heap.mean_delays.size(), cal.mean_delays.size());
-  for (std::size_t i = 0; i < heap.mean_delays.size(); ++i) {
-    EXPECT_EQ(heap.mean_delays[i], cal.mean_delays[i]) << "class " << i;
-    EXPECT_EQ(heap.departures[i], cal.departures[i]) << "class " << i;
-  }
-}
-
-TEST(DispatchEquivalence, HoldsForPoissonArrivalsToo) {
-  TempFile heap_file("pds_equiv_heap_poisson.csv");
-  TempFile cal_file("pds_equiv_calendar_poisson.csv");
-
-  StudyAConfig heap_cfg = base_config();
-  heap_cfg.arrivals = ArrivalModel::kPoisson;
-  heap_cfg.seed = 7;
-  heap_cfg.event_queue = EventQueueKind::kBinaryHeap;
-  heap_cfg.trace_out = heap_file.path;
-  const StudyAResult heap = run_study_a(heap_cfg);
-
-  StudyAConfig cal_cfg = heap_cfg;
-  cal_cfg.event_queue = EventQueueKind::kCalendar;
-  cal_cfg.trace_out = cal_file.path;
-  const StudyAResult cal = run_study_a(cal_cfg);
-
-  ASSERT_GT(heap.trace_records, 0u);
-  EXPECT_TRUE(slurp(heap_file.path) == slurp(cal_file.path))
-      << "PacketTracer output diverged between event queue kinds";
-  EXPECT_EQ(heap.total_departures, cal.total_departures);
-}
-
-// Golden-trace regression: the two-queue differential above would pass if
-// both implementations drifted *together* (say, a shared kernel change
-// that reorders equal-time events). Pinning the FNV-1a hash of the Study A
-// trace catches that: any change to execution order, trace sampling, or
-// CSV formatting shows up as a hash mismatch and must be an intentional,
-// reviewed break of the determinism contract.
 TEST(DispatchEquivalence, StudyATraceMatchesGoldenHash) {
-  constexpr std::uint64_t kGoldenFnv1a = 0xe924853a494d050eULL;
-  constexpr std::uint64_t kGoldenRecords = 292;
+  TempFile trace_file("pds_golden_trace.csv");
+  StudyAConfig cfg = base_config();
+  cfg.trace_out = trace_file.path;
+  const StudyAResult result = run_study_a(cfg);
 
-  for (const auto kind :
-       {EventQueueKind::kBinaryHeap, EventQueueKind::kCalendar}) {
-    TempFile trace_file("pds_golden_trace.csv");
-    StudyAConfig cfg = base_config();
-    cfg.event_queue = kind;
-    cfg.trace_out = trace_file.path;
-    const StudyAResult result = run_study_a(cfg);
+  EXPECT_EQ(result.trace_records, 292u);
+  EXPECT_EQ(fnv1a(slurp(trace_file.path)), 0xe924853a494d050eULL)
+      << "Study A trace diverged from the golden execution order";
+}
 
-    const std::string bytes = slurp(trace_file.path);
-    std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
-    for (const unsigned char c : bytes) {
-      hash ^= c;
-      hash *= 1099511628211ULL;  // FNV-1a prime
-    }
-    EXPECT_EQ(result.trace_records, kGoldenRecords)
-        << "queue kind " << static_cast<int>(kind);
-    EXPECT_EQ(hash, kGoldenFnv1a)
-        << "queue kind " << static_cast<int>(kind)
-        << ": Study A trace diverged from the golden execution order";
-  }
+// The only Study A trace pin with Poisson arrivals: exponential gaps draw
+// from the seed stream differently from the Pareto default, so this pins a
+// second execution order end to end.
+TEST(DispatchEquivalence, StudyAPoissonTraceMatchesGoldenHash) {
+  TempFile trace_file("pds_golden_trace_poisson.csv");
+  StudyAConfig cfg = base_config();
+  cfg.arrivals = ArrivalModel::kPoisson;
+  cfg.seed = 7;
+  cfg.trace_out = trace_file.path;
+  const StudyAResult result = run_study_a(cfg);
+
+  EXPECT_EQ(result.trace_records, 380u);
+  EXPECT_EQ(fnv1a(slurp(trace_file.path)), 0x57d69da7b8de050bULL)
+      << "Study A Poisson trace diverged from the golden execution order";
 }
 
 // Plan-engine pin: FNV-1a of the report JSON, the span JSON and the
 // conformance JSONL of a Study A run under a fault plan and a control plan.
 // It covers what the fabric report pins do not: the fault/ctrl span tracks,
 // the ctrl.* counters, and the episode attribution of conformance
-// violations. Like the trace hash above it needs the observability sites
-// compiled in (PDS_OBS=ON).
+// violations. It hashes from the standard FNV-1a offset basis.
 TEST(DispatchEquivalence, StudyAUnderFaultAndControlPlansMatchesGoldenHash) {
   TempFile report("plans_report.json");
   TempFile spans("plans_spans.json");

@@ -6,15 +6,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/study_a.hpp"
 #include "exp/sweep.hpp"
 #include "exp/thread_pool.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 namespace pds {
@@ -135,6 +139,47 @@ TEST(ThreadPoolTest, OversubscriptionStress) {
 TEST(ThreadPoolTest, ResolveWorkersPrefersExplicitRequest) {
   EXPECT_EQ(ThreadPool::resolve_workers(3), 3u);
   EXPECT_GE(ThreadPool::resolve_workers(0), 1u);
+}
+
+// Restores PDS_JOBS when the test ends.
+class PdsJobsEnvGuard {
+ public:
+  PdsJobsEnvGuard() {
+    if (const char* old = std::getenv("PDS_JOBS")) saved_ = old;
+  }
+  ~PdsJobsEnvGuard() {
+    if (saved_) {
+      setenv("PDS_JOBS", saved_->c_str(), 1);
+    } else {
+      unsetenv("PDS_JOBS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// resolve_workers only computes a count; no pool is constructed here.
+TEST(ThreadPoolTest, ResolveWorkersEnforcesTheCeiling) {
+  const PdsJobsEnvGuard guard;
+  unsetenv("PDS_JOBS");
+  EXPECT_EQ(ThreadPool::resolve_workers(kMaxJobs), kMaxJobs);
+  EXPECT_LE(ThreadPool::resolve_workers(0), kMaxJobs);
+  EXPECT_THROW(ThreadPool::resolve_workers(kMaxJobs + 1),
+               std::invalid_argument);
+}
+
+TEST(ThreadPoolTest, ResolveWorkersRejectsBadPdsJobs) {
+  const PdsJobsEnvGuard guard;
+  // Negative and over-wide values must not wrap into huge worker counts.
+  for (const char* bad : {"-1", "99999999999", "257", "2x", ""}) {
+    setenv("PDS_JOBS", bad, 1);
+    EXPECT_THROW(ThreadPool::resolve_workers(0), std::invalid_argument)
+        << "PDS_JOBS=" << bad;
+  }
+  setenv("PDS_JOBS", "3", 1);
+  EXPECT_EQ(ThreadPool::resolve_workers(0), 3u);
+  EXPECT_EQ(ThreadPool::resolve_workers(2), 2u);  // the request wins
 }
 
 TEST(FreeParallelForTest, PlainIndexOverload) {

@@ -162,21 +162,6 @@ TEST(StudyA, RejectsBadPercentiles) {
   EXPECT_THROW(run_study_a(c), std::invalid_argument);
 }
 
-TEST(StudyA, CalendarKernelMatchesHeapExactly) {
-  // System-level differential test of the two pending-event sets: the
-  // whole Study A pipeline must be bit-identical under either kernel.
-  auto c = quick_config();
-  c.event_queue = EventQueueKind::kBinaryHeap;
-  const auto heap = run_study_a(c);
-  c.event_queue = EventQueueKind::kCalendar;
-  const auto calendar = run_study_a(c);
-  ASSERT_EQ(heap.total_departures, calendar.total_departures);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(heap.mean_delays[i], calendar.mean_delays[i]);
-    EXPECT_EQ(heap.departures[i], calendar.departures[i]);
-  }
-}
-
 TEST(StudyA, SawtoothIndexPopulated) {
   const auto r = run_study_a(quick_config());
   ASSERT_EQ(r.sawtooth_index.size(), 4u);

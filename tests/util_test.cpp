@@ -282,6 +282,19 @@ TEST(ArgParser, GetJobsRejectsGarbage) {
   EXPECT_THROW(parse({}).get_jobs(), std::exception);
 }
 
+TEST(ArgParser, GetJobsEnforcesTheCeiling) {
+  const PdsJobsEnvGuard guard;
+  unsetenv("PDS_JOBS");
+  EXPECT_EQ(parse({"--jobs=256"}).get_jobs(), kMaxJobs);
+  EXPECT_THROW(parse({"--jobs=257"}).get_jobs(), std::invalid_argument);
+  EXPECT_THROW(parse({"--jobs=4294967295"}).get_jobs(),
+               std::invalid_argument);
+  setenv("PDS_JOBS", "4294967295", 1);
+  EXPECT_THROW(parse({}).get_jobs(), std::invalid_argument);
+  setenv("PDS_JOBS", "-1", 1);
+  EXPECT_THROW(parse({}).get_jobs(), std::invalid_argument);
+}
+
 // -------------------------------------------------------------- TablePrinter
 
 TEST(TablePrinter, AlignsColumns) {
