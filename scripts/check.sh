@@ -96,7 +96,7 @@ echo "== benchmark mirror: perfbench self-test =="
 CARGO_TARGET_DIR=build-perfbench python3 perfbench/selftest.py
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== fast mode: targeted ASan/UBSan over kernel + packet plane + fault + ctrl + supervisor + obs + fuzz suites =="
+  echo "== fast mode: targeted ASan/UBSan over kernel + packet plane + sched + fault + ctrl + supervisor + obs + fuzz suites =="
   # Even the fast path sanitizes the robustness layer: fault injection,
   # live reconfiguration (scheduler swaps hand raw backlogs across) and
   # run supervision exercise exception unwinding and teardown ordering, the
@@ -108,7 +108,9 @@ if [[ "${1:-}" == "--fast" ]]; then
   # the scans read, and Link's transmit staging buffer; the buffer suites
   # cover Link's drop policies, whose PLR push-out pops a raw ring tail.
   # The kernel suites cover the binary heap Simulator holds by value, whose
-  # hole-based sifts relocate move-only SimEvents.
+  # hole-based sifts relocate move-only SimEvents. The scheduler suites
+  # cover every scheduler's one dequeue_burst over the class rings,
+  # including the tag schedulers' tag queues beside them.
   cmake -B build-asan -S . -DPDS_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
@@ -116,7 +118,8 @@ if [[ "${1:-}" == "--fast" ]]; then
     scan_test burst_test link_test sched_property_test sched_pin_test \
     fabric_conservation_test dropper_test lossy_property_test study_c_test \
     ledger_test event_queue_test dsim_test sim_event_test \
-    dispatch_equiv_test
+    dispatch_equiv_test sched_basic_test capacity_sched_test wtp_test \
+    bpr_test pad_hpd_test
   ./build-asan/tests/event_queue_test
   ./build-asan/tests/dsim_test
   ./build-asan/tests/sim_event_test
@@ -140,6 +143,11 @@ if [[ "${1:-}" == "--fast" ]]; then
   ./build-asan/tests/obs_test
   ./build-asan/tests/conformance_test
   ./build-asan/tests/telemetry_test
+  ./build-asan/tests/sched_basic_test
+  ./build-asan/tests/capacity_sched_test
+  ./build-asan/tests/wtp_test
+  ./build-asan/tests/bpr_test
+  ./build-asan/tests/pad_hpd_test
   echo "== done (fast mode, full sanitizer pass skipped) =="
   exit 0
 fi

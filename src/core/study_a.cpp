@@ -59,6 +59,10 @@ void StudyAConfig::validate() const {
   controller.validate();
   PDS_CHECK(!controller.enabled() || conformance_tau > 0.0,
             "controller requires conformance_tau > 0 (its error sensor)");
+  PDS_CHECK(controller.mode != ControllerMode::kWeights ||
+                has_weights(scheduler),
+            "controller=weights needs a scheduler with weights, got " +
+                to_string(scheduler));
 }
 
 StudyAResult run_study_a(const StudyAConfig& config) {

@@ -15,15 +15,6 @@ namespace {
 constexpr PlanTrack kControlTrack{"control plan", "ctrl.begin", "ctrl.end",
                                   "ctrl.apply", "ctrl", kSpanCtrlTid};
 
-bool weight_capable(SchedulerKind kind) {
-  return kind != SchedulerKind::kFcfs;
-}
-
-bool class_based(SchedulerKind kind) {
-  return kind != SchedulerKind::kFcfs && kind != SchedulerKind::kScfq &&
-         kind != SchedulerKind::kVirtualClock;
-}
-
 }  // namespace
 
 ControlInjector::ControlInjector(Simulator& sim, ControlPlan plan)
@@ -63,9 +54,9 @@ void ControlInjector::arm() {
 
 // Validates one target's episode *timeline* and pre-constructs its swap
 // replacements. Kind and weights are tracked through earlier episodes so a
-// `retune g=` after a `swap sched=hpd` is legal, a retune after a swap to
-// FCFS-like kinds is caught here, and every replacement starts with the
-// weights in force at its swap instant.
+// `retune g=` after a `swap sched=hpd` is legal, a `retune w=` on FCFS or a
+// swap away from a tag scheduler is caught here, and every replacement
+// starts with the weights in force at its swap instant.
 void ControlInjector::validate_timeline(std::size_t t) {
   const auto& instances = engine_.instances();
   std::vector<std::size_t> order;
@@ -90,7 +81,7 @@ void ControlInjector::validate_timeline(std::size_t t) {
     switch (ep.kind) {
       case ControlKind::kRetune:
         if (!ep.weights.empty()) {
-          if (!weight_capable(kind)) {
+          if (!has_weights(kind)) {
             engine_.fail(ep.line, "retune w targets " + name + ", which runs " +
                                       to_string(kind) + " (no weights)");
           }
@@ -117,7 +108,7 @@ void ControlInjector::validate_timeline(std::size_t t) {
         }
         break;
       case ControlKind::kSwap: {
-        if (!class_based(kind)) {
+        if (!can_swap_backlog(kind)) {
           engine_.fail(ep.line, "swap targets " + name + ", which runs " +
                                     to_string(kind) +
                                     " (not class-based) at t=" +
@@ -132,8 +123,6 @@ void ControlInjector::validate_timeline(std::size_t t) {
         replacement_config.sdp = sdp;
         replacement_config.hpd_g = g;
         replacements_[i] = make_scheduler(ep.sched, replacement_config);
-        PDS_REQUIRE(dynamic_cast<ClassBasedScheduler*>(
-                        replacements_[i].get()) != nullptr);
         kind = ep.sched;
         break;
       }
@@ -191,11 +180,10 @@ void ControlInjector::apply(std::size_t instance) {
     case ControlKind::kSwap: {
       auto* old_sched =
           dynamic_cast<ClassBasedScheduler*>(&link.scheduler_mut());
-      auto* replacement =
-          dynamic_cast<ClassBasedScheduler*>(replacements_[instance].get());
-      PDS_REQUIRE(old_sched != nullptr && replacement != nullptr);
-      replacement->adopt_backlog(old_sched->release_backlog(), sim_.now());
-      link.set_scheduler(*replacement);
+      PDS_REQUIRE(old_sched != nullptr);
+      ClassBasedScheduler& replacement = *replacements_[instance];
+      replacement.adopt_backlog(old_sched->release_backlog(), sim_.now());
+      link.set_scheduler(replacement);
       ++swaps_;
       break;
     }

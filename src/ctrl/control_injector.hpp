@@ -14,11 +14,12 @@
 // "ctrl.begin"/"ctrl.end" (shed window) boundaries. The injector keeps the
 // per-kind appliers, the ctrl.* metrics, and the check of every episode
 // against its target's scheduler *timeline*: a `retune g=` must land while
-// the target runs HPD, retune/swap need a weight-capable / class-based
-// scheduler, tracking kind changes through earlier swaps. Swap
-// replacements are built at arm(). Every arm() error names its plan line,
-// and every boundary is a plan-scripted simulator event
-// (docs/control_plane.md), so controlled runs replay byte for byte.
+// the target runs HPD, a `retune w=` needs a scheduler with weights and a
+// swap one that can hand over its backlog (sched/factory.hpp), tracking
+// kind changes through earlier swaps. Swap replacements are built at
+// arm(). Every arm() error names its plan line, and every boundary is a
+// plan-scripted simulator event (docs/control_plane.md), so controlled
+// runs replay byte for byte.
 //
 // The injector must outlive the simulation run (scheduled events capture
 // its engine, and swapped-in schedulers are owned here).
@@ -107,7 +108,7 @@ class ControlInjector {
   TimedPlan engine_;
   std::vector<Target> targets_;  // attach order, as the engine's
   // Per instance: the swap replacement, built at arm(), installed at apply.
-  std::vector<std::unique_ptr<Scheduler>> replacements_;
+  std::vector<std::unique_ptr<ClassBasedScheduler>> replacements_;
   std::uint64_t retunes_ = 0;
   std::uint64_t swaps_ = 0;
   std::uint64_t class_changes_ = 0;

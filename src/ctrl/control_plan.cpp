@@ -55,10 +55,7 @@ ControlPlan parse_control_plan(const std::string& text) {
             } catch (const std::invalid_argument&) {
               opts.fail("unknown scheduler " + sched);
             }
-            if (ep.sched == SchedulerKind::kFcfs ||
-                ep.sched == SchedulerKind::kScfq ||
-                ep.sched == SchedulerKind::kVirtualClock) {
-              // Only the class-based schedulers can adopt a live backlog.
+            if (!can_swap_backlog(ep.sched)) {
               opts.fail("swap sched must be one of sp|wtp|bpr|additive|pad|"
                         "hpd|drr, got " + sched);
             }

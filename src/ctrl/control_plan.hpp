@@ -23,10 +23,11 @@
 // `class drain=<idx>` stops admitting arrivals of one class (its queued
 // packets serve out; drops counted per link); `class add=<idx>` re-admits
 // it. `swap` replaces the scheduler in place, handing the whole backlog —
-// class rings and SoA mirror — to the replacement; only the class-based
-// schedulers can give and take a backlog, so FCFS/SCFQ/VC are not
-// swappable. `shed` arms the overload guard (ShedPolicy in sched/link.hpp)
-// for the episode's duration.
+// class rings and head snapshot — to the replacement; the tag schedulers
+// (FCFS/SCFQ/VC) keep per-packet tags that do not travel with a backlog,
+// so they can neither give nor take one (can_swap_backlog in
+// sched/factory.hpp). `shed` arms the overload guard (ShedPolicy in
+// sched/link.hpp) for the episode's duration.
 //
 // retune/class/swap are instantaneous (duration 0, applied at `at`); shed
 // is the only windowed episode.

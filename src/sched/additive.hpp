@@ -20,7 +20,6 @@ class AdditiveWtpScheduler final : public ClassBasedScheduler {
   explicit AdditiveWtpScheduler(const SchedulerConfig& config)
       : ClassBasedScheduler(config) {}
 
-  std::optional<Packet> dequeue(SimTime now) override;
   std::uint32_t dequeue_burst(SimTime now, Packet* out,
                               std::uint32_t max_k) override;
 

@@ -45,41 +45,26 @@ void BprScheduler::recompute_rates() {
   }
 }
 
-ClassId BprScheduler::select(SimTime now) {
+std::uint32_t BprScheduler::dequeue_burst(SimTime now, Packet* out,
+                                          std::uint32_t max_k) {
+  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
+  if (backlog_.empty()) return 0;
   const SimTime elapsed = any_departure_yet_ ? now - last_departure_ : 0.0;
   PDS_REQUIRE(elapsed >= 0.0);
   // Updates virtual service for all backlogged queues and picks the head
   // with the least *remaining* virtual work, L_i - v_i (Eq. 21). Ties
   // favour the higher class. Kernels in sched/scan.cpp.
-  return scan::bpr_select(heads_view(), rates_.data(), virtual_service_.data(),
-                          elapsed, last_departure_, any_departure_yet_);
-}
-
-void BprScheduler::finish_departure(ClassId served, SimTime now) {
-  virtual_service_[served] = 0.0;  // the new head starts with no credit
-  recompute_rates();
-  last_departure_ = now;
-  any_departure_yet_ = true;
-}
-
-std::optional<Packet> BprScheduler::dequeue(SimTime now) {
-  if (backlog_.empty()) return std::nullopt;
-  const ClassId best = select(now);
-  Packet p = backlog_.pop(best);
-  finish_departure(best, now);
-  return p;
-}
-
-std::uint32_t BprScheduler::dequeue_burst(SimTime now, Packet* out,
-                                          std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  if (backlog_.empty()) return 0;
-  const ClassId best = select(now);
+  const ClassId best =
+      scan::bpr_select(heads_view(), rates_.data(), virtual_service_.data(),
+                       elapsed, last_departure_, any_departure_yet_);
   // One Eq. 21 decision serves up to max_k consecutive heads of the winner;
   // the virtual-time bookkeeping treats the burst as a single departure at
   // `now` (part of why k > 1 changes traces).
   const std::uint32_t k = backlog_.pop_burst(best, max_k, out);
-  finish_departure(best, now);
+  virtual_service_[best] = 0.0;  // the new head starts with no credit
+  recompute_rates();
+  last_departure_ = now;
+  any_departure_yet_ = true;
   return k;
 }
 

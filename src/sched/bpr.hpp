@@ -37,7 +37,6 @@ class BprScheduler final : public ClassBasedScheduler {
   // Requires config.link_capacity > 0 (bytes per time unit).
   explicit BprScheduler(const SchedulerConfig& config);
 
-  std::optional<Packet> dequeue(SimTime now) override;
   std::uint32_t dequeue_burst(SimTime now, Packet* out,
                               std::uint32_t max_k) override;
 
@@ -58,12 +57,6 @@ class BprScheduler final : public ClassBasedScheduler {
   void on_backlog_adopted(SimTime now) override;
 
  private:
-  // Eq. 21 argmin via the scan kernels; updates virtual_service_ in place.
-  // Requires a non-empty backlog.
-  ClassId select(SimTime now);
-  // Post-departure bookkeeping shared by single and burst dequeue.
-  void finish_departure(ClassId served, SimTime now);
-
   void recompute_rates();
 
   std::vector<double> rates_;            // r_i(t^{k-1})

@@ -64,15 +64,17 @@ std::optional<Packet> DrrScheduler::drop_tail(ClassId cls) {
   return dropped;
 }
 
-std::optional<Packet> DrrScheduler::dequeue(SimTime) {
-  if (backlog_.empty()) return std::nullopt;
+std::uint32_t DrrScheduler::dequeue_burst(SimTime, Packet* out,
+                                          std::uint32_t max_k) {
+  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
   // The head of `active_` holds the current service opportunity ("visit").
   // One quantum is granted when a visit starts; the class then sends one
-  // packet per dequeue call until its deficit or queue runs out, at which
-  // point the visit ends and the class rotates to the back. This preserves
-  // DRR's per-visit burst semantics even though the Link pulls packets one
-  // at a time.
-  for (;;) {
+  // packet per decision until its deficit or queue runs out, at which
+  // point the visit ends and the class rotates to the back. A visit may
+  // span several bursts, and a burst several visits, so DRR's per-visit
+  // service is the same at any burst size.
+  std::uint32_t k = 0;
+  while (k < max_k && !backlog_.empty()) {
     PDS_REQUIRE(!active_.empty());
     const ClassId c = active_.front();
     const ClassHead& h = backlog_.head_of(c);
@@ -83,20 +85,21 @@ std::optional<Packet> DrrScheduler::dequeue(SimTime) {
     }
     if (deficit_[c] >= static_cast<double>(h.head_bytes)) {
       deficit_[c] -= static_cast<double>(h.head_bytes);
-      Packet p = backlog_.pop(c);
+      out[k++] = backlog_.pop(c);
       if (backlog_.head_of(c).packets == 0) {
         active_.pop_front();
         in_ring_[c] = false;
         deficit_[c] = 0.0;
         visit_started_ = false;
       }
-      return p;
+      continue;
     }
     // Deficit exhausted: the visit ends, credit carries over.
     active_.pop_front();
     active_.push_back(c);
     visit_started_ = false;
   }
+  return k;
 }
 
 }  // namespace pds

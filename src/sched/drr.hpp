@@ -18,7 +18,9 @@ class DrrScheduler final : public ClassBasedScheduler {
   explicit DrrScheduler(const SchedulerConfig& config);
 
   void enqueue(Packet p, SimTime now) override;
-  std::optional<Packet> dequeue(SimTime now) override;
+  // A burst of k is k per-packet decisions; a visit may span bursts.
+  std::uint32_t dequeue_burst(SimTime now, Packet* out,
+                              std::uint32_t max_k) override;
   std::optional<Packet> drop_tail(ClassId cls) override;
 
   std::string_view name() const noexcept override { return "DRR"; }

@@ -3,11 +3,9 @@
 #include "sched/additive.hpp"
 #include "sched/bpr.hpp"
 #include "sched/drr.hpp"
-#include "sched/fcfs.hpp"
 #include "sched/pad.hpp"
-#include "sched/scfq.hpp"
 #include "sched/strict_priority.hpp"
-#include "sched/virtual_clock.hpp"
+#include "sched/tag.hpp"
 #include "sched/wtp.hpp"
 #include "util/contracts.hpp"
 
@@ -50,8 +48,8 @@ SchedulerKind scheduler_kind_from_string(const std::string& name) {
   throw std::invalid_argument("unknown scheduler: " + name);
 }
 
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
-                                          const SchedulerConfig& config) {
+std::unique_ptr<ClassBasedScheduler> make_scheduler(
+    SchedulerKind kind, const SchedulerConfig& config) {
   switch (kind) {
     case SchedulerKind::kFcfs:
       return std::make_unique<FcfsScheduler>(config.num_classes());
@@ -75,6 +73,13 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
       return std::make_unique<VirtualClockScheduler>(config);
   }
   PDS_REQUIRE(false);
+}
+
+bool has_weights(SchedulerKind kind) { return kind != SchedulerKind::kFcfs; }
+
+bool can_swap_backlog(SchedulerKind kind) {
+  return kind != SchedulerKind::kFcfs && kind != SchedulerKind::kScfq &&
+         kind != SchedulerKind::kVirtualClock;
 }
 
 }  // namespace pds

@@ -1,5 +1,6 @@
 // Scheduler factory: builds any scheduler in the library by kind, used by
-// the Study A/B harnesses and the benches to sweep scheduler choices.
+// the Study A/B harnesses and the benches to sweep scheduler choices, and
+// the two rules that tell the kinds apart for live reconfiguration.
 #pragma once
 
 #include <memory>
@@ -29,7 +30,14 @@ std::string to_string(SchedulerKind kind);
 // unknown names.
 SchedulerKind scheduler_kind_from_string(const std::string& name);
 
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
-                                          const SchedulerConfig& config);
+std::unique_ptr<ClassBasedScheduler> make_scheduler(
+    SchedulerKind kind, const SchedulerConfig& config);
+
+// Whether the kind has per-class weights to retune (FCFS has none).
+bool has_weights(SchedulerKind kind);
+
+// Whether the kind can hand its backlog to a live swap or adopt one: not
+// the tag schedulers (FCFS, SCFQ, VC), whose tags do not travel with it.
+bool can_swap_backlog(SchedulerKind kind);
 
 }  // namespace pds

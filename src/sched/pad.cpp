@@ -23,32 +23,24 @@ double PadScheduler::normalized_average_delay(ClassId cls, SimTime now) const {
   return (sum / static_cast<double>(n)) * sdp()[cls];
 }
 
-void PadScheduler::note_served(const Packet& p, SimTime now) {
-  cum_delay_[p.cls] += now - p.arrival;
-  ++served_[p.cls];
-}
-
 ClassId PadScheduler::select(SimTime now) const {
   return scan::pad_select(heads_view(), sdp().data(), cum_delay(), served(),
                           now);
-}
-
-std::optional<Packet> PadScheduler::dequeue(SimTime now) {
-  if (backlog_.empty()) return std::nullopt;
-  Packet p = backlog_.pop(select(now));
-  note_served(p, now);
-  return p;
 }
 
 std::uint32_t PadScheduler::dequeue_burst(SimTime now, Packet* out,
                                           std::uint32_t max_k) {
   PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
   if (backlog_.empty()) return 0;
-  const std::uint32_t k = backlog_.pop_burst(select(now), max_k, out);
+  const ClassId best = select(now);
+  const std::uint32_t k = backlog_.pop_burst(best, max_k, out);
   // Every burst packet is accounted at decision time: the scheduler does
   // not know the link rate, so the per-packet transmission stagger is the
   // Link's business (and part of why k > 1 changes traces).
-  for (std::uint32_t i = 0; i < k; ++i) note_served(out[i], now);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    cum_delay_[best] += now - out[i].arrival;
+  }
+  served_[best] += k;
   return k;
 }
 

@@ -34,7 +34,6 @@ class PadScheduler : public ClassBasedScheduler {
  public:
   explicit PadScheduler(const SchedulerConfig& config);
 
-  std::optional<Packet> dequeue(SimTime now) override;
   std::uint32_t dequeue_burst(SimTime now, Packet* out,
                               std::uint32_t max_k) override;
 
@@ -49,8 +48,6 @@ class PadScheduler : public ClassBasedScheduler {
   // PAD argmaxes the normalized average delay; HPD overrides with the
   // hybrid blend.
   virtual ClassId select(SimTime now) const;
-
-  void note_served(const Packet& p, SimTime now);
 
   // Kernel inputs, shared with the HPD override.
   const double* cum_delay() const noexcept { return cum_delay_.data(); }

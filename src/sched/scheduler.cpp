@@ -28,18 +28,6 @@ void SchedulerConfig::validate(bool needs_capacity) const {
             "burst must be in [1, " + std::to_string(kMaxBurst) + "]");
 }
 
-std::uint32_t Scheduler::dequeue_burst(SimTime now, Packet* out,
-                                       std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  std::uint32_t k = 0;
-  while (k < max_k) {
-    auto p = dequeue(now);
-    if (!p.has_value()) break;
-    out[k++] = std::move(*p);
-  }
-  return k;
-}
-
 ClassBasedScheduler::ClassBasedScheduler(const SchedulerConfig& config,
                                          bool needs_capacity)
     : backlog_(config.num_classes(), config.arena),
@@ -54,11 +42,14 @@ void ClassBasedScheduler::enqueue(Packet p, SimTime now) {
   notify_enqueued(p, now);
 }
 
-std::optional<Packet> Scheduler::drop_tail(ClassId) { return std::nullopt; }
+std::optional<Packet> ClassBasedScheduler::dequeue(SimTime now) {
+  Packet p;
+  if (dequeue_burst(now, &p, 1) == 0) return std::nullopt;
+  return p;
+}
 
-void Scheduler::check_weights(const std::vector<double>& sdp,
-                              std::uint32_t num_classes) {
-  PDS_CHECK(sdp.size() == num_classes,
+void ClassBasedScheduler::set_weights(const std::vector<double>& sdp) {
+  PDS_CHECK(sdp.size() == num_classes(),
             "weight count must match the class count");
   for (std::size_t i = 0; i < sdp.size(); ++i) {
     PDS_CHECK(sdp[i] > 0.0, "weights must be positive");
@@ -67,23 +58,6 @@ void Scheduler::check_weights(const std::vector<double>& sdp,
                 "weights must be non-decreasing (higher class = larger s)");
     }
   }
-}
-
-void Scheduler::set_weights(const std::vector<double>&) {
-  PDS_CHECK(false,
-            std::string(name()) + " does not support live weight retune");
-}
-
-std::uint64_t Scheduler::total_backlog_packets() const {
-  std::uint64_t total = 0;
-  for (ClassId c = 0; c < num_classes(); ++c) total += backlog_packets(c);
-  return total;
-}
-
-SimTime Scheduler::max_head_wait(SimTime) const { return kTimeZero; }
-
-void ClassBasedScheduler::set_weights(const std::vector<double>& sdp) {
-  check_weights(sdp, num_classes());
   // In-place rewrite: same length, no reallocation, backlogs untouched.
   std::copy(sdp.begin(), sdp.end(), sdp_.begin());
 }

@@ -1,4 +1,5 @@
-// Scheduler interface shared by all multi-class packet schedulers.
+// Scheduler interface and the one base every multi-class packet scheduler
+// derives from.
 //
 // A scheduler owns the per-class queues of one output link. The surrounding
 // Link pulls the next packets with dequeue_burst() whenever the transmitter
@@ -68,6 +69,9 @@ struct SchedulerConfig {
   void validate(bool needs_capacity = false) const;
 };
 
+// The pure interface Link drives. Every scheduler in the library derives
+// from ClassBasedScheduler below; the interface stays abstract so a
+// decorator (a timing wrapper, say) can stand in for a scheduler on a Link.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -81,27 +85,28 @@ class Scheduler {
 
   // Selects, removes and returns the next packet to transmit, or nullopt if
   // no class is backlogged. `now` is the instant transmission would start.
-  // (Link transmits through dequeue_burst, whose base form loops this.)
+  // Equivalent to dequeue_burst(now, &p, 1); Link transmits through
+  // dequeue_burst.
   virtual std::optional<Packet> dequeue(SimTime now) = 0;
 
   // Burst variant: removes up to `max_k` packets into `out` (capacity >=
   // max_k) and returns how many were taken (0 iff nothing is backlogged).
-  // The base implementation loops dequeue() — max_k independent decisions.
-  // The proportional schedulers (WTP/BPR/additive/PAD/HPD) override it to
-  // make ONE priority decision and drain up to max_k consecutive head
-  // packets of the winning class, which is the paper-faithful reading of a
-  // burst: the decision cost is amortized, the winner is not re-elected
-  // mid-burst. With max_k == 1 both forms are identical to dequeue().
+  // The proportional schedulers (WTP/BPR/additive/PAD/HPD) make ONE
+  // priority decision and drain up to max_k consecutive head packets of the
+  // winning class, which is the paper-faithful reading of a burst: the
+  // decision cost is amortized, the winner is not re-elected mid-burst.
+  // FCFS, SP, DRR, SCFQ and VC take max_k independent decisions instead.
+  // With max_k == 1 both forms are one decision.
   virtual std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                                      std::uint32_t max_k);
+                                      std::uint32_t max_k) = 0;
 
   virtual std::string_view name() const noexcept = 0;
 
   // Push-out support for droppers: removes and returns the most recently
   // arrived packet of `cls`, or nullopt if the scheduler does not support
-  // tail drops (FCFS, SCFQ) or the class is empty. Schedulers that maintain
-  // per-packet auxiliary state must keep it consistent.
-  virtual std::optional<Packet> drop_tail(ClassId cls);
+  // tail drops (FCFS, SCFQ, VC) or the class is empty. Schedulers that
+  // maintain per-packet auxiliary state must keep it consistent.
+  virtual std::optional<Packet> drop_tail(ClassId cls) = 0;
 
   virtual bool empty() const noexcept = 0;
   virtual std::uint32_t num_classes() const noexcept = 0;
@@ -111,17 +116,16 @@ class Scheduler {
   // --- Live reconfiguration hooks (driven by ctrl/) ----------------------
 
   // Replaces the per-class weights (SDPs) in place without touching any
-  // backlog: one entry per class, strictly positive, non-decreasing. The
-  // default rejects; schedulers whose weights are retunable override (all
-  // class-based schedulers plus SCFQ/VC — FCFS has no weights).
-  virtual void set_weights(const std::vector<double>& sdp);
+  // backlog: one entry per class, strictly positive, non-decreasing. FCFS,
+  // which has no weights, rejects.
+  virtual void set_weights(const std::vector<double>& sdp) = 0;
 
   // Aggregate packet backlog across all classes (overload-guard input).
-  virtual std::uint64_t total_backlog_packets() const;
+  virtual std::uint64_t total_backlog_packets() const = 0;
 
   // Longest head-of-line wait across backlogged classes at `now`; zero when
-  // idle. Schedulers without head timestamps report zero.
-  virtual SimTime max_head_wait(SimTime now) const;
+  // idle.
+  virtual SimTime max_head_wait(SimTime now) const = 0;
 
   // Observability: attaches a lifecycle probe (nullptr detaches). The
   // scheduler emits exactly one on_enqueue per accepted packet, stamped with
@@ -135,10 +139,6 @@ class Scheduler {
 
  protected:
   Scheduler() = default;
-
-  // Shared validation for set_weights overrides.
-  static void check_weights(const std::vector<double>& sdp,
-                            std::uint32_t num_classes);
 
   // Fires the probe for a completed enqueue. Every enqueue() implementation
   // must call this exactly once, after the packet is in its queue. (Packet
@@ -158,7 +158,9 @@ class Scheduler {
   std::uint32_t probe_hop_ = 0;
 };
 
-// Common base for schedulers that keep one FIFO queue per class.
+// The base of every scheduler: one FIFO queue per class (a
+// MultiClassBacklog), the per-class weights, and one decision rule that
+// each subclass writes as dequeue_burst.
 class ClassBasedScheduler : public Scheduler {
  public:
   bool empty() const noexcept override { return backlog_.empty(); }
@@ -175,6 +177,7 @@ class ClassBasedScheduler : public Scheduler {
   }
 
   void enqueue(Packet p, SimTime now) override;
+  std::optional<Packet> dequeue(SimTime now) final;
   std::optional<Packet> drop_tail(ClassId cls) override;
 
   void set_weights(const std::vector<double>& sdp) override;
@@ -189,7 +192,9 @@ class ClassBasedScheduler : public Scheduler {
   // fresh empty backlog so it stays safe to destroy or reuse. The
   // counterpart adopt_backlog() installs the released backlog
   // and lets subclasses rebuild derived state (DRR active ring, BPR rates)
-  // via on_backlog_adopted().
+  // via on_backlog_adopted(). The tag schedulers (sched/tag.hpp) neither
+  // give nor take a backlog: their per-packet tags do not travel with it
+  // (see can_swap_backlog in sched/factory.hpp).
   MultiClassBacklog release_backlog();
   void adopt_backlog(MultiClassBacklog&& backlog, SimTime now);
 

@@ -1,14 +1,18 @@
 #include "sched/strict_priority.hpp"
 
+#include "util/contracts.hpp"
+
 namespace pds {
 
-std::optional<Packet> StrictPriorityScheduler::dequeue(SimTime) {
-  if (backlog_.empty()) return std::nullopt;
+std::uint32_t StrictPriorityScheduler::dequeue_burst(SimTime, Packet* out,
+                                                     std::uint32_t max_k) {
+  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
   const ClassHead* heads = backlog_.heads();
-  for (ClassId c = backlog_.num_classes(); c-- > 0;) {
-    if (heads[c].packets != 0) return backlog_.pop(c);
+  std::uint32_t k = 0;
+  for (ClassId c = backlog_.num_classes(); c-- > 0 && k < max_k;) {
+    if (heads[c].packets != 0) k += backlog_.pop_burst(c, max_k - k, out + k);
   }
-  return std::nullopt;  // unreachable: empty() was false
+  return k;
 }
 
 }  // namespace pds

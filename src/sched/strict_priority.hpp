@@ -13,7 +13,9 @@ class StrictPriorityScheduler final : public ClassBasedScheduler {
   explicit StrictPriorityScheduler(const SchedulerConfig& config)
       : ClassBasedScheduler(config) {}
 
-  std::optional<Packet> dequeue(SimTime now) override;
+  // A burst of k is k decisions: classes drain from the top down.
+  std::uint32_t dequeue_burst(SimTime now, Packet* out,
+                              std::uint32_t max_k) override;
 
   std::string_view name() const noexcept override { return "SP"; }
 };

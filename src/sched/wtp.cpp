@@ -14,18 +14,12 @@ double WtpScheduler::head_priority(ClassId cls, SimTime now) const {
   return wait * sdp()[cls];
 }
 
-std::optional<Packet> WtpScheduler::dequeue(SimTime now) {
-  if (backlog_.empty()) return std::nullopt;
-  // One pass over the head-of-line snapshot (Eq. 11 argmax, ties to the
-  // higher class); kernels in sched/scan.cpp.
-  const ClassId best = scan::wtp_select(heads_view(), sdp().data(), now);
-  return backlog_.pop(best);
-}
-
 std::uint32_t WtpScheduler::dequeue_burst(SimTime now, Packet* out,
                                           std::uint32_t max_k) {
   PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
   if (backlog_.empty()) return 0;
+  // One pass over the head-of-line snapshot (Eq. 11 argmax, ties to the
+  // higher class); kernels in sched/scan.cpp.
   const ClassId best = scan::wtp_select(heads_view(), sdp().data(), now);
   return backlog_.pop_burst(best, max_k, out);
 }

@@ -29,7 +29,6 @@ class WtpScheduler final : public ClassBasedScheduler {
   explicit WtpScheduler(const SchedulerConfig& config)
       : ClassBasedScheduler(config) {}
 
-  std::optional<Packet> dequeue(SimTime now) override;
   std::uint32_t dequeue_burst(SimTime now, Packet* out,
                               std::uint32_t max_k) override;
 

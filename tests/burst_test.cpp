@@ -5,6 +5,7 @@
 // measured against staggered start times.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/scenario.hpp"
@@ -109,11 +110,12 @@ std::vector<testutil::Departure> classic_loop(
 
 TEST(Burst, BurstOfOneIsIdenticalToTheClassicLoop) {
   // Link's one transmit path at k=1 against dequeue() one packet at a time,
-  // for the schedulers that override dequeue_burst and for the base loop.
+  // for every scheduler kind.
   for (const auto kind :
-       {SchedulerKind::kWtp, SchedulerKind::kBpr, SchedulerKind::kAdditiveWtp,
-        SchedulerKind::kPad, SchedulerKind::kHpd, SchedulerKind::kFcfs,
-        SchedulerKind::kScfq}) {
+       {SchedulerKind::kFcfs, SchedulerKind::kStrictPriority,
+        SchedulerKind::kWtp, SchedulerKind::kBpr, SchedulerKind::kAdditiveWtp,
+        SchedulerKind::kPad, SchedulerKind::kHpd, SchedulerKind::kDrr,
+        SchedulerKind::kScfq, SchedulerKind::kVirtualClock}) {
     SchedulerConfig config = wtp_config();
     config.link_capacity = 10.0;
     auto linked = make_scheduler(kind, config);
@@ -177,25 +179,40 @@ TEST(Burst, WorkConservationHoldsUnderBursts) {
   }
 }
 
-TEST(Burst, BaseSchedulerBurstLoopMatchesRepeatedDequeue) {
-  // FCFS does not override dequeue_burst: the base loop must hand back the
-  // same packets in the same order as repeated dequeue() calls.
-  SchedulerConfig config;
-  config.sdp = {1.0, 1.0};
-  auto a = make_scheduler(SchedulerKind::kFcfs, config);
-  auto b = make_scheduler(SchedulerKind::kFcfs, config);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    const auto cls = static_cast<ClassId>(i % 2);
-    a->enqueue(testutil::packet(i, cls, 100, static_cast<double>(i)), 10.0);
-    b->enqueue(testutil::packet(i, cls, 100, static_cast<double>(i)), 10.0);
-  }
-  Packet out[4];
-  const auto k = a->dequeue_burst(10.0, out, 4);
-  ASSERT_EQ(k, 4u);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    auto p = b->dequeue(10.0);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(out[i].id, p->id);
+TEST(Burst, PerPacketKindsBurstMatchesRepeatedDequeue) {
+  // FCFS, SP, DRR, SCFQ and VC take one decision per packet of a burst:
+  // dequeue_burst(k) must hand back the same packets in the same order as
+  // k dequeue() calls. Mixed sizes and arrival times over four classes make
+  // every kind interleave the classes within one burst.
+  for (const auto kind :
+       {SchedulerKind::kFcfs, SchedulerKind::kStrictPriority,
+        SchedulerKind::kDrr, SchedulerKind::kScfq,
+        SchedulerKind::kVirtualClock}) {
+    SchedulerConfig config = wtp_config();
+    config.drr_quantum_bytes = 100.0;
+    auto a = make_scheduler(kind, config);
+    auto b = make_scheduler(kind, config);
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      const auto cls = static_cast<ClassId>((i * 7) % 4);
+      const auto bytes = static_cast<std::uint32_t>(40 + (i * 53) % 300);
+      const auto arrival = static_cast<double>(i / 3);
+      a->enqueue(testutil::packet(i, cls, bytes, arrival), 10.0);
+      b->enqueue(testutil::packet(i, cls, bytes, arrival), 10.0);
+    }
+    std::uint32_t remaining = 24;
+    for (const std::uint32_t k : {4u, 1u, 7u, 16u}) {
+      Packet out[16];
+      const auto got = a->dequeue_burst(10.0, out, k);
+      ASSERT_EQ(got, std::min(k, remaining)) << to_string(kind);
+      remaining -= got;
+      for (std::uint32_t i = 0; i < got; ++i) {
+        auto p = b->dequeue(10.0);
+        ASSERT_TRUE(p.has_value()) << to_string(kind);
+        EXPECT_EQ(out[i].id, p->id) << to_string(kind) << " k=" << k;
+      }
+    }
+    EXPECT_TRUE(a->empty()) << to_string(kind);
+    EXPECT_TRUE(b->empty()) << to_string(kind);
   }
 }
 

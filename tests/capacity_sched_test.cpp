@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/drr.hpp"
-#include "sched/scfq.hpp"
-#include "sched/virtual_clock.hpp"
+#include "sched/tag.hpp"
 #include "test_helpers.hpp"
 
 namespace pds {

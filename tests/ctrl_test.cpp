@@ -134,8 +134,9 @@ TEST(ControlPlan, RejectsMalformedDirectives) {
 }
 
 TEST(ControlPlan, SwapRejectsClasslessSchedulersAtParse) {
-  // Only class-based schedulers can adopt a live backlog; the parser rejects
-  // the others so the error carries the plan line, not an arm() message.
+  // The tag schedulers cannot adopt a live backlog (their tags do not travel
+  // with it); the parser rejects them so the error carries the plan line,
+  // not an arm() message.
   for (const std::string sched : {"fcfs", "scfq", "vc"}) {
     EXPECT_NE(parse_error("swap l at=1 sched=" + sched + "\n")
                   .find("swap sched must be one of sp|wtp|bpr|additive|pad|"
@@ -255,6 +256,24 @@ TEST(ControlInjector, ValidatesTheSchedulerTimeline) {
   EXPECT_NE(arm_error("shed link at=10 for=5 watermark=10 classes=5\n")
                 .find("shed classes=5 exceeds the 4 classes of target link"),
             std::string::npos);
+  // FCFS has no weights to retune, and no tag scheduler can hand its tagged
+  // backlog to a swap replacement (the kind rules in sched/factory.hpp).
+  EXPECT_NE(arm_error("retune link at=10 w=1,2,4,8\n", SchedulerKind::kFcfs)
+                .find("retune w targets link, which runs fcfs (no weights)"),
+            std::string::npos);
+  for (const auto kind :
+       {SchedulerKind::kScfq, SchedulerKind::kVirtualClock}) {
+    EXPECT_TRUE(arm_error("retune link at=10 w=1,2,4,8\n", kind).empty())
+        << to_string(kind);
+  }
+  for (const auto kind : {SchedulerKind::kFcfs, SchedulerKind::kScfq,
+                          SchedulerKind::kVirtualClock}) {
+    EXPECT_NE(arm_error("swap link at=10 sched=wtp\n", kind)
+                  .find("swap targets link, which runs " + to_string(kind) +
+                        " (not class-based) at t="),
+              std::string::npos)
+        << to_string(kind);
+  }
 }
 
 // --------------------------------------------------- live control semantics

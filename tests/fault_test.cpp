@@ -7,8 +7,8 @@
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "sched/fcfs.hpp"
 #include "sched/link.hpp"
+#include "sched/tag.hpp"
 
 namespace pds {
 namespace {

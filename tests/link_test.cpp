@@ -3,8 +3,9 @@
 
 #include <vector>
 
-#include "sched/fcfs.hpp"
+#include "sched/factory.hpp"
 #include "sched/link.hpp"
+#include "sched/tag.hpp"
 #include "sched/wtp.hpp"
 
 namespace pds {
@@ -151,6 +152,44 @@ TEST(Link, ValidatesConstruction) {
                std::invalid_argument);
   EXPECT_THROW(Link(sim, sched, 10.0, Link::DepartureHandler{}),
                std::invalid_argument);
+}
+
+// The overload guard's sojourn watermark reads the scheduler's oldest head
+// wait. A 100 B packet holds the link until t=10 while a class-1 packet
+// queues behind it from t=0; with the packet watermark out of reach, a
+// class-0 arrival at t=3 (head wait 3) is admitted and one at t=8 (head
+// wait 8 >= 5) is shed on sojourn alone.
+void expect_sheds_on_sojourn_alone(SchedulerKind kind) {
+  SchedulerConfig config;
+  config.sdp = {1.0, 2.0};
+  auto sched = make_scheduler(kind, config);
+  Simulator sim;
+  std::vector<std::uint64_t> departed;
+  Link link(sim, *sched, 10.0,
+            [&](Packet&& p, SimTime, SimTime) { departed.push_back(p.id); });
+  link.set_shed(ShedPolicy{1000, 5.0, 1});
+  sim.schedule_at(0.0, [&] {
+    link.arrive(make_packet(1, 1, 100));
+    link.arrive(make_packet(2, 1, 100));
+  });
+  sim.schedule_at(3.0, [&] { link.arrive(make_packet(3, 0, 100)); });
+  sim.schedule_at(8.0, [&] { link.arrive(make_packet(4, 0, 100)); });
+  sim.run();
+  EXPECT_EQ(link.shed_drops(), 1u) << to_string(kind);
+  EXPECT_EQ(departed.size(), 3u) << to_string(kind);
+  for (const std::uint64_t id : departed) EXPECT_NE(id, 4u) << to_string(kind);
+}
+
+TEST(Link, FcfsShedsOnSojournAlone) {
+  expect_sheds_on_sojourn_alone(SchedulerKind::kFcfs);
+}
+
+TEST(Link, ScfqShedsOnSojournAlone) {
+  expect_sheds_on_sojourn_alone(SchedulerKind::kScfq);
+}
+
+TEST(Link, VirtualClockShedsOnSojournAlone) {
+  expect_sheds_on_sojourn_alone(SchedulerKind::kVirtualClock);
 }
 
 }  // namespace

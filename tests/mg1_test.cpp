@@ -9,8 +9,8 @@
 #include "core/model.hpp"
 #include "dsim/simulator.hpp"
 #include "packet/size_law.hpp"
-#include "sched/fcfs.hpp"
 #include "sched/link.hpp"
+#include "sched/tag.hpp"
 #include "stats/running_stats.hpp"
 #include "traffic/source.hpp"
 

@@ -2,8 +2,8 @@
 
 #include "sched/additive.hpp"
 #include "sched/factory.hpp"
-#include "sched/fcfs.hpp"
 #include "sched/strict_priority.hpp"
+#include "sched/tag.hpp"
 #include "test_helpers.hpp"
 
 namespace pds {

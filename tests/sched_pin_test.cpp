@@ -1,8 +1,9 @@
 // Per-scheduler pins: FNV-1a over the exact bits of every departure of
 //   * a short Study A run (paper size law, Pareto arrivals) for each of the
 //     ten scheduler kinds, and
-//   * a Link replay at burst=4 with mixed packet sizes for the schedulers
-//     that take one decision per burst (WTP, BPR, additive, PAD, HPD).
+//   * a Link replay at burst=4 with mixed packet sizes for the ten kinds:
+//     WTP, BPR, additive, PAD and HPD take one decision per burst, FCFS,
+//     SP, DRR, SCFQ and VC one decision per packet of the burst.
 // The golden Study A trace hash pins WTP only; these pins cover every
 // decision kernel, including BPR's reading of the head packet's size, so a
 // refactor of the packet plane cannot move any scheduler unnoticed. A hash
@@ -134,9 +135,12 @@ TEST_P(SchedulerPins, DeparturesMatchPinnedHash) {
   EXPECT_EQ(fnv.h, pin.hash) << std::hex << "got 0x" << fnv.h;
 }
 
-// Captured before the packet-plane refactor. Strict priority and Virtual
-// Clock share a pin: at these loads VC's reserved rates (proportional to
-// the SDPs) order the classes exactly as strict priority does.
+// Captured before the packet-plane refactor; the burst4 pins of FCFS, SP,
+// DRR, SCFQ and VC before the three tag schedulers moved onto the class
+// backlog. Strict priority and Virtual Clock share a Study A pin: at these
+// loads VC's reserved rates (proportional to the SDPs) order the classes
+// exactly as strict priority does, so burst4_vc is the pin that tells VC's
+// tags apart.
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, SchedulerPins,
     testing::Values(
@@ -169,7 +173,17 @@ INSTANTIATE_TEST_SUITE_P(
         PinCase{"burst4_pad", SchedulerKind::kPad, true, 600,
                 0xd8fd588e1d09fb95ULL},
         PinCase{"burst4_hpd", SchedulerKind::kHpd, true, 600,
-                0x8d16a28910f99ec2ULL}),
+                0x8d16a28910f99ec2ULL},
+        PinCase{"burst4_fcfs", SchedulerKind::kFcfs, true, 600,
+                0xbfd2471f9a07a691ULL},
+        PinCase{"burst4_sp", SchedulerKind::kStrictPriority, true, 600,
+                0xe707a43fac091ff2ULL},
+        PinCase{"burst4_drr", SchedulerKind::kDrr, true, 600,
+                0x2175330e1f5af935ULL},
+        PinCase{"burst4_scfq", SchedulerKind::kScfq, true, 600,
+                0xd4d3fc66bd37bac4ULL},
+        PinCase{"burst4_vc", SchedulerKind::kVirtualClock, true, 600,
+                0xe52d833d82cb4ef7ULL}),
     case_name);
 
 }  // namespace

@@ -117,6 +117,20 @@ TEST(StudyA, ValidatesConfig) {
   EXPECT_THROW(run_study_a(c), std::invalid_argument);
 }
 
+TEST(StudyA, RejectsWeightsControllerOnFcfs) {
+  // FCFS has no weights to steer: the config fails validation, so the run
+  // throws before any event runs rather than at the first controller update.
+  auto c = quick_config();
+  c.scheduler = SchedulerKind::kFcfs;
+  c.conformance_tau = 100.0;
+  c.controller.mode = ControllerMode::kWeights;
+  c.controller.period = 100.0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  EXPECT_THROW(run_study_a(c), std::invalid_argument);
+  c.scheduler = SchedulerKind::kScfq;  // SCFQ and VC do have weights
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(StudyA, PoissonArrivalModelRuns) {
   auto c = quick_config();
   c.arrivals = ArrivalModel::kPoisson;

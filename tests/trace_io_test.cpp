@@ -4,8 +4,8 @@
 #include <fstream>
 
 #include "core/trace_io.hpp"
-#include "sched/fcfs.hpp"
 #include "sched/link.hpp"
+#include "sched/tag.hpp"
 
 namespace pds {
 namespace {

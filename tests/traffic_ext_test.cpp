@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "sched/fcfs.hpp"
 #include "sched/link.hpp"
+#include "sched/tag.hpp"
 #include "traffic/ecn.hpp"
 #include "traffic/onoff.hpp"
 
