@@ -16,6 +16,40 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
+echo "== floating point: no FMA in the library (-march=native build) =="
+# The top-level CMakeLists.txt compiles everything with -ffp-contract=off: a
+# fused multiply-add rounds once where a multiply and an add round twice, so
+# a contraction could move a scheduling decision while every pin and golden
+# hash still passes. The default target has no FMA instructions, so the
+# check needs a host that has them: build the library for this CPU and fail
+# on any vfmadd/vfmsub/vfnmadd/vfnmsub in an object under src/.
+if grep -qw fma /proc/cpuinfo; then
+  cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native \
+    -DPDS_BUILD_TESTS=OFF -DPDS_BUILD_BENCH=OFF \
+    -DPDS_BUILD_EXAMPLES=OFF >/dev/null
+  cmake --build build-native -j "${JOBS}"
+  command -v objdump >/dev/null || { echo "error: no objdump" >&2; exit 1; }
+  FMA_OBJECTS=0
+  OBJECTS=0
+  while IFS= read -r obj; do
+    OBJECTS=$((OBJECTS + 1))
+    # Disassemble first: under pipefail, `objdump | grep -q` would report
+    # objdump's SIGPIPE after an early match as "no match".
+    DISASM="$(objdump -d "${obj}")"
+    if grep -qE 'vfn?m(add|sub)' <<< "${DISASM}"; then
+      echo "   FMA instruction in ${obj}"
+      FMA_OBJECTS=$((FMA_OBJECTS + 1))
+    fi
+  done < <(find build-native/src -name '*.o' | sort)
+  if (( FMA_OBJECTS > 0 )); then
+    echo "error: ${FMA_OBJECTS} library object(s) contain FMA instructions" >&2
+    exit 1
+  fi
+  echo "   no FMA instruction in ${OBJECTS} library objects"
+else
+  echo "   host CPU has no FMA; skipped"
+fi
+
 echo "== bench targets compile (micro benches guard the allocation budget) =="
 cmake --build build -j "${JOBS}" --target micro_event_queue micro_schedulers
 
@@ -105,17 +139,19 @@ if [[ "${1:-}" == "--fast" ]]; then
   # same unwind paths, and the grammar fuzzer because every malformed input
   # must be rejected without undefined behaviour (UBSan is fatal here). The
   # packet-plane suites cover the raw-memory class rings, the head snapshot
-  # the scans read, and Link's transmit staging buffer; the buffer suites
-  # cover Link's drop policies, whose PLR push-out pops a raw ring tail.
+  # the selection loop reads, and Link's transmit staging buffer; the buffer
+  # suites cover Link's drop policies, whose PLR push-out pops a raw ring
+  # tail.
   # The kernel suites cover the binary heap Simulator holds by value, whose
   # hole-based sifts relocate move-only SimEvents. The scheduler suites
   # cover every scheduler's one dequeue_burst over the class rings,
-  # including the tag schedulers' tag queues beside them.
+  # including the tag schedulers' tag queues beside them, and the one
+  # class-selection loop those decisions share.
   cmake -B build-asan -S . -DPDS_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" \
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
     conformance_test telemetry_test grammar_fuzz_test queueing_test \
-    scan_test burst_test link_test sched_property_test sched_pin_test \
+    selection_test burst_test link_test sched_property_test sched_pin_test \
     fabric_conservation_test dropper_test lossy_property_test study_c_test \
     ledger_test event_queue_test dsim_test sim_event_test \
     dispatch_equiv_test sched_basic_test capacity_sched_test wtp_test \
@@ -126,7 +162,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   ./build-asan/tests/dispatch_equiv_test
   ./build-asan/tests/grammar_fuzz_test
   ./build-asan/tests/queueing_test
-  ./build-asan/tests/scan_test
+  ./build-asan/tests/selection_test
   ./build-asan/tests/burst_test
   ./build-asan/tests/link_test
   ./build-asan/tests/sched_property_test

@@ -17,6 +17,9 @@ void StudyCConfig::validate() const {
             "load fractions / SDP size mismatch");
   if (policy == DropPolicy::kPlr) {
     PDS_CHECK(ldp.size() == sdp.size(), "LDP / SDP size mismatch");
+    PDS_CHECK(!is_tag_scheduler(scheduler),
+              "PLR push-out needs a scheduler that can drop a queued "
+              "packet, got " + to_string(scheduler));
   }
   PDS_CHECK(offered_load > 0.0, "offered load must be positive");
   PDS_CHECK(buffer_packets >= 1, "buffer must hold at least one packet");

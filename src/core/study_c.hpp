@@ -32,6 +32,8 @@ struct StudyCConfig {
   // Offered load relative to capacity; values > 1 force sustained loss.
   double offered_load = 1.3;
 
+  // kPlr pushes queued packets out, so it rejects the tag schedulers
+  // (is_tag_scheduler in sched/factory.hpp).
   DropPolicy policy = DropPolicy::kPlr;
   std::uint64_t plr_window = 0;        // 0 = PLR(inf)
   std::uint64_t buffer_packets = 200;

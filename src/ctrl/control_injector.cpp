@@ -108,7 +108,7 @@ void ControlInjector::validate_timeline(std::size_t t) {
         }
         break;
       case ControlKind::kSwap: {
-        if (!can_swap_backlog(kind)) {
+        if (is_tag_scheduler(kind)) {
           engine_.fail(ep.line, "swap targets " + name + ", which runs " +
                                     to_string(kind) +
                                     " (not class-based) at t=" +

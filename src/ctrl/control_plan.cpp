@@ -55,7 +55,7 @@ ControlPlan parse_control_plan(const std::string& text) {
             } catch (const std::invalid_argument&) {
               opts.fail("unknown scheduler " + sched);
             }
-            if (!can_swap_backlog(ep.sched)) {
+            if (is_tag_scheduler(ep.sched)) {
               opts.fail("swap sched must be one of sp|wtp|bpr|additive|pad|"
                         "hpd|drr, got " + sched);
             }

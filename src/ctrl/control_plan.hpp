@@ -25,7 +25,7 @@
 // it. `swap` replaces the scheduler in place, handing the whole backlog —
 // class rings and head snapshot — to the replacement; the tag schedulers
 // (FCFS/SCFQ/VC) keep per-packet tags that do not travel with a backlog,
-// so they can neither give nor take one (can_swap_backlog in
+// so they can neither give nor take one (is_tag_scheduler in
 // sched/factory.hpp). `shed` arms the overload guard (ShedPolicy in
 // sched/link.hpp) for the episode's duration.
 //

@@ -28,11 +28,13 @@ struct EventItem {
   const char* label() const noexcept { return action.label(); }
 };
 
-// Hand-rolled over a vector rather than std::priority_queue: pop() must
-// *move* the root out (the move-only EventItem forbids the copy
-// std::priority_queue's top()/pop() split implies), and sift-down with a
-// hole avoids redundant relocations. Header-inline so the kernel's run loop
-// can flatten push/pop into straight-line code.
+// Hand-rolled over a vector, and kept on a measurement: std::push_heap and
+// std::pop_heap with the same (time, seq) order also move the move-only
+// items, but ran the packet pipeline of bench/micro_event_queue about 23%
+// slower (fewer events/s in 12 of 12 interleaved pairs, EXPERIMENTS.md).
+// Push and pop sift a hole, one relocation per level, and pop stops as soon
+// as the former tail fits. Header-inline so the kernel's run loop can
+// flatten push/pop into straight-line code.
 class HeapEventQueue final {
  public:
   void push(EventItem item) {

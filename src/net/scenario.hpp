@@ -40,11 +40,14 @@
 // `flows` its route. `topology` expands to nodes plus one directed link per
 // direction of every generated edge, named "<from>><to>"; generated names
 // collide with manual ones like any duplicate. A routed `route` uses the
-// minimum-hop path over the edges declared so far, ties broken by the
-// lexicographically smallest link-id (= declaration-order) sequence — see
-// the routing determinism rule in net/topology.hpp. `flows` needs a
-// reverse direction for the responses: either an explicit `reverse=`
-// route, or (for from=/to= routes) the auto-computed shortest path back.
+// minimum-hop path over every edge in the file, including edges declared
+// after it, ties broken by the lexicographically smallest link-id
+// (= declaration-order) sequence — see the routing determinism rule in
+// net/topology.hpp; the run and the parse-time class checks both use that
+// path. Only reachability is checked against the edges declared above the
+// route. `flows` needs a reverse direction for the responses: either an
+// explicit `reverse=` route, or (for from=/to= routes) the auto-computed
+// shortest path back.
 //
 // parse_scenario validates structure (names, references, parameter sets,
 // reachability) and values (finite numbers, integers in range, capacity >

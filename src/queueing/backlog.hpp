@@ -17,8 +17,9 @@ namespace pds {
 // push/pop/pop_tail, and the only copy of the per-class counts. `bytes` and
 // `packets` are always exact; `arrival` and `head_bytes` describe the head
 // packet and are stale while `packets == 0` (the idle sentinel). The
-// priority scans (sched/scan.hpp) read this array directly, so one decision
-// over N classes touches one or two cache lines instead of N queue objects.
+// class-selection loop (ClassBasedScheduler::select_class) reads this array
+// directly, so one decision over N classes touches one or two cache lines
+// instead of N queue objects.
 struct ClassHead {
   SimTime arrival = kTimeZero;   // arrival time of the head packet
   std::uint64_t bytes = 0;       // byte backlog of the class

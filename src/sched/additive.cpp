@@ -1,6 +1,5 @@
 #include "sched/additive.hpp"
 
-#include "sched/scan.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -10,8 +9,13 @@ std::uint32_t AdditiveWtpScheduler::dequeue_burst(SimTime now, Packet* out,
   PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
   if (backlog_.empty()) return 0;
   // Head-start argmax (wait + s, ties to the higher class) over the
-  // head-of-line snapshot; kernels in sched/scan.cpp.
-  const ClassId best = scan::additive_select(heads_view(), sdp().data(), now);
+  // head-of-line snapshot.
+  const ClassId best = select_class<Best::kMax>(
+      [s = sdp().data(), now](ClassId c, const ClassHead& h) {
+        const SimTime wait = now - h.arrival;
+        PDS_REQUIRE(wait >= 0.0);
+        return wait + s[c];
+      });
   return backlog_.pop_burst(best, max_k, out);
 }
 

@@ -1,6 +1,5 @@
 #include "sched/bpr.hpp"
 
-#include "sched/scan.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -51,12 +50,26 @@ std::uint32_t BprScheduler::dequeue_burst(SimTime now, Packet* out,
   if (backlog_.empty()) return 0;
   const SimTime elapsed = any_departure_yet_ ? now - last_departure_ : 0.0;
   PDS_REQUIRE(elapsed >= 0.0);
-  // Updates virtual service for all backlogged queues and picks the head
-  // with the least *remaining* virtual work, L_i - v_i (Eq. 21). Ties
-  // favour the higher class. Kernels in sched/scan.cpp.
+  // Virtual service since t^{k-1}: zero for idle classes and for heads that
+  // reached the front after it, otherwise v_i += r_i(t^{k-1}) * elapsed.
+  const ClassHead* heads = backlog_.heads();
+  const double* rates = rates_.data();
+  double* vs = virtual_service_.data();
+  const SimTime last = last_departure_;
+  for (ClassId c = 0; c < backlog_.num_classes(); ++c) {
+    if (heads[c].packets == 0 || !any_departure_yet_ ||
+        heads[c].arrival > last) {
+      vs[c] = 0.0;
+    } else {
+      vs[c] += rates[c] * elapsed;
+    }
+  }
+  // Serve the head with the least *remaining* virtual work, L_i - v_i
+  // (Eq. 21); ties favour the higher class.
   const ClassId best =
-      scan::bpr_select(heads_view(), rates_.data(), virtual_service_.data(),
-                       elapsed, last_departure_, any_departure_yet_);
+      select_class<Best::kMin>([vs](ClassId c, const ClassHead& h) {
+        return static_cast<double>(h.head_bytes) - vs[c];
+      });
   // One Eq. 21 decision serves up to max_k consecutive heads of the winner;
   // the virtual-time bookkeeping treats the burst as a single departure at
   // `now` (part of why k > 1 changes traces).

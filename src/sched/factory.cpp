@@ -77,9 +77,9 @@ std::unique_ptr<ClassBasedScheduler> make_scheduler(
 
 bool has_weights(SchedulerKind kind) { return kind != SchedulerKind::kFcfs; }
 
-bool can_swap_backlog(SchedulerKind kind) {
-  return kind != SchedulerKind::kFcfs && kind != SchedulerKind::kScfq &&
-         kind != SchedulerKind::kVirtualClock;
+bool is_tag_scheduler(SchedulerKind kind) {
+  return kind == SchedulerKind::kFcfs || kind == SchedulerKind::kScfq ||
+         kind == SchedulerKind::kVirtualClock;
 }
 
 }  // namespace pds

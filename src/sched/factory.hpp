@@ -36,8 +36,10 @@ std::unique_ptr<ClassBasedScheduler> make_scheduler(
 // Whether the kind has per-class weights to retune (FCFS has none).
 bool has_weights(SchedulerKind kind);
 
-// Whether the kind can hand its backlog to a live swap or adopt one: not
-// the tag schedulers (FCFS, SCFQ, VC), whose tags do not travel with it.
-bool can_swap_backlog(SchedulerKind kind);
+// Whether the kind is a tag scheduler (FCFS, SCFQ, VC; sched/tag.hpp). Its
+// per-packet tags live beside the backlog, so it can neither hand its
+// backlog to a live swap nor adopt one, and it cannot push a queued packet
+// out (drop_tail returns nullopt), which PLR push-out needs.
+bool is_tag_scheduler(SchedulerKind kind);
 
 }  // namespace pds

@@ -1,6 +1,6 @@
 #include "sched/pad.hpp"
 
-#include "sched/scan.hpp"
+#include "sched/wtp.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -24,8 +24,11 @@ double PadScheduler::normalized_average_delay(ClassId cls, SimTime now) const {
 }
 
 ClassId PadScheduler::select(SimTime now) const {
-  return scan::pad_select(heads_view(), sdp().data(), cum_delay(), served(),
-                          now);
+  return select_class<Best::kMax>(
+      [cum = cum_delay(), served = served(), s = sdp().data(), now](
+          ClassId c, const ClassHead& h) {
+        return pad_priority(cum[c], served[c], now - h.arrival, s[c]);
+      });
 }
 
 std::uint32_t PadScheduler::dequeue_burst(SimTime now, Packet* out,
@@ -48,8 +51,13 @@ HpdScheduler::HpdScheduler(const SchedulerConfig& config)
     : PadScheduler(config), g_(config.hpd_g) {}
 
 ClassId HpdScheduler::select(SimTime now) const {
-  return scan::hpd_select(heads_view(), sdp().data(), cum_delay(), served(),
-                          now, g_);
+  return select_class<Best::kMax>(
+      [cum = cum_delay(), served = served(), s = sdp().data(), g = g_, now](
+          ClassId c, const ClassHead& h) {
+        const SimTime wait = now - h.arrival;
+        return g * wtp_priority(wait, s[c]) +
+               (1.0 - g) * pad_priority(cum[c], served[c], wait, s[c]);
+      });
 }
 
 }  // namespace pds

@@ -22,8 +22,8 @@
 // were served now — this keeps the metric defined before the first
 // departure and responsive to a waiting head.
 //
-// The per-dequeue argmax runs through the scan kernels (sched/scan.hpp),
-// which read the cumulative-delay and served-count vectors in place.
+// Each decision serves the backlogged class with the largest priority,
+// ties to the higher class (ClassBasedScheduler::select_class).
 #pragma once
 
 #include "sched/scheduler.hpp"
@@ -49,7 +49,15 @@ class PadScheduler : public ClassBasedScheduler {
   // hybrid blend.
   virtual ClassId select(SimTime now) const;
 
-  // Kernel inputs, shared with the HPD override.
+  // PAD's priority of a backlogged class whose head has waited `wait`: the
+  // normalized average delay of its `served` packets (summed delay `cum`)
+  // counting the head as served now.
+  static double pad_priority(double cum, std::uint64_t served, SimTime wait,
+                             double s) {
+    return ((cum + wait) / (static_cast<double>(served) + 1.0)) * s;
+  }
+
+  // Key inputs, shared with the HPD override.
   const double* cum_delay() const noexcept { return cum_delay_.data(); }
   const std::uint64_t* served() const noexcept { return served_.data(); }
 

@@ -25,7 +25,7 @@
 #include "packet/arena.hpp"
 #include "packet/packet.hpp"
 #include "queueing/backlog.hpp"
-#include "sched/scan.hpp"
+#include "util/contracts.hpp"
 
 namespace pds {
 
@@ -194,7 +194,7 @@ class ClassBasedScheduler : public Scheduler {
   // and lets subclasses rebuild derived state (DRR active ring, BPR rates)
   // via on_backlog_adopted(). The tag schedulers (sched/tag.hpp) neither
   // give nor take a backlog: their per-packet tags do not travel with it
-  // (see can_swap_backlog in sched/factory.hpp).
+  // (see is_tag_scheduler in sched/factory.hpp).
   MultiClassBacklog release_backlog();
   void adopt_backlog(MultiClassBacklog&& backlog, SimTime now);
 
@@ -210,9 +210,36 @@ class ClassBasedScheduler : public Scheduler {
   const std::vector<double>& sdp() const noexcept { return sdp_; }
   double link_capacity() const noexcept { return link_capacity_; }
 
-  // The backlog's head snapshot, as the scan kernels read it.
-  scan::Heads heads_view() const noexcept {
-    return scan::Heads{backlog_.heads(), backlog_.num_classes()};
+  // Which end of the key order a decision serves.
+  enum class Best { kMax, kMin };
+
+  // The one class-selection loop every priority and tag decision runs:
+  // one ascending pass over the backlog's ClassHead snapshot that skips
+  // idle classes (`packets == 0`) and returns the backlogged class whose
+  // `key(c, head)` (a double) is largest (kMax) or smallest (kMin). A class
+  // replaces the best so far when its key compares `>=` (kMax) or `<=`
+  // (kMin), so ties go to the highest class, the paper's tie-break.
+  // Requires a non-empty backlog. A key captures the arrays it reads as
+  // pointers: one that reads members through `this` got the vector's data
+  // pointer reloaded for every class.
+  template <Best kBest, typename Key>
+  ClassId select_class(Key&& key) const {
+    const ClassHead* heads = backlog_.heads();
+    const ClassId n = backlog_.num_classes();
+    bool found = false;
+    ClassId best = 0;
+    double best_key = 0.0;
+    for (ClassId c = 0; c < n; ++c) {
+      if (heads[c].packets == 0) continue;
+      const double k = key(c, heads[c]);
+      if (!found || (kBest == Best::kMax ? k >= best_key : k <= best_key)) {
+        found = true;
+        best = c;
+        best_key = k;
+      }
+    }
+    PDS_REQUIRE(found);
+    return best;
   }
 
   MultiClassBacklog backlog_;

@@ -19,25 +19,17 @@ void TagScheduler::enqueue(Packet p, SimTime now) {
 std::uint32_t TagScheduler::dequeue_burst(SimTime, Packet* out,
                                           std::uint32_t max_k) {
   PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  const ClassHead* heads = backlog_.heads();
-  const ClassId n = backlog_.num_classes();
   std::uint32_t k = 0;
   for (; k < max_k && !backlog_.empty(); ++k) {
-    ClassId best = 0;
-    double best_tag = 0.0;
-    bool found = false;
-    for (ClassId c = 0; c < n; ++c) {
-      if (heads[c].packets == 0) continue;
-      const double tag = tags_[c].front();
-      if (!found || tag <= best_tag) {  // ties go to the higher class
-        found = true;
-        best = c;
-        best_tag = tag;
-      }
-    }
+    // Smallest head tag, ties to the higher class.
+    const ClassId best = select_class<Best::kMin>(
+        [tags = tags_.data()](ClassId c, const ClassHead&) {
+          return tags[c].front();
+        });
+    const double tag = tags_[best].front();
     tags_[best].pop_front();
     out[k] = backlog_.pop(best);
-    on_served(best_tag);
+    on_served(tag);
   }
   return k;
 }

@@ -24,6 +24,12 @@
 
 namespace pds {
 
+// Eq. 11 priority of a head that has waited `wait` in a class with SDP `s`.
+inline double wtp_priority(SimTime wait, double s) {
+  PDS_REQUIRE(wait >= 0.0);
+  return wait * s;
+}
+
 class WtpScheduler final : public ClassBasedScheduler {
  public:
   explicit WtpScheduler(const SchedulerConfig& config)

@@ -102,6 +102,26 @@ TEST(StudyC, ValidatesConfig) {
   EXPECT_THROW(run_study_c(c), std::invalid_argument);
 }
 
+TEST(StudyC, RejectsPlrPushOutOnTagSchedulers) {
+  // A tag scheduler cannot drop a queued packet, so PLR push-out must fail
+  // validation, naming the scheduler, instead of at the first overflow.
+  for (const auto kind : {SchedulerKind::kFcfs, SchedulerKind::kScfq,
+                          SchedulerKind::kVirtualClock}) {
+    auto c = overload_config();
+    c.scheduler = kind;
+    try {
+      c.validate();
+      ADD_FAILURE() << to_string(kind) << " accepted PLR push-out";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + to_string(kind)),
+                std::string::npos)
+          << e.what();
+    }
+    c.policy = DropPolicy::kDropIncoming;
+    EXPECT_NO_THROW(c.validate()) << to_string(kind);
+  }
+}
+
 // Pins: FNV-1a over the exact bits of a short run's loss rates, survivor
 // delays, counters and utilization under each drop policy. These cover the
 // PLR push-out path (victim choice, tail pop, re-admission) that no other
