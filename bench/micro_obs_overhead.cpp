@@ -26,13 +26,19 @@
 // --spans-out is live) next to the SimProfiler — informational, since the
 // disabled-span path is exactly the "no monitor" row the guard covers.
 //
-// Each configuration is timed `--reps` times and the best run is kept, which
-// filters scheduler noise on shared machines. Exits non-zero when a guarded
-// overhead exceeds `--threshold` percent.
+// Every rep times each group's configurations back to back, so drift in
+// host speed between reps lands on all of them alike. The order rotates by
+// one each rep and runs backwards every other rep, so no configuration
+// always follows the same neighbour. A configuration's overhead is the
+// median over reps of its time divided by the group baseline's time in the
+// same rep; the wall column shows its best rep. Exits non-zero when a
+// guarded overhead exceeds `--threshold` percent.
 //
 //   micro_obs_overhead [--events=2000000] [--packets=400000] [--reps=5]
 //                      [--threshold=5]
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -57,17 +63,44 @@ namespace {
 
 constexpr std::uint32_t kChains = 64;  // keeps a realistic queue population
 
-template <typename F>
-double best_seconds(std::uint32_t reps, F&& body) {
-  double best = 0.0;
-  for (std::uint32_t r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (r == 0 || s < best) best = s;
+// One timed configuration; `seconds` holds one wall time per rep.
+struct Config {
+  const char* name;
+  std::function<void()> run;
+  std::vector<double> seconds;
+
+  double best() const {
+    return *std::min_element(seconds.begin(), seconds.end());
   }
-  return best;
+};
+
+// Runs every configuration of `group` once per rep, back to back: rep r
+// starts at configuration r mod size and walks forwards on even reps,
+// backwards on odd ones. group[0] is the baseline.
+void time_group(std::vector<Config>& group, std::uint32_t reps) {
+  const std::size_t n = group.size();
+  for (std::uint32_t r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = (r + i) % n;
+      Config& c = group[r % 2 == 0 ? k : n - 1 - k];
+      const auto t0 = std::chrono::steady_clock::now();
+      c.run();
+      const auto t1 = std::chrono::steady_clock::now();
+      c.seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
+    }
+  }
+}
+
+// Median over reps of `c`'s time divided by the baseline's in the same rep.
+double median_ratio(const Config& c, const Config& base) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < c.seconds.size(); ++r) {
+    ratios.push_back(c.seconds[r] / base.seconds[r]);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  return ratios.size() % 2 == 1 ? ratios[mid]
+                                : 0.5 * (ratios[mid - 1] + ratios[mid]);
 }
 
 // The kernel as it was before the SimMonitor hook existed: identical
@@ -235,75 +268,85 @@ int main(int argc, char** argv) {
     const double threshold = args.get_double("threshold", 5.0);
 
     // --- kernel event loop -------------------------------------------------
-    const double t_raw =
-        best_seconds(reps, [&]() { run_raw_event_chain(events); });
-    const double t_nomon =
-        best_seconds(reps, [&]() { run_sim_event_chain(events, nullptr); });
-    const double t_prof = best_seconds(reps, [&]() {
-      pds::SimProfiler profiler;
-      run_sim_event_chain(events, &profiler);
-    });
-    const double t_span = best_seconds(reps, [&]() {
-      pds::SpanBuffer buffer;
-      pds::KernelSpanMonitor monitor(buffer);
-      run_sim_event_chain(events, &monitor);
-      monitor.finish();
-    });
+    std::vector<Config> loop{
+        {"raw queue (no hooks)", [&]() { run_raw_event_chain(events); }, {}},
+        {"simulator, no monitor",
+         [&]() { run_sim_event_chain(events, nullptr); }, {}},
+        {"simulator + SimProfiler",
+         [&]() {
+           pds::SimProfiler profiler;
+           run_sim_event_chain(events, &profiler);
+         },
+         {}},
+        {"simulator + KernelSpanMonitor",
+         [&]() {
+           pds::SpanBuffer buffer;
+           pds::KernelSpanMonitor monitor(buffer);
+           run_sim_event_chain(events, &monitor);
+           monitor.finish();
+         },
+         {}},
+    };
 
-    // --- link transmission path -------------------------------------------
-    const double t_noprobe =
-        best_seconds(reps, [&]() { run_link_path(packets, nullptr); });
-    const double t_trace0 = best_seconds(reps, [&]() {
-      pds::PacketTracer tracer(0.0, 1);
-      run_link_path(packets, &tracer);
-    });
-    const double t_trace1 = best_seconds(reps, [&]() {
-      pds::PacketTracer tracer(1.0, 1);
-      run_link_path(packets, &tracer);
-    });
-
-    // --- departure-side conformance monitoring ----------------------------
+    // --- link transmission path and departure-side conformance ------------
     const std::vector<double> sdp{1.0, 2.0, 4.0, 8.0};
-    const double t_conf_off = best_seconds(reps, [&]() {
-      pds::ConformanceOptions copts;
-      copts.tau = 0.0;  // constructed but disabled: record() early-returns
-      pds::ConformanceMonitor conformance(sdp, copts);
-      run_link_path(packets, nullptr, &conformance);
-    });
-    const double t_conf_on = best_seconds(reps, [&]() {
-      pds::ConformanceOptions copts;
-      copts.tau = 500.0;  // live Eq. 2 windowing on every departure
-      pds::ConformanceMonitor conformance(sdp, copts);
-      run_link_path(packets, nullptr, &conformance);
-      conformance.finish();
-    });
+    std::vector<Config> link{
+        {"no probe", [&]() { run_link_path(packets, nullptr); }, {}},
+        {"PacketTracer rate 0",
+         [&]() {
+           pds::PacketTracer tracer(0.0, 1);
+           run_link_path(packets, &tracer);
+         },
+         {}},
+        {"PacketTracer rate 1",
+         [&]() {
+           pds::PacketTracer tracer(1.0, 1);
+           run_link_path(packets, &tracer);
+         },
+         {}},
+        {"conformance disabled (tau 0)",
+         [&]() {
+           pds::ConformanceOptions copts;
+           copts.tau = 0.0;  // constructed but disabled: record() returns
+           pds::ConformanceMonitor conformance(sdp, copts);
+           run_link_path(packets, nullptr, &conformance);
+         },
+         {}},
+        {"conformance tau 500",
+         [&]() {
+           pds::ConformanceOptions copts;
+           copts.tau = 500.0;  // live Eq. 2 windowing on every departure
+           pds::ConformanceMonitor conformance(sdp, copts);
+           run_link_path(packets, nullptr, &conformance);
+           conformance.finish();
+         },
+         {}},
+    };
 
-    const double ev = static_cast<double>(events);
-    const double pk = static_cast<double>(packets);
+    time_group(loop, reps);
+    time_group(link, reps);
+
     pds::TablePrinter table(
         {"path", "configuration", "wall (ms)", "Mops/s", "overhead"});
-    const auto row = [&](const char* path, const char* cfg, double t,
-                         double ops, double base) {
-      table.add_row({path, cfg, pds::TablePrinter::num(1e3 * t, 1),
-                     pds::TablePrinter::num(ops / t / 1e6, 2),
-                     t == base ? "-" : pct(t / base)});
+    const auto rows = [&](const char* path, const std::vector<Config>& group,
+                          std::uint64_t ops) {
+      for (const Config& c : group) {
+        table.add_row(
+            {path, c.name, pds::TablePrinter::num(1e3 * c.best(), 1),
+             pds::TablePrinter::num(
+                 static_cast<double>(ops) / c.best() / 1e6, 2),
+             &c == &group[0] ? "-" : pct(median_ratio(c, group[0]))});
+      }
     };
-    row("event loop", "raw queue (no hooks)", t_raw, ev, t_raw);
-    row("event loop", "simulator, no monitor", t_nomon, ev, t_raw);
-    row("event loop", "simulator + SimProfiler", t_prof, ev, t_raw);
-    row("event loop", "simulator + KernelSpanMonitor", t_span, ev, t_raw);
-    row("link", "no probe", t_noprobe, pk, t_noprobe);
-    row("link", "PacketTracer rate 0", t_trace0, pk, t_noprobe);
-    row("link", "PacketTracer rate 1", t_trace1, pk, t_noprobe);
-    row("link", "conformance disabled (tau 0)", t_conf_off, pk, t_noprobe);
-    row("link", "conformance tau 500", t_conf_on, pk, t_noprobe);
+    rows("event loop", loop, events);
+    rows("link", link, packets);
     table.print(std::cout);
 
     // The guards: obs compiled in but disabled must stay within `threshold`
     // percent of the path without the hook — the monitor branch in the event
     // loop, and the conformance branch + early-return on the departure path.
-    const double over = 100.0 * (t_nomon / t_raw - 1.0);
-    const double conf_over = 100.0 * (t_conf_off / t_noprobe - 1.0);
+    const double over = 100.0 * (median_ratio(loop[1], loop[0]) - 1.0);
+    const double conf_over = 100.0 * (median_ratio(link[3], link[0]) - 1.0);
     const bool pass = over < threshold && conf_over < threshold;
     std::cout << "\n"
               << (over < threshold ? "PASS" : "FAIL")

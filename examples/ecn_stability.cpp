@@ -10,6 +10,7 @@
 // spacing.
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dsim/simulator.hpp"
@@ -19,6 +20,30 @@
 #include "stats/delay_stats.hpp"
 #include "traffic/ecn.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+// Adds one row of aggregate rate and backlog to `trajectory` per `period`.
+struct TrajectorySampler {
+  const std::vector<std::unique_ptr<pds::EcnAdaptiveSource>>& sources;
+  const pds::Scheduler& sched;
+  double capacity;
+  pds::SimTime period;
+  pds::TablePrinter& trajectory;
+
+  std::optional<pds::SimTime> sample(pds::SimTime now) {
+    double rate = 0.0;
+    for (const auto& s : sources) rate += s->current_rate();
+    std::uint64_t backlog = 0;
+    for (pds::ClassId q = 0; q < 4; ++q) backlog += sched.backlog_packets(q);
+    trajectory.add_row({pds::TablePrinter::num(now / pds::kPUnit, 0),
+                        pds::TablePrinter::num(rate / capacity),
+                        std::to_string(backlog)});
+    return period;
+  }
+};
+
+}  // namespace
 
 int main() {
   pds::Simulator sim;
@@ -66,22 +91,11 @@ int main() {
   std::cout << "ECN-regulated WTP link (marking threshold 40 packets)\n\n";
   pds::TablePrinter trajectory(
       {"time (p-units)", "aggregate rate / capacity", "backlog (pkts)"});
-  pds::PeriodicProcess sampler(sim, 0.0, sim_time / 8.0,
-                               [&](pds::SimTime now) {
-                                 double rate = 0.0;
-                                 for (const auto& s : sources) {
-                                   rate += s->current_rate();
-                                 }
-                                 std::uint64_t backlog = 0;
-                                 for (pds::ClassId q = 0; q < 4; ++q) {
-                                   backlog += sched.backlog_packets(q);
-                                 }
-                                 trajectory.add_row(
-                                     {pds::TablePrinter::num(
-                                          now / pds::kPUnit, 0),
-                                      pds::TablePrinter::num(rate / capacity),
-                                      std::to_string(backlog)});
-                               });
+  TrajectorySampler sampler{sources, sched, capacity, sim_time / 8.0,
+                            trajectory};
+  pds::Process<&TrajectorySampler::sample> sampling(sim, "dsim.periodic",
+                                                    &sampler);
+  sampling.start(0.0);
   sim.run_until(sim_time);
   for (auto& s : sources) s->stop();
   trajectory.print(std::cout);

@@ -3,20 +3,21 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
 
 void save_trace(const std::string& path,
                 const std::vector<ArrivalRecord>& trace) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
+  AtomicOutFile file(path);
+  std::ostream& out = file.stream();
   out << "time,class,bytes\n";
   out.precision(17);
   for (const auto& rec : trace) {
     out << rec.time << "," << rec.cls << "," << rec.size_bytes << "\n";
   }
-  if (!out) throw std::runtime_error("write failed: " + path);
+  file.close();
 }
 
 std::vector<ArrivalRecord> load_trace(const std::string& path,

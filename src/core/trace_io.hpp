@@ -18,8 +18,8 @@
 
 namespace pds {
 
-// Writes `trace` to `path` (CSV with header). Throws std::runtime_error on
-// I/O failure.
+// Writes `trace` to `path` (CSV with header), committing atomically
+// (util/atomic_file.hpp). Throws std::runtime_error on I/O failure.
 void save_trace(const std::string& path,
                 const std::vector<ArrivalRecord>& trace);
 

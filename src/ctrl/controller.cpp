@@ -43,7 +43,8 @@ Controller::Controller(Simulator& sim, Link& link,
       link_(link),
       monitor_(monitor),
       config_(config),
-      operator_sdp_(std::move(operator_sdp)) {
+      operator_sdp_(std::move(operator_sdp)),
+      ticker_(sim, "ctrl.tick", this) {
   config_.validate();
   PDS_CHECK(!config_.enabled() || monitor_.enabled(),
             "controller needs an enabled conformance monitor");
@@ -60,11 +61,11 @@ void Controller::arm(SimTime until) {
   if (!config_.enabled()) return;
   const SimTime first = sim_.now() + config_.period;
   if (first > until) return;
-  sim_.schedule_at(first, SimEvent([this, until] { tick(until); },
-                                   "ctrl.tick"));
+  until_ = until;
+  ticker_.start(first);
 }
 
-void Controller::tick(SimTime until) {
+std::optional<SimTime> Controller::tick(SimTime now) {
   ++ticks_;
   // Only act on fresh evidence: the monitor closes windows lazily on
   // departures, so a tick may land before the window covering it closed.
@@ -77,11 +78,8 @@ void Controller::tick(SimTime until) {
       tick_hpd_g();
     }
   }
-  const SimTime next = sim_.now() + config_.period;
-  if (next <= until) {
-    sim_.schedule_at(next, SimEvent([this, until] { tick(until); },
-                                    "ctrl.tick"));
-  }
+  if (now + config_.period > until_) return std::nullopt;
+  return config_.period;
 }
 
 void Controller::tick_weights() {

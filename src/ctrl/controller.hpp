@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,8 +77,8 @@ class Controller {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  // Schedules chained "ctrl.tick" events at period, 2*period, ... <= until.
-  // Call exactly once, before running the simulator.
+  // Starts the "ctrl.tick" chain at period, 2*period, ... <= until. Call
+  // exactly once, before running the simulator.
   void arm(SimTime until);
 
   const ControllerConfig& config() const noexcept { return config_; }
@@ -91,7 +92,7 @@ class Controller {
   double g() const noexcept { return g_; }
 
  private:
-  void tick(SimTime until);
+  std::optional<SimTime> tick(SimTime now);
   void tick_weights();
   void tick_hpd_g();
 
@@ -106,6 +107,8 @@ class Controller {
   std::uint64_t last_windows_ = 0;
   std::uint64_t ticks_ = 0;
   std::uint64_t updates_ = 0;
+  SimTime until_ = 0.0;
+  Process<&Controller::tick> ticker_;
 };
 
 }  // namespace pds

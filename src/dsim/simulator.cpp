@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -87,54 +86,6 @@ void Simulator::drain(SimTime horizon, DrainBound bound) {
   if (bound == DrainBound::kInclusive && !stopped_ && now_ < horizon) {
     now_ = horizon;
   }
-}
-
-struct PeriodicProcess::State {
-  Simulator& sim;
-  SimTime period;
-  std::function<void(SimTime)> body;
-  bool cancelled = false;
-
-  // Runs the body once and re-arms. The pending event *owns* one shared_ptr
-  // reference (keeping the state alive even if the PeriodicProcess handle
-  // was destroyed — destruction cancels) and moves it into the next event on
-  // every rearm: after the initial schedule there is no refcount traffic and
-  // no allocation per tick.
-  static void fire(std::shared_ptr<State> st) {
-    if (st->cancelled) return;
-    st->body(st->sim.now());
-    if (st->cancelled) return;
-    Simulator& sim = st->sim;
-    const SimTime period = st->period;
-    sim.schedule_in(period,
-                    SimEvent(SimEvent::TrustedRelocation{},
-                             [st = std::move(st)]() mutable {
-                               fire(std::move(st));
-                             }, "dsim.periodic"));
-  }
-};
-
-PeriodicProcess::PeriodicProcess(Simulator& sim, SimTime start, SimTime period,
-                                 std::function<void(SimTime)> body)
-    : state_(std::make_shared<State>(State{sim, period, std::move(body)})) {
-  PDS_CHECK(period > 0.0, "period must be positive");
-  PDS_CHECK(static_cast<bool>(state_->body), "null process body");
-  sim.schedule_at(start,
-                  SimEvent(SimEvent::TrustedRelocation{},
-                           [st = state_]() mutable { State::fire(std::move(st)); },
-                           "dsim.periodic"));
-}
-
-PeriodicProcess::~PeriodicProcess() {
-  if (state_) state_->cancelled = true;
-}
-
-void PeriodicProcess::cancel() noexcept {
-  if (state_) state_->cancelled = true;
-}
-
-bool PeriodicProcess::cancelled() const noexcept {
-  return !state_ || state_->cancelled;
 }
 
 }  // namespace pds

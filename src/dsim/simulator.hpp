@@ -8,13 +8,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "dsim/event_queue.hpp"
 #include "dsim/sim_event.hpp"
 #include "dsim/time.hpp"
+#include "util/contracts.hpp"
 
 namespace pds {
 
@@ -147,22 +148,81 @@ class Simulator {
   double budget_wall_seconds_ = 0.0;    // 0 = unlimited
 };
 
-// Repeatedly runs `body` every `period` time units until the simulator stops
-// or `cancel()` is called. The first invocation happens at `start`.
-class PeriodicProcess {
+// One self-rearming chain of events: the mechanism behind every traffic
+// source, the metrics ticker and the controller's tick.
+//
+// The owner holds a Process<&Owner::step> as a member, constructed with its
+// `this`, where `std::optional<SimTime> Owner::step(SimTime now)` is its
+// rule for one firing: it receives the firing time and returns the delay
+// to the next firing, or std::nullopt to end the chain. start(at)
+// schedules the first firing. stop() ends the chain, and so does
+// destroying the handle, so destroying the owner stops it before the step
+// can run again: the pending firing then runs nothing and schedules
+// nothing. The owner must not be destroyed from inside its own step.
+//
+// The pending event owns one reference to the chain's shared state and
+// moves it into the next event it schedules. That capture is 16 bytes and
+// relocates by memcpy (SimEvent::TrustedRelocation), so a firing allocates
+// nothing and touches no reference count. The step is a template argument
+// rather than a stored callable, so a firing calls it directly: behind a
+// std::function the packet pipeline benchmark lost about 3% (see
+// EXPERIMENTS.md, "One event chain").
+template <auto Step>
+class Process;
+
+template <typename Owner, std::optional<SimTime> (Owner::*Step)(SimTime)>
+class Process<Step> {
  public:
-  PeriodicProcess(Simulator& sim, SimTime start, SimTime period,
-                  std::function<void(SimTime)> body);
-  ~PeriodicProcess();
+  // `label` is the chain's profiling category (a static string; see
+  // Simulator::schedule_at).
+  Process(Simulator& sim, const char* label, Owner* owner)
+      : state_(std::make_shared<State>(State{sim, label, owner})) {}
+  ~Process() { stop(); }
 
-  PeriodicProcess(const PeriodicProcess&) = delete;
-  PeriodicProcess& operator=(const PeriodicProcess&) = delete;
+  Process(const Process&) = delete;
+  Process& operator=(const Process&) = delete;
 
-  void cancel() noexcept;
-  bool cancelled() const noexcept;
+  // Schedules the first firing at absolute time `at`. Throws
+  // std::invalid_argument on a second call.
+  void start(SimTime at) {
+    PDS_CHECK(!state_->started, "process already started");
+    state_->started = true;
+    schedule(state_, at);
+  }
+
+  void stop() noexcept { state_->stopped = true; }
 
  private:
-  struct State;
+  struct State {
+    Simulator& sim;
+    const char* label;
+    Owner* owner;
+    bool started = false;
+    bool stopped = false;
+  };
+
+  // The one rearm site. Hoisting `sim` and `label` out of `st` is required:
+  // the capture below may move `st` before the call's object expression and
+  // arguments are evaluated.
+  static void schedule(std::shared_ptr<State> st, SimTime at) {
+    Simulator& sim = st->sim;
+    const char* label = st->label;
+    sim.schedule_at(at,
+                    SimEvent(SimEvent::TrustedRelocation{},
+                             [st = std::move(st)]() mutable {
+                               fire(std::move(st));
+                             }),
+                    label);
+  }
+
+  static void fire(std::shared_ptr<State> st) {
+    if (st->stopped) return;
+    const SimTime now = st->sim.now();
+    const std::optional<SimTime> delay = (st->owner->*Step)(now);
+    if (!delay || st->stopped) return;
+    schedule(std::move(st), now + *delay);
+  }
+
   std::shared_ptr<State> state_;
 };
 

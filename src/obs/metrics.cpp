@@ -70,22 +70,26 @@ MetricsSnapshotWriter::MetricsSnapshotWriter(
       out_(path),
       format_(format_for_path(path)),
       window_(window),
-      pre_snapshot_(std::move(pre_snapshot)) {
+      pre_snapshot_(std::move(pre_snapshot)),
+      ticker_(sim, "dsim.periodic", this) {
   PDS_CHECK(window > 0.0, "monitoring window must be positive");
   if (format_ == MetricsFormat::kCsv) {
     out_.stream() << "time,name,type,value,count,mean,stddev,min,max\n";
   }
-  ticker_ = std::make_unique<PeriodicProcess>(
-      sim_, sim_.now() + window_, window_,
-      [this](SimTime now) { write_snapshot(now); });
+  ticker_.start(sim_.now() + window_);
 }
 
 MetricsSnapshotWriter::~MetricsSnapshotWriter() = default;
 
 void MetricsSnapshotWriter::flush() {
-  if (ticker_) ticker_->cancel();
+  ticker_.stop();
   if (sim_.now() > last_time_) write_snapshot(sim_.now());
   out_.close();  // commit: tmp renames onto the final path
+}
+
+std::optional<SimTime> MetricsSnapshotWriter::tick(SimTime now) {
+  write_snapshot(now);
+  return window_;
 }
 
 void MetricsSnapshotWriter::write_snapshot(SimTime now) {

@@ -9,7 +9,7 @@
 //              current monitoring window and over the whole run.
 //
 // The MetricsSnapshotWriter is the runtime analogue of the paper's Eq. 2
-// short-timescale view: a PeriodicProcess samples every metric each
+// short-timescale view: a dsim Process samples every metric each
 // monitoring window tau, appends one row per metric to a CSV or JSONL time
 // series (format chosen by file extension), and resets the window state.
 // A `pre_snapshot` callback lets the owner refresh pull-style gauges (e.g.
@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -164,6 +164,7 @@ class MetricsSnapshotWriter {
   static MetricsFormat format_for_path(const std::string& path);
 
  private:
+  std::optional<SimTime> tick(SimTime now);
   void write_snapshot(SimTime now);
 
   Simulator& sim_;
@@ -174,7 +175,7 @@ class MetricsSnapshotWriter {
   std::function<void(SimTime)> pre_snapshot_;
   SimTime last_time_ = -1.0;
   std::uint64_t snapshots_ = 0;
-  std::unique_ptr<PeriodicProcess> ticker_;
+  Process<&MetricsSnapshotWriter::tick> ticker_;
 };
 
 }  // namespace pds

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -98,8 +99,8 @@ void PacketTracer::on_drop(const Packet& p, const ProbeContext& ctx,
 }
 
 void PacketTracer::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open trace file: " + path);
+  AtomicOutFile file(path);
+  std::ostream& out = file.stream();
   out << "time,packet_id,event,class,hop,size_bytes,wait,"
          "backlog_packets,backlog_bytes\n";
   for (const auto& r : records_) {
@@ -107,7 +108,7 @@ void PacketTracer::save(const std::string& path) const {
         << r.cls << ',' << r.hop << ',' << r.size_bytes << ',' << r.wait
         << ',' << r.backlog_packets << ',' << r.backlog_bytes << '\n';
   }
-  PDS_CHECK(static_cast<bool>(out), "write failure: " + path);
+  file.close();
 }
 
 std::vector<TraceRecord> PacketTracer::load(const std::string& path) {

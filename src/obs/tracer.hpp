@@ -68,7 +68,8 @@ class PacketTracer final : public PacketProbe {
   const std::vector<TraceRecord>& records() const noexcept { return records_; }
   double sample_rate() const noexcept { return sample_rate_; }
 
-  // CSV round trip. save() throws std::runtime_error on I/O failure.
+  // CSV round trip. save() commits atomically (util/atomic_file.hpp) and
+  // throws std::runtime_error on I/O failure.
   void save(const std::string& path) const;
   static std::vector<TraceRecord> load(const std::string& path);
 

@@ -1,8 +1,23 @@
 #include "sched/link.hpp"
 
+#include <string>
+
+#include "sched/tag.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
+
+namespace {
+
+// PLR push-out makes room by dropping a queued packet, and a tag
+// scheduler's drop_tail never returns one.
+void check_can_push_out(const Scheduler& sched) {
+  PDS_CHECK(dynamic_cast<const TagScheduler*>(&sched) == nullptr,
+            "PLR push-out needs a scheduler that can drop a queued packet, "
+            "got " + std::string(sched.name()));
+}
+
+}  // namespace
 
 Link::Link(Simulator& sim, Scheduler& sched, double capacity,
            DepartureHandler on_departure)
@@ -29,6 +44,7 @@ void Link::set_buffer(std::uint64_t buffer_packets, DropPolicy policy,
     PDS_CHECK(plr != nullptr, "PLR policy requires a dropper");
     PDS_CHECK(plr->num_classes() == sched_->num_classes(),
               "dropper/scheduler class count mismatch");
+    check_can_push_out(*sched_);
   } else {
     PDS_CHECK(plr == nullptr, "dropper given but policy is not PLR");
   }
@@ -155,6 +171,7 @@ bool Link::admit(const Packet& p) {
 void Link::set_scheduler(Scheduler& sched) {
   PDS_CHECK(sched.num_classes() == sched_->num_classes(),
             "scheduler swap across different class counts");
+  if (has_buffer() && policy_ == DropPolicy::kPlr) check_can_push_out(sched);
   sched_ = &sched;
   sched_->set_probe(probe_, hop_);
 }

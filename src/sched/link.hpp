@@ -95,7 +95,9 @@ class Link {
   // Caps the total queued packets at `buffer_packets` (the packets on the
   // wire do not count against the buffer) under `policy`. `plr` must be
   // non-null iff policy is kPlr; its class count must match the
-  // scheduler's. Call at most once, before the first arrival.
+  // scheduler's, and kPlr rejects a tag scheduler (FCFS, SCFQ, VC), which
+  // cannot drop a queued packet. Call at most once, before the first
+  // arrival.
   void set_buffer(std::uint64_t buffer_packets,
                   DropPolicy policy = DropPolicy::kDropIncoming,
                   std::unique_ptr<PlrDropper> plr = nullptr);
@@ -170,8 +172,9 @@ class Link {
   // Live scheduler swap: replaces the scheduler serving this link. The
   // caller must have handed the old scheduler's backlog to `sched` first
   // (ClassBasedScheduler::release_backlog/adopt_backlog); the class counts
-  // must match. Safe mid-burst — the staged burst rides in the Link, not
-  // the scheduler. The probe is re-attached so enqueue events keep the hop.
+  // must match, and a PLR-buffered link refuses a tag scheduler. Safe
+  // mid-burst — the staged burst rides in the Link, not the scheduler. The
+  // probe is re-attached so enqueue events keep the hop.
   void set_scheduler(Scheduler& sched);
   Scheduler& scheduler_mut() noexcept { return *sched_; }
 

@@ -32,89 +32,45 @@ void EcnSourceConfig::validate() const {
             "multiplicative decrease must be in (0,1)");
 }
 
-struct EcnAdaptiveSource::State {
-  Simulator& sim;
-  PacketIdAllocator& ids;
-  EcnSourceConfig config;
-  Rng rng;
-  PacketHandler handler;
-  double rate;
-  bool stopped = false;
-  bool started = false;
-  std::uint64_t emitted = 0;
-  std::uint64_t marks = 0;
-
-  // Exponential gaps with the current mean keep emissions well-behaved
-  // when the rate changes between packets. The pending event's shared_ptr
-  // reference moves through the rearm chain (see traffic/source.cpp).
-  static void arm(std::shared_ptr<State> st) {
-    const double mean_gap =
-        static_cast<double>(st->config.packet_bytes) / st->rate;
-    const ExponentialDist gap(mean_gap);
-    const double delay = gap.sample(st->rng);
-    Simulator& sim = st->sim;
-    sim.schedule_in(delay, SimEvent(
-                               [st = std::move(st)]() mutable {
-                                 if (st->stopped) return;
-                                 Packet p;
-                                 p.id = st->ids.next();
-                                 p.cls = st->config.cls;
-                                 p.size_bytes = st->config.packet_bytes;
-                                 p.created = st->sim.now();
-                                 st->handler(std::move(p));
-                                 ++st->emitted;
-                                 arm(std::move(st));
-                               },
-                               "traffic.ecn"));
-  }
-};
-
 EcnAdaptiveSource::EcnAdaptiveSource(Simulator& sim, PacketIdAllocator& ids,
                                      EcnSourceConfig config, Rng rng,
                                      PacketHandler handler)
-    : state_(std::make_shared<State>(
-          State{sim, ids, config, rng, std::move(handler),
-                config.initial_rate})) {
+    : ids_(ids),
+      config_(config),
+      rng_(rng),
+      handler_(std::move(handler)),
+      rate_(config.initial_rate),
+      process_(sim, "traffic.ecn", this) {
   config.validate();
-  PDS_CHECK(static_cast<bool>(state_->handler), "null packet handler");
+  PDS_CHECK(static_cast<bool>(handler_), "null packet handler");
 }
 
-EcnAdaptiveSource::~EcnAdaptiveSource() {
-  if (state_) state_->stopped = true;
+// Exponential gaps with the current mean keep emissions well-behaved when
+// the rate changes between packets. The firing at start() only draws the
+// first gap.
+std::optional<SimTime> EcnAdaptiveSource::step(SimTime now) {
+  if (primed_) {
+    Packet p;
+    p.id = ids_.next();
+    p.cls = config_.cls;
+    p.size_bytes = config_.packet_bytes;
+    p.created = now;
+    handler_(std::move(p));
+    ++emitted_;
+  }
+  primed_ = true;
+  const double mean_gap = static_cast<double>(config_.packet_bytes) / rate_;
+  return ExponentialDist(mean_gap).sample(rng_);
 }
-
-void EcnAdaptiveSource::start(SimTime at) {
-  PDS_CHECK(!state_->started, "source already started");
-  state_->started = true;
-  state_->sim.schedule_at(
-      at, SimEvent([st = state_]() mutable {
-        if (!st->stopped) State::arm(std::move(st));
-      }, "traffic.ecn"));
-}
-
-void EcnAdaptiveSource::stop() noexcept { state_->stopped = true; }
 
 void EcnAdaptiveSource::on_feedback(bool marked) {
-  State& st = *state_;
   if (marked) {
-    ++st.marks;
-    st.rate *= st.config.multiplicative_decrease;
+    ++marks_;
+    rate_ *= config_.multiplicative_decrease;
   } else {
-    st.rate += st.config.additive_increase;
+    rate_ += config_.additive_increase;
   }
-  st.rate = std::clamp(st.rate, st.config.min_rate, st.config.max_rate);
-}
-
-double EcnAdaptiveSource::current_rate() const noexcept {
-  return state_->rate;
-}
-
-std::uint64_t EcnAdaptiveSource::packets_emitted() const noexcept {
-  return state_->emitted;
-}
-
-std::uint64_t EcnAdaptiveSource::marks_received() const noexcept {
-  return state_->marks;
+  rate_ = std::clamp(rate_, config_.min_rate, config_.max_rate);
 }
 
 }  // namespace pds

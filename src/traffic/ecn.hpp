@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 
 #include "dsim/simulator.hpp"
 #include "packet/packet.hpp"
@@ -58,25 +58,34 @@ class EcnAdaptiveSource {
  public:
   EcnAdaptiveSource(Simulator& sim, PacketIdAllocator& ids,
                     EcnSourceConfig config, Rng rng, PacketHandler handler);
-  ~EcnAdaptiveSource();
 
   EcnAdaptiveSource(const EcnAdaptiveSource&) = delete;
   EcnAdaptiveSource& operator=(const EcnAdaptiveSource&) = delete;
 
-  void start(SimTime at);
-  void stop() noexcept;
+  void start(SimTime at) { process_.start(at); }
+  void stop() noexcept { process_.stop(); }
 
   // Congestion feedback for one previously emitted packet. Marks shrink
   // the rate multiplicatively; clean echoes grow it additively.
   void on_feedback(bool marked);
 
-  double current_rate() const noexcept;        // bytes per time unit
-  std::uint64_t packets_emitted() const noexcept;
-  std::uint64_t marks_received() const noexcept;
+  // Sending rate in bytes per time unit.
+  double current_rate() const noexcept { return rate_; }
+  std::uint64_t packets_emitted() const noexcept { return emitted_; }
+  std::uint64_t marks_received() const noexcept { return marks_; }
 
  private:
-  struct State;
-  std::shared_ptr<State> state_;
+  std::optional<SimTime> step(SimTime now);
+
+  PacketIdAllocator& ids_;
+  EcnSourceConfig config_;
+  Rng rng_;
+  PacketHandler handler_;
+  double rate_;
+  std::uint64_t emitted_ = 0;
+  std::uint64_t marks_ = 0;
+  bool primed_ = false;  // the first gap draw at start() has fired
+  Process<&EcnAdaptiveSource::step> process_;
 };
 
 }  // namespace pds

@@ -1,6 +1,5 @@
 #include "traffic/onoff.hpp"
 
-#include "rng/distributions.hpp"
 #include "util/contracts.hpp"
 
 namespace pds {
@@ -15,111 +14,44 @@ void OnOffConfig::validate() const {
             "mean ON period shorter than one packet");
 }
 
-struct OnOffSource::State {
-  Simulator& sim;
-  PacketIdAllocator& ids;
-  OnOffConfig config;
-  ParetoDist on_law;
-  ParetoDist off_law;
-  ExponentialDist off_exp;
-  Rng rng;
-  PacketHandler handler;
-  bool stopped = false;
-  bool started = false;
-  std::uint64_t emitted = 0;
-  std::uint64_t bursts = 0;
-
-  State(Simulator& sim_in, PacketIdAllocator& ids_in, OnOffConfig cfg,
-        Rng rng_in, PacketHandler handler_in)
-      : sim(sim_in),
-        ids(ids_in),
-        config(cfg),
-        on_law(ParetoDist::with_mean(cfg.pareto_alpha, cfg.mean_on)),
-        off_law(ParetoDist::with_mean(cfg.pareto_alpha, cfg.mean_off)),
-        off_exp(cfg.mean_off),
-        rng(rng_in),
-        handler(std::move(handler_in)) {}
-
-  double draw_off() {
-    return config.pareto_off ? off_law.sample(rng) : off_exp.sample(rng);
-  }
-
-  void emit_packet() {
-    Packet p;
-    p.id = ids.next();
-    p.cls = config.cls;
-    p.size_bytes = config.packet_bytes;
-    p.created = sim.now();
-    handler(std::move(p));
-    ++emitted;
-  }
-
-  // Emits packets separated by the packet serialization time at the peak
-  // rate until `burst_end`, then sleeps an OFF period and repeats. The
-  // pending event's shared_ptr reference moves through the chain, so the
-  // per-packet rearm neither allocates nor touches the refcount.
-  static void run_on_period(std::shared_ptr<State> st, SimTime burst_end) {
-    if (st->stopped) return;
-    st->emit_packet();
-    const double gap = static_cast<double>(st->config.packet_bytes) /
-                       st->config.peak_rate;
-    Simulator& sim = st->sim;
-    if (sim.now() + gap <= burst_end) {
-      sim.schedule_in(gap, SimEvent(
-                               [st = std::move(st), burst_end]() mutable {
-                                 run_on_period(std::move(st), burst_end);
-                               },
-                               "traffic.onoff"));
-    } else {
-      schedule_next_burst(std::move(st));
-    }
-  }
-
-  static void schedule_next_burst(std::shared_ptr<State> st) {
-    if (st->stopped) return;
-    const double off = st->draw_off();
-    Simulator& sim = st->sim;
-    sim.schedule_in(off, SimEvent(
-                             [st = std::move(st)]() mutable {
-                               if (st->stopped) return;
-                               ++st->bursts;
-                               const double on = st->on_law.sample(st->rng);
-                               const SimTime burst_end = st->sim.now() + on;
-                               run_on_period(std::move(st), burst_end);
-                             },
-                             "traffic.onoff"));
-  }
-};
-
 OnOffSource::OnOffSource(Simulator& sim, PacketIdAllocator& ids,
                          OnOffConfig config, Rng rng, PacketHandler handler)
-    : state_(std::make_shared<State>(sim, ids, config, rng,
-                                     std::move(handler))) {
+    : ids_(ids),
+      config_(config),
+      on_law_(ParetoDist::with_mean(config.pareto_alpha, config.mean_on)),
+      off_law_(ParetoDist::with_mean(config.pareto_alpha, config.mean_off)),
+      off_exp_(config.mean_off),
+      rng_(rng),
+      handler_(std::move(handler)),
+      process_(sim, "traffic.onoff", this) {
   config.validate();
-  PDS_CHECK(static_cast<bool>(state_->handler), "null packet handler");
+  PDS_CHECK(static_cast<bool>(handler_), "null packet handler");
 }
 
-OnOffSource::~OnOffSource() {
-  if (state_) state_->stopped = true;
-}
-
-void OnOffSource::start(SimTime at) {
-  PDS_CHECK(!state_->started, "source already started");
-  state_->started = true;
-  state_->sim.schedule_at(
-      at, SimEvent([st = state_]() mutable {
-        State::schedule_next_burst(std::move(st));
-      }, "traffic.onoff"));
-}
-
-void OnOffSource::stop() noexcept { state_->stopped = true; }
-
-std::uint64_t OnOffSource::packets_emitted() const noexcept {
-  return state_->emitted;
-}
-
-std::uint64_t OnOffSource::bursts_started() const noexcept {
-  return state_->bursts;
+// An OFF period that ends opens a burst, drawing its ON length. Each burst
+// firing emits one packet and rearms one serialization time later at the
+// peak rate while that still fits the burst; otherwise it draws the next
+// OFF period, as does the firing at start().
+std::optional<SimTime> OnOffSource::step(SimTime now) {
+  if (phase_ == Phase::kOff) {
+    ++bursts_;
+    burst_end_ = now + on_law_.sample(rng_);
+    phase_ = Phase::kOn;
+  }
+  if (phase_ == Phase::kOn) {
+    Packet p;
+    p.id = ids_.next();
+    p.cls = config_.cls;
+    p.size_bytes = config_.packet_bytes;
+    p.created = now;
+    handler_(std::move(p));
+    ++emitted_;
+    const double gap =
+        static_cast<double>(config_.packet_bytes) / config_.peak_rate;
+    if (now + gap <= burst_end_) return gap;
+  }
+  phase_ = Phase::kOff;
+  return config_.pareto_off ? off_law_.sample(rng_) : off_exp_.sample(rng_);
 }
 
 }  // namespace pds

@@ -8,10 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 
 #include "dsim/simulator.hpp"
 #include "packet/packet.hpp"
+#include "rng/distributions.hpp"
 #include "rng/rng.hpp"
 #include "traffic/source.hpp"
 
@@ -37,21 +38,36 @@ class OnOffSource {
  public:
   OnOffSource(Simulator& sim, PacketIdAllocator& ids, OnOffConfig config,
               Rng rng, PacketHandler handler);
-  ~OnOffSource();
 
   OnOffSource(const OnOffSource&) = delete;
   OnOffSource& operator=(const OnOffSource&) = delete;
 
   // Starts with an OFF period beginning at `at` (a random phase).
-  void start(SimTime at);
-  void stop() noexcept;
+  void start(SimTime at) { process_.start(at); }
+  void stop() noexcept { process_.stop(); }
 
-  std::uint64_t packets_emitted() const noexcept;
-  std::uint64_t bursts_started() const noexcept;
+  std::uint64_t packets_emitted() const noexcept { return emitted_; }
+  std::uint64_t bursts_started() const noexcept { return bursts_; }
 
  private:
-  struct State;
-  std::shared_ptr<State> state_;
+  // kStart: the firing at start(); kOff: an OFF period just ended; kOn: a
+  // burst is under way.
+  enum class Phase : std::uint8_t { kStart, kOff, kOn };
+
+  std::optional<SimTime> step(SimTime now);
+
+  PacketIdAllocator& ids_;
+  OnOffConfig config_;
+  ParetoDist on_law_;
+  ParetoDist off_law_;
+  ExponentialDist off_exp_;
+  Rng rng_;
+  PacketHandler handler_;
+  Phase phase_ = Phase::kStart;
+  SimTime burst_end_ = 0.0;
+  std::uint64_t emitted_ = 0;
+  std::uint64_t bursts_ = 0;
+  Process<&OnOffSource::step> process_;
 };
 
 }  // namespace pds

@@ -33,119 +33,48 @@ SizeSampler law_size(DiscreteDist law) {
   };
 }
 
-namespace {
-
-// Shared emission loop for the infinite renewal sources. The shared_ptr
-// state pattern lets a destroyed source cancel its pending event safely:
-// the pending event owns one reference and keeps the state alive until it
-// fires. That reference is *moved* from each fired event into the next one
-// it schedules, so steady-state emission performs no refcount traffic and
-// (the capture being 16 inline bytes of SimEvent storage) no heap
-// allocation per packet.
-template <typename StateT>
-void arm_next(std::shared_ptr<StateT> st) {
-  const double gap = st->gaps(st->rng);
-  PDS_REQUIRE(gap > 0.0);
-  Simulator& sim = st->sim;
-  sim.schedule_in(gap, SimEvent(
-                           SimEvent::TrustedRelocation{},
-                           [st = std::move(st)]() mutable {
-                             if (st->stopped) return;
-                             st->emit();
-                             ++st->emitted;
-                             arm_next(std::move(st));
-                           },
-                           "traffic.source"));
-}
-
-}  // namespace
-
-struct RenewalSource::State {
-  Simulator& sim;
-  PacketIdAllocator& ids;
-  ClassId cls;
-  GapSampler gaps;
-  SizeSampler sizes;
-  Rng rng;
-  PacketHandler handler;
-  bool stopped = false;
-  bool started = false;
-  std::uint64_t emitted = 0;
-
-  void emit() {
-    Packet p;
-    p.id = ids.next();
-    p.cls = cls;
-    p.size_bytes = sizes(rng);
-    p.created = sim.now();
-    handler(std::move(p));
-  }
-};
-
 RenewalSource::RenewalSource(Simulator& sim, PacketIdAllocator& ids,
                              ClassId cls, GapSampler gaps, SizeSampler sizes,
                              Rng rng, PacketHandler handler)
-    : state_(std::make_shared<State>(State{sim, ids, cls, std::move(gaps),
-                                           std::move(sizes), rng,
-                                           std::move(handler)})) {
-  PDS_CHECK(static_cast<bool>(state_->gaps), "null gap sampler");
-  PDS_CHECK(static_cast<bool>(state_->sizes), "null size sampler");
-  PDS_CHECK(static_cast<bool>(state_->handler), "null packet handler");
+    : ids_(ids),
+      cls_(cls),
+      gaps_(std::move(gaps)),
+      sizes_(std::move(sizes)),
+      rng_(rng),
+      handler_(std::move(handler)),
+      process_(sim, "traffic.source", this) {
+  PDS_CHECK(static_cast<bool>(gaps_), "null gap sampler");
+  PDS_CHECK(static_cast<bool>(sizes_), "null size sampler");
+  PDS_CHECK(static_cast<bool>(handler_), "null packet handler");
 }
 
-RenewalSource::~RenewalSource() {
-  if (state_) state_->stopped = true;
-}
-
-void RenewalSource::start(SimTime at) {
-  PDS_CHECK(!state_->started, "source already started");
-  state_->started = true;
-  state_->sim.schedule_at(
-      at, SimEvent(SimEvent::TrustedRelocation{}, [st = state_]() mutable {
-        if (!st->stopped) arm_next(std::move(st));
-      }, "traffic.source"));
-}
-
-void RenewalSource::stop() noexcept { state_->stopped = true; }
-
-std::uint64_t RenewalSource::packets_emitted() const noexcept {
-  return state_->emitted;
-}
-
-struct ClassMixSource::State {
-  Simulator& sim;
-  PacketIdAllocator& ids;
-  std::vector<double> cumulative;  // cumulative class fractions
-  GapSampler gaps;
-  SizeSampler sizes;
-  Rng rng;
-  PacketHandler handler;
-  bool stopped = false;
-  bool started = false;
-  std::uint64_t emitted = 0;
-
-  ClassId draw_class() {
-    const double u = rng.uniform01();
-    for (std::size_t c = 0; c < cumulative.size(); ++c) {
-      if (u < cumulative[c]) return static_cast<ClassId>(c);
-    }
-    return static_cast<ClassId>(cumulative.size() - 1);
-  }
-
-  void emit() {
+// The firing at start() only draws the phase gap; every later one emits.
+std::optional<SimTime> RenewalSource::step(SimTime now) {
+  if (primed_) {
     Packet p;
-    p.id = ids.next();
-    p.cls = draw_class();
-    p.size_bytes = sizes(rng);
-    p.created = sim.now();
-    handler(std::move(p));
+    p.id = ids_.next();
+    p.cls = cls_;
+    p.size_bytes = sizes_(rng_);
+    p.created = now;
+    handler_(std::move(p));
+    ++emitted_;
   }
-};
+  primed_ = true;
+  const double gap = gaps_(rng_);
+  PDS_REQUIRE(gap > 0.0);
+  return gap;
+}
 
 ClassMixSource::ClassMixSource(Simulator& sim, PacketIdAllocator& ids,
                                std::vector<double> class_fractions,
                                GapSampler gaps, SizeSampler sizes, Rng rng,
-                               PacketHandler handler) {
+                               PacketHandler handler)
+    : ids_(ids),
+      gaps_(std::move(gaps)),
+      sizes_(std::move(sizes)),
+      rng_(rng),
+      handler_(std::move(handler)),
+      process_(sim, "traffic.source", this) {
   PDS_CHECK(!class_fractions.empty(), "need at least one class fraction");
   double total = 0.0;
   for (const double f : class_fractions) {
@@ -153,101 +82,71 @@ ClassMixSource::ClassMixSource(Simulator& sim, PacketIdAllocator& ids,
     total += f;
   }
   PDS_CHECK(total > 0.0, "all class fractions are zero");
-  std::vector<double> cumulative;
   double cum = 0.0;
   for (const double f : class_fractions) {
     cum += f / total;
-    cumulative.push_back(cum);
+    cumulative_.push_back(cum);
   }
-  cumulative.back() = 1.0;
-  state_ = std::make_shared<State>(State{sim, ids, std::move(cumulative),
-                                         std::move(gaps), std::move(sizes),
-                                         rng, std::move(handler)});
-  PDS_CHECK(static_cast<bool>(state_->gaps), "null gap sampler");
-  PDS_CHECK(static_cast<bool>(state_->sizes), "null size sampler");
-  PDS_CHECK(static_cast<bool>(state_->handler), "null packet handler");
+  cumulative_.back() = 1.0;
+  PDS_CHECK(static_cast<bool>(gaps_), "null gap sampler");
+  PDS_CHECK(static_cast<bool>(sizes_), "null size sampler");
+  PDS_CHECK(static_cast<bool>(handler_), "null packet handler");
 }
 
-ClassMixSource::~ClassMixSource() {
-  if (state_) state_->stopped = true;
+ClassId ClassMixSource::draw_class() {
+  const double u = rng_.uniform01();
+  for (std::size_t c = 0; c < cumulative_.size(); ++c) {
+    if (u < cumulative_[c]) return static_cast<ClassId>(c);
+  }
+  return static_cast<ClassId>(cumulative_.size() - 1);
 }
 
-void ClassMixSource::start(SimTime at) {
-  PDS_CHECK(!state_->started, "source already started");
-  state_->started = true;
-  state_->sim.schedule_at(
-      at, SimEvent(SimEvent::TrustedRelocation{}, [st = state_]() mutable {
-        if (!st->stopped) arm_next(std::move(st));
-      }, "traffic.source"));
-}
-
-void ClassMixSource::stop() noexcept { state_->stopped = true; }
-
-std::uint64_t ClassMixSource::packets_emitted() const noexcept {
-  return state_->emitted;
-}
-
-struct CbrFlowSource::State {
-  Simulator& sim;
-  PacketIdAllocator& ids;
-  ClassId cls;
-  FlowId flow;
-  std::uint32_t count;
-  std::uint32_t size_bytes;
-  SimTime interval;
-  PacketHandler handler;
-  std::uint64_t emitted = 0;
-
-  // The pending-event reference moves through the chain (see arm_next).
-  static void emit_and_rearm(std::shared_ptr<State> st) {
+// As RenewalSource::step, with the class drawn per packet.
+std::optional<SimTime> ClassMixSource::step(SimTime now) {
+  if (primed_) {
     Packet p;
-    p.id = st->ids.next();
-    p.cls = st->cls;
-    p.flow = st->flow;
-    p.size_bytes = st->size_bytes;
-    p.created = st->sim.now();
-    st->handler(std::move(p));
-    ++st->emitted;
-    if (st->emitted < st->count) {
-      Simulator& sim = st->sim;
-      const SimTime interval = st->interval;
-      sim.schedule_in(interval, SimEvent(
-                                    SimEvent::TrustedRelocation{},
-                                    [st = std::move(st)]() mutable {
-                                      emit_and_rearm(std::move(st));
-                                    },
-                                    "traffic.cbr"));
-    }
+    p.id = ids_.next();
+    p.cls = draw_class();
+    p.size_bytes = sizes_(rng_);
+    p.created = now;
+    handler_(std::move(p));
+    ++emitted_;
   }
-};
+  primed_ = true;
+  const double gap = gaps_(rng_);
+  PDS_REQUIRE(gap > 0.0);
+  return gap;
+}
 
 CbrFlowSource::CbrFlowSource(Simulator& sim, PacketIdAllocator& ids,
                              ClassId cls, FlowId flow, std::uint32_t count,
                              std::uint32_t size_bytes, SimTime interval,
                              PacketHandler handler)
-    : state_(std::make_shared<State>(State{sim, ids, cls, flow, count,
-                                           size_bytes, interval,
-                                           std::move(handler)})) {
+    : ids_(ids),
+      cls_(cls),
+      flow_(flow),
+      count_(count),
+      size_bytes_(size_bytes),
+      interval_(interval),
+      handler_(std::move(handler)),
+      process_(sim, "traffic.cbr", this) {
   PDS_CHECK(count > 0, "flow needs at least one packet");
   PDS_CHECK(size_bytes > 0, "packet size must be positive");
   PDS_CHECK(interval > 0.0, "interval must be positive");
-  PDS_CHECK(static_cast<bool>(state_->handler), "null packet handler");
+  PDS_CHECK(static_cast<bool>(handler_), "null packet handler");
 }
 
-void CbrFlowSource::start(SimTime at) {
-  PDS_CHECK(state_->emitted == 0, "flow already started");
-  state_->sim.schedule_at(
-      at, SimEvent(SimEvent::TrustedRelocation{}, [st = state_]() mutable {
-        State::emit_and_rearm(std::move(st));
-      }, "traffic.cbr"));
-}
-
-std::uint64_t CbrFlowSource::packets_emitted() const noexcept {
-  return state_->emitted;
-}
-
-bool CbrFlowSource::finished() const noexcept {
-  return state_->emitted >= state_->count;
+std::optional<SimTime> CbrFlowSource::step(SimTime now) {
+  Packet p;
+  p.id = ids_.next();
+  p.cls = cls_;
+  p.flow = flow_;
+  p.size_bytes = size_bytes_;
+  p.created = now;
+  handler_(std::move(p));
+  ++emitted_;
+  if (finished()) return std::nullopt;
+  return interval_;
 }
 
 }  // namespace pds

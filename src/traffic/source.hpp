@@ -3,7 +3,9 @@
 // Sources are event-driven packet emitters attached to a Simulator. Each
 // emitted packet is handed to a caller-supplied handler (normally
 // Link::arrive). All randomness comes from a per-source Rng so sources are
-// independent and runs are reproducible.
+// independent and runs are reproducible. Each source runs on one dsim
+// Process, its event chain, and keeps only its rule for one firing;
+// stop() and destroying the source end the chain.
 //
 // The paper's workloads:
 //  * Study A: one renewal source per class with Pareto(alpha=1.9)
@@ -14,7 +16,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
+#include <vector>
 
 #include "dsim/simulator.hpp"
 #include "packet/packet.hpp"
@@ -51,21 +54,29 @@ class RenewalSource {
   RenewalSource(Simulator& sim, PacketIdAllocator& ids, ClassId cls,
                 GapSampler gaps, SizeSampler sizes, Rng rng,
                 PacketHandler handler);
-  ~RenewalSource();
 
   RenewalSource(const RenewalSource&) = delete;
   RenewalSource& operator=(const RenewalSource&) = delete;
 
   // Begins emitting; the first packet is sent one interarrival gap after
   // `at` (a phase draw, so sources started together do not align).
-  void start(SimTime at);
-  void stop() noexcept;
+  void start(SimTime at) { process_.start(at); }
+  void stop() noexcept { process_.stop(); }
 
-  std::uint64_t packets_emitted() const noexcept;
+  std::uint64_t packets_emitted() const noexcept { return emitted_; }
 
  private:
-  struct State;
-  std::shared_ptr<State> state_;
+  std::optional<SimTime> step(SimTime now);
+
+  PacketIdAllocator& ids_;
+  ClassId cls_;
+  GapSampler gaps_;
+  SizeSampler sizes_;
+  Rng rng_;
+  PacketHandler handler_;
+  std::uint64_t emitted_ = 0;
+  bool primed_ = false;  // the phase draw at start() has fired
+  Process<&RenewalSource::step> process_;
 };
 
 // Infinite renewal process whose packets draw their class per emission from
@@ -77,19 +88,28 @@ class ClassMixSource {
   ClassMixSource(Simulator& sim, PacketIdAllocator& ids,
                  std::vector<double> class_fractions, GapSampler gaps,
                  SizeSampler sizes, Rng rng, PacketHandler handler);
-  ~ClassMixSource();
 
   ClassMixSource(const ClassMixSource&) = delete;
   ClassMixSource& operator=(const ClassMixSource&) = delete;
 
-  void start(SimTime at);
-  void stop() noexcept;
+  void start(SimTime at) { process_.start(at); }
+  void stop() noexcept { process_.stop(); }
 
-  std::uint64_t packets_emitted() const noexcept;
+  std::uint64_t packets_emitted() const noexcept { return emitted_; }
 
  private:
-  struct State;
-  std::shared_ptr<State> state_;
+  std::optional<SimTime> step(SimTime now);
+  ClassId draw_class();
+
+  PacketIdAllocator& ids_;
+  std::vector<double> cumulative_;  // cumulative class fractions
+  GapSampler gaps_;
+  SizeSampler sizes_;
+  Rng rng_;
+  PacketHandler handler_;
+  std::uint64_t emitted_ = 0;
+  bool primed_ = false;  // the phase draw at start() has fired
+  Process<&ClassMixSource::step> process_;
 };
 
 // Finite periodic flow: `count` packets of fixed size, one every `interval`
@@ -105,14 +125,23 @@ class CbrFlowSource {
   CbrFlowSource(const CbrFlowSource&) = delete;
   CbrFlowSource& operator=(const CbrFlowSource&) = delete;
 
-  void start(SimTime at);
+  void start(SimTime at) { process_.start(at); }
 
-  std::uint64_t packets_emitted() const noexcept;
-  bool finished() const noexcept;
+  std::uint64_t packets_emitted() const noexcept { return emitted_; }
+  bool finished() const noexcept { return emitted_ >= count_; }
 
  private:
-  struct State;
-  std::shared_ptr<State> state_;
+  std::optional<SimTime> step(SimTime now);
+
+  PacketIdAllocator& ids_;
+  ClassId cls_;
+  FlowId flow_;
+  std::uint32_t count_;
+  std::uint32_t size_bytes_;
+  SimTime interval_;
+  PacketHandler handler_;
+  std::uint64_t emitted_ = 0;
+  Process<&CbrFlowSource::step> process_;
 };
 
 }  // namespace pds

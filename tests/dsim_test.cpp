@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -200,43 +202,86 @@ TEST(Simulator, MonitorSeesEveryEventWithItsLabel) {
   EXPECT_EQ(sim.monitor(), nullptr);
 }
 
-TEST(PeriodicProcess, FiresAtStartAndEveryPeriod) {
-  Simulator sim;
-  std::vector<double> times;
-  PeriodicProcess proc(sim, 2.0, 3.0,
-                       [&](SimTime now) { times.push_back(now); });
-  sim.run_until(11.0);
-  ASSERT_EQ(times.size(), 4u);  // 2, 5, 8, 11
-  EXPECT_DOUBLE_EQ(times[0], 2.0);
-  EXPECT_DOUBLE_EQ(times[3], 11.0);
-}
+// A chain owner: its step records each firing time and returns the next
+// of `delays`, ending the chain once they run out; it stops its own chain
+// at firing number `stop_at` (0 = never).
+struct Recorder {
+  Recorder(Simulator& sim, std::vector<SimTime> d)
+      : delays(std::move(d)), process(sim, "test.chain", this) {}
 
-TEST(PeriodicProcess, CancelStopsFutureFirings) {
-  Simulator sim;
-  int count = 0;
-  PeriodicProcess proc(sim, 0.0, 1.0, [&](SimTime) {
-    if (++count == 3) proc.cancel();
-  });
-  sim.run_until(100.0);
-  EXPECT_EQ(count, 3);
-  EXPECT_TRUE(proc.cancelled());
-}
-
-TEST(PeriodicProcess, DestructionCancels) {
-  Simulator sim;
-  int count = 0;
-  {
-    PeriodicProcess proc(sim, 0.0, 1.0, [&](SimTime) { ++count; });
-    sim.run_until(2.0);
+  std::optional<SimTime> step(SimTime now) {
+    times.push_back(now);
+    if (times.size() == stop_at) process.stop();
+    if (times.size() > delays.size()) return std::nullopt;
+    return delays[times.size() - 1];
   }
-  sim.run_until(50.0);
-  EXPECT_EQ(count, 3);  // 0, 1, 2 only
+
+  std::vector<SimTime> delays;
+  std::vector<SimTime> times;
+  std::size_t stop_at = 0;
+  Process<&Recorder::step> process;
+};
+
+TEST(Process, FiresAtStartAndAfterEachReturnedDelay) {
+  Simulator sim;
+  Recorder chain(sim, {3.0, 3.0, 1.5, 1.5, 1.5});
+  chain.process.start(2.0);
+  sim.run_until(11.0);
+  EXPECT_EQ(chain.times, (std::vector<SimTime>{2.0, 5.0, 8.0, 9.5, 11.0}));
 }
 
-TEST(PeriodicProcess, RejectsNonPositivePeriod) {
+TEST(Process, NulloptEndsTheChain) {
   Simulator sim;
-  EXPECT_THROW(PeriodicProcess(sim, 0.0, 0.0, [](SimTime) {}),
-               std::invalid_argument);
+  Recorder chain(sim, {1.0, 1.0, 1.0});
+  chain.process.start(0.0);
+  sim.run();
+  EXPECT_EQ(chain.times.size(), 4u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
+TEST(Process, StopInsideTheStepEndsTheChain) {
+  Simulator sim;
+  Recorder chain(sim, std::vector<SimTime>(100, 1.0));
+  chain.stop_at = 3;
+  chain.process.start(0.0);
+  sim.run_until(100.0);
+  EXPECT_EQ(chain.times.size(), 3u);
+  EXPECT_EQ(sim.executed_events(), 3u);  // no dead firing was scheduled
+}
+
+TEST(Process, DestructionStops) {
+  Simulator sim;
+  auto chain =
+      std::make_unique<Recorder>(sim, std::vector<SimTime>(100, 1.0));
+  chain->process.start(0.0);
+  sim.run_until(2.0);
+  EXPECT_EQ(chain->times.size(), 3u);  // 0, 1, 2
+  chain.reset();
+  sim.run_until(50.0);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.executed_events(), 4u);  // the pending firing ran nothing
+}
+
+TEST(Process, LabelsEveryFiring) {
+  Simulator sim;
+  RecordingMonitor monitor;
+  sim.set_monitor(&monitor);
+  Recorder chain(sim, {1.0});
+  chain.process.start(0.0);
+  sim.run();
+  EXPECT_EQ(monitor.labels(),
+            (std::vector<std::string>{"test.chain", "test.chain"}));
+}
+
+TEST(Process, RejectsNegativeDelayAndSecondStart) {
+  Simulator sim;
+  Recorder negative(sim, {-1.0});
+  negative.process.start(0.0);
+  EXPECT_THROW(sim.run(), std::invalid_argument);
+  Recorder twice(sim, {1.0});
+  twice.process.start(1.0);
+  EXPECT_THROW(twice.process.start(2.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // The Link transmission server: timing, accounting, work conservation.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "dropper/plr_dropper.hpp"
 #include "sched/factory.hpp"
 #include "sched/link.hpp"
 #include "sched/tag.hpp"
@@ -152,6 +156,48 @@ TEST(Link, ValidatesConstruction) {
                std::invalid_argument);
   EXPECT_THROW(Link(sim, sched, 10.0, Link::DepartureHandler{}),
                std::invalid_argument);
+}
+
+// PLR push-out makes room by dropping a queued packet, which a tag
+// scheduler cannot give up: the link refuses the pairing when it is made,
+// whether the buffer or the scheduler comes second, instead of failing at
+// the first overflow.
+std::string plr_pairing_error(Link& link, Scheduler* swap_in) {
+  try {
+    if (swap_in != nullptr) {
+      link.set_scheduler(*swap_in);
+    } else {
+      link.set_buffer(2, DropPolicy::kPlr,
+                      std::make_unique<PlrDropper>(
+                          std::vector<double>{2.0, 1.0}, 0));
+    }
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Link, RejectsPlrPushOutOnTagSchedulers) {
+  SchedulerConfig config;
+  config.sdp = {1.0, 2.0};
+  for (const SchedulerKind kind :
+       {SchedulerKind::kFcfs, SchedulerKind::kScfq,
+        SchedulerKind::kVirtualClock}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto tag = make_scheduler(kind, config);
+    const auto wtp = make_scheduler(SchedulerKind::kWtp, config);
+    Simulator sim;
+    Link tag_link(sim, *tag, 10.0, [](Packet&&, SimTime, SimTime) {});
+    EXPECT_NE(plr_pairing_error(tag_link, nullptr).find(tag->name()),
+              std::string::npos);
+    EXPECT_FALSE(tag_link.has_buffer());
+
+    Link wtp_link(sim, *wtp, 10.0, [](Packet&&, SimTime, SimTime) {});
+    ASSERT_EQ(plr_pairing_error(wtp_link, nullptr), "");
+    EXPECT_NE(plr_pairing_error(wtp_link, tag.get()).find(tag->name()),
+              std::string::npos);
+    EXPECT_EQ(&wtp_link.scheduler(), wtp.get());
+  }
 }
 
 // The overload guard's sojourn watermark reads the scheduler's oldest head

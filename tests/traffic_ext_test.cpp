@@ -1,14 +1,23 @@
 // On/off and ECN-adaptive sources: the burstiness and congestion-control
-// substrates Sections 1 and 3 lean on.
+// substrates Sections 1 and 3 lean on. Also the lifetime rule every event
+// chain shares: destroying a source, the metrics ticker or the controller
+// ends its chain.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "ctrl/controller.hpp"
+#include "obs/conformance.hpp"
+#include "obs/metrics.hpp"
 #include "sched/link.hpp"
 #include "sched/tag.hpp"
 #include "traffic/ecn.hpp"
 #include "traffic/onoff.hpp"
+#include "traffic/source.hpp"
 
 namespace pds {
 namespace {
@@ -199,6 +208,144 @@ TEST(EcnSource, ClosedLoopStabilizesNearCapacity) {
   EXPECT_LT(max_backlog, 300u);
   EXPECT_GT(departed, 1000u);
 }
+
+// ------------------------------------------- every chain stops on destroy
+
+// Counts the firings of one event chain by its profiling label.
+class LabelCounter final : public SimMonitor {
+ public:
+  explicit LabelCounter(std::string label) : label_(std::move(label)) {}
+  void on_event_begin(SimTime, const char* label,
+                      std::size_t) noexcept override {
+    if (label != nullptr && label_ == label) ++count_;
+  }
+  void on_event_end(SimTime, const char*) noexcept override {}
+  int count() const noexcept { return count_; }
+
+ private:
+  std::string label_;
+  int count_ = 0;
+};
+
+// What a chain's owner may need. `effects` counts what its steps visibly
+// did: packets handed to the sink, metrics snapshots taken. The idle link
+// and the monitor back the controller.
+struct ChainRig {
+  Simulator sim;
+  PacketIdAllocator ids;
+  std::uint64_t effects = 0;
+  std::vector<double> sdp{1.0, 2.0};
+  FcfsScheduler sched{2};
+  Link link{sim, sched, 100.0, [](Packet&&, SimTime, SimTime) {}};
+  ConformanceMonitor monitor{sdp, ConformanceOptions{1.0}};
+  MetricsRegistry registry;
+  std::string metrics_path = testing::TempDir() + "chain_cancel.csv";
+
+  ~ChainRig() { std::remove(metrics_path.c_str()); }
+  PacketHandler sink() {
+    return [this](Packet) { ++effects; };
+  }
+};
+
+struct ChainCase {
+  const char* name;
+  const char* label;
+  // Builds the chain's owner on `rig` and starts its chain, which fires
+  // about once per time unit from t = 0 or t = 1.
+  std::function<std::shared_ptr<void>(ChainRig&)> start;
+};
+
+class ChainCancel : public testing::TestWithParam<ChainCase> {};
+
+// Starts the chain, lets it fire a few times, destroys its owner while the
+// next firing is pending, and runs the simulator dry: the pending firing
+// pops but runs nothing and rearms nothing.
+TEST_P(ChainCancel, DestroyingTheOwnerEndsTheChain) {
+  ChainRig rig;
+  LabelCounter fired(GetParam().label);
+  rig.sim.set_monitor(&fired);
+  std::shared_ptr<void> owner = GetParam().start(rig);
+  rig.sim.run_until(5.5);
+  ASSERT_GE(fired.count(), 3);
+  ASSERT_FALSE(rig.sim.empty());
+  const int fired_before = fired.count();
+  const std::uint64_t effects_before = rig.effects;
+  owner.reset();
+  rig.sim.run();
+  EXPECT_LE(fired.count(), fired_before + 1);
+  EXPECT_EQ(rig.effects, effects_before);
+  EXPECT_TRUE(rig.sim.empty());
+}
+
+template <typename T>
+std::shared_ptr<void> started(std::shared_ptr<T> source) {
+  source->start(0.0);
+  return source;
+}
+
+const ChainCase kChains[] = {
+    {"renewal", "traffic.source",
+     [](ChainRig& r) {
+       return started(std::make_shared<RenewalSource>(
+           r.sim, r.ids, 0, constant_gaps(1.0), fixed_size(100), Rng(1),
+           r.sink()));
+     }},
+    {"class_mix", "traffic.source",
+     [](ChainRig& r) {
+       return started(std::make_shared<ClassMixSource>(
+           r.sim, r.ids, std::vector<double>{0.5, 0.5}, constant_gaps(1.0),
+           fixed_size(100), Rng(2), r.sink()));
+     }},
+    {"cbr", "traffic.cbr",
+     [](ChainRig& r) {
+       return started(std::make_shared<CbrFlowSource>(
+           r.sim, r.ids, 0, 7, 100, 100, 1.0, r.sink()));
+     }},
+    {"onoff", "traffic.onoff",
+     [](ChainRig& r) {
+       OnOffConfig c;
+       c.packet_bytes = 100;
+       c.peak_rate = 100.0;  // one packet per time unit while ON
+       c.mean_on = 4.0;
+       c.mean_off = 0.5;
+       c.pareto_off = false;
+       return started(
+           std::make_shared<OnOffSource>(r.sim, r.ids, c, Rng(3), r.sink()));
+     }},
+    {"ecn", "traffic.ecn",
+     [](ChainRig& r) {
+       EcnSourceConfig c;
+       c.packet_bytes = 100;
+       c.initial_rate = 100.0;  // mean gap of one time unit
+       return started(std::make_shared<EcnAdaptiveSource>(r.sim, r.ids, c,
+                                                          Rng(4), r.sink()));
+     }},
+    {"metrics_ticker", "dsim.periodic",
+     [](ChainRig& r) -> std::shared_ptr<void> {
+       return std::make_shared<MetricsSnapshotWriter>(
+           r.sim, r.registry, r.metrics_path, 1.0,
+           [&r](SimTime) { ++r.effects; });
+     }},
+    {"controller", "ctrl.tick",
+     [](ChainRig& r) -> std::shared_ptr<void> {
+       ControllerConfig c;
+       c.mode = ControllerMode::kWeights;
+       c.period = 1.0;
+       auto controller = std::make_shared<Controller>(r.sim, r.link,
+                                                      r.monitor, r.sdp, c);
+       controller->arm(100.0);
+       return controller;
+     }},
+};
+
+void PrintTo(const ChainCase& chain, std::ostream* os) { *os << chain.name; }
+
+std::string chain_name(const testing::TestParamInfo<ChainCase>& param) {
+  return param.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllChains, ChainCancel, testing::ValuesIn(kChains),
+                         chain_name);
 
 }  // namespace
 }  // namespace pds
