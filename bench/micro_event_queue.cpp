@@ -42,17 +42,16 @@ void BM_Heap(benchmark::State& state) {
     std::uint64_t seq = 0;
     TxPayload payload{nullptr, nullptr, 0.0, 0.0};
     for (std::size_t i = 0; i < population; ++i) {
-      q.push(pds::EventItem{rng.uniform01() * 100.0, seq++,
-                            [payload] { benchmark::DoNotOptimize(payload); }});
+      q.push(rng.uniform01() * 100.0, seq++,
+             [payload] { benchmark::DoNotOptimize(payload); });
     }
     state.ResumeTiming();
     const std::uint64_t before = pds::bench::heap_allocations();
     // Hold model: each pop schedules a replacement a random offset ahead.
     for (int step = 0; step < 10000; ++step) {
-      auto item = q.pop();
-      item.time += rng.uniform01() * 100.0;
-      item.seq = seq++;
-      q.push(std::move(item));
+      pds::EventItem item = q.pop();
+      q.push(item.time + rng.uniform01() * 100.0, seq++,
+             std::move(item.action));
     }
     allocs += pds::bench::heap_allocations() - before;
     ops += 10000;

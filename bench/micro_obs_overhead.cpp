@@ -4,12 +4,13 @@
 // asserts the "compiled in but disabled" configurations are effectively
 // free (<5% by default):
 //
-//  1. Kernel event loop (guarded). Baseline replicates the pre-hook
-//     Simulator loop exactly — same contract checks, same binary heap held
-//     by value, same bookkeeping — minus the SimMonitor branch, i.e. the
-//     binary you would get from -DPDS_OBS=OFF. Against it we time the real
-//     Simulator with no monitor (the disabled branch) and with a
-//     SimProfiler attached.
+//  1. Kernel event loop (guarded). The baseline copies Simulator's
+//     schedule_at, schedule_in and drain line for line — the contract
+//     checks, the label store, the pending-event heap held by value, the
+//     watchdog budget branch and the per-run event count — and leaves out
+//     only the SimMonitor branch, which -DPDS_OBS=OFF does not remove.
+//     Against it we time the real Simulator with no monitor (the disabled
+//     branch) and with a SimProfiler attached.
 //  2. Link transmission path (informational). A WTP link with no probe vs a
 //     PacketTracer at sample rate 0 (every packet pays the probe virtual
 //     calls, backlog context and the hash-based sampling decision, but
@@ -103,39 +104,73 @@ double median_ratio(const Config& c, const Config& base) {
                                 : 0.5 * (ratios[mid - 1] + ratios[mid]);
 }
 
-// The kernel as it was before the SimMonitor hook existed: identical
-// scheduling checks, pending-event heap and per-event bookkeeping, so the
-// only difference from Simulator-without-monitor is the hook branch — the
-// cost compiling obs out would remove.
+// Simulator minus its SimMonitor hook: schedule_at, schedule_in and drain
+// copy dsim/simulator.cpp, budget branch and all, so the only difference
+// from Simulator-without-monitor is the hook branch. The budget is never
+// armed here, as in the simulator runs it is compared with.
 struct RawKernel {
   pds::HeapEventQueue q;
   pds::SimTime now = 0.0;
   std::uint64_t seq = 0;
   std::uint64_t executed = 0;
   bool stopped = false;
+  std::uint64_t budget_events = 0;
+  double budget_wall_seconds = 0.0;
 
   // noinline keeps the comparison honest: the real Simulator's schedule/run
   // live in another translation unit, so the baseline must not win by
   // inlining into the benchmark loop.
-  [[gnu::noinline]] void schedule_at(pds::SimTime t, pds::SimEvent action) {
+  [[gnu::noinline]] void schedule_at(pds::SimTime t, pds::SimEvent action,
+                                     const char* label) {
     PDS_CHECK(t >= now, "cannot schedule an event in the past");
     PDS_CHECK(static_cast<bool>(action), "null event action");
-    q.push(pds::EventItem{t, seq++, std::move(action)});
+    if (label != nullptr) action.set_label(label);
+    q.push(t, seq++, std::move(action));
   }
 
-  [[gnu::noinline]] void schedule_in(pds::SimTime dt, pds::SimEvent action) {
+  [[gnu::noinline]] void schedule_in(pds::SimTime dt, pds::SimEvent action,
+                                     const char* label) {
     PDS_CHECK(dt >= 0.0, "negative delay");
-    schedule_at(now + dt, std::move(action));
+    schedule_at(now + dt, std::move(action), label);
   }
 
   [[gnu::noinline]] void drain(pds::SimTime horizon, bool bounded) {
+    constexpr std::uint64_t kWallCheckPeriod = 4096;
+    using WallClock = std::chrono::steady_clock;
+    const bool budgeted = budget_events > 0 || budget_wall_seconds > 0.0;
+    const WallClock::time_point run_start =
+        budgeted ? WallClock::now() : WallClock::time_point{};
+    std::uint64_t run_executed = 0;
+
     stopped = false;
     while (!q.empty() && !stopped) {
       if (bounded && q.next_time() > horizon) break;
+      if (budgeted) {
+        if (budget_events > 0 && run_executed >= budget_events) {
+          throw pds::SimBudgetExceeded(
+              "event budget exceeded: " + std::to_string(run_executed) +
+                  " events executed in one run call (limit " +
+                  std::to_string(budget_events) + ")",
+              now, run_executed, q.size());
+        }
+        if (budget_wall_seconds > 0.0 &&
+            run_executed % kWallCheckPeriod == 0) {
+          const std::chrono::duration<double> elapsed =
+              WallClock::now() - run_start;
+          if (elapsed.count() > budget_wall_seconds) {
+            throw pds::SimBudgetExceeded(
+                "wall-clock budget exceeded: " +
+                    std::to_string(elapsed.count()) + " s elapsed (limit " +
+                    std::to_string(budget_wall_seconds) + " s)",
+                now, run_executed, q.size());
+          }
+        }
+      }
       pds::EventItem ev = q.pop();
       PDS_REQUIRE(ev.time >= now);
       now = ev.time;
       ++executed;
+      ++run_executed;
       ev.action();
     }
     if (bounded && !stopped && now < horizon) now = horizon;
@@ -153,11 +188,14 @@ void run_raw_event_chain(std::uint64_t events) {
     double gap;
 
     void arm() {
-      kernel->schedule_in(gap, [this]() {
-        // The budget is shared across chains; sibling events already in
-        // flight when it reaches zero must not wrap it around.
-        if (*remaining > 0 && --*remaining > 0) arm();
-      });
+      kernel->schedule_in(
+          gap,
+          [this]() {
+            // The budget is shared across chains; sibling events already
+            // in flight when it reaches zero must not wrap it around.
+            if (*remaining > 0 && --*remaining > 0) arm();
+          },
+          "bench.chain");
     }
   };
   RawKernel kernel;

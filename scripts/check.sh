@@ -144,8 +144,9 @@ if [[ "${1:-}" == "--fast" ]]; then
   # the selection loop reads, and Link's transmit staging buffer; the buffer
   # suites cover Link's drop policies, whose PLR push-out pops a raw ring
   # tail.
-  # The kernel suites cover the binary heap Simulator holds by value, whose
-  # hole-based sifts relocate move-only SimEvents. The scheduler suites
+  # The kernel suites cover the pending-event set Simulator holds by value:
+  # a heap of keys whose move-only SimEvents sit in pool slots that each
+  # pop vacates and a later push reuses. The scheduler suites
   # cover every scheduler's one dequeue_burst over the class rings,
   # including the tag schedulers' tag queues beside them, and the one
   # class-selection loop those decisions share. The traffic suites cover

@@ -5,8 +5,22 @@
 // time, FIFO (sequence) within equal times. The heap is not virtual and
 // lives in Simulator by value, so every push/pop/next_time in the kernel's
 // run loop is a direct, fully inlinable call.
+//
+// Keys apart from events. The heap sifts 24-byte {time, seq, slot} keys;
+// each 64-byte SimEvent stays in one slot of a pool from push to pop, and a
+// LIFO free list hands the slot the last pop vacated to the next push, so
+// the first event a running action schedules takes the slot the action's
+// own event just left. With the event inside an 80-byte heap element, the
+// fabric_rpc workload's ~1,400 pending events (mostly RPC think and RTO
+// timers) made a ~107 KiB heap, and every sift level moved a whole event;
+// as keys the heap is ~33 KiB and an event moves twice, into its slot and
+// out. In alternating perfbench pairs on a 4-CPU host, packets/s rose by
+// 6-12% on fabric_rpc (three sets of 10), 9% on fabric_faults and 6% on
+// single_link_wtp (~4 pending events, where only the saved moves count;
+// EXPERIMENTS.md, "Keys apart from events").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,10 +30,8 @@
 
 namespace pds {
 
-// Move-only: the action is a SimEvent (small-buffer callable with the
-// profiling label folded in — see dsim/sim_event.hpp). Queue operations
-// relocate items without copying, so closures may own packets by move and
-// per-event heap traffic is zero for inline-sized captures.
+// One popped event: the action is moved out of its pool slot, so the slot
+// can be reused (and the pool regrown) by whatever the action schedules.
 struct EventItem {
   SimTime time;
   std::uint64_t seq;
@@ -29,40 +41,53 @@ struct EventItem {
 };
 
 // Hand-rolled over a vector, and kept on a measurement: std::push_heap and
-// std::pop_heap with the same (time, seq) order also move the move-only
-// items, but ran the packet pipeline of bench/micro_event_queue about 23%
-// slower (fewer events/s in 12 of 12 interleaved pairs, EXPERIMENTS.md).
-// Push and pop sift a hole, one relocation per level, and pop stops as soon
-// as the former tail fits. Header-inline so the kernel's run loop can
-// flatten push/pop into straight-line code.
+// std::pop_heap with the same (time, seq) order ran the packet pipeline of
+// bench/micro_event_queue about 23% slower (fewer events/s in 12 of 12
+// interleaved pairs, EXPERIMENTS.md). Push and pop sift a hole, one key
+// copy per level, and pop stops as soon as the former tail fits. A 4-ary
+// heap and 16-byte keys (slot packed under the sequence number) did not
+// pay on fabric_rpc (EXPERIMENTS.md). Header-inline so the kernel's run
+// loop can flatten push/pop into straight-line code.
 class HeapEventQueue final {
  public:
-  void push(EventItem item) {
-    // Hole technique: grow by one empty slot, shift ancestors down into
-    // the hole, and place the new item once — one relocation per level
-    // instead of the three a swap-based sift-up performs.
+  // Queues `action` at (time, seq). The caller keeps every (time, seq)
+  // pair unique; Simulator numbers its events from one counter.
+  void push(SimTime time, std::uint64_t seq, SimEvent&& action) {
+    std::size_t slot;
+    if (free_.empty()) {
+      if (pool_.size() == pool_.capacity()) grow();
+      slot = pool_.size();
+      pool_.push_back(std::move(action));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      pool_[slot] = std::move(action);
+    }
+    // Hole technique: grow by one empty position, shift ancestors down
+    // into the hole, and place the new key once.
+    const Key key{time, seq, slot};
     std::size_t i = heap_.size();
     heap_.emplace_back();
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!earlier(item, heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
+      if (!earlier(key, heap_[parent])) break;
+      heap_[i] = heap_[parent];
       i = parent;
     }
-    heap_[i] = std::move(item);
+    heap_[i] = key;
   }
 
-  // Removes and returns the earliest item (time, then seq). Requires
+  // Removes and returns the earliest event (time, then seq). Requires
   // !empty().
   EventItem pop() {
     PDS_REQUIRE(!heap_.empty());
-    EventItem item = std::move(heap_.front());
-    EventItem last = std::move(heap_.back());
+    const Key top = heap_.front();
+    const Key last = heap_.back();
     heap_.pop_back();
     const std::size_t n = heap_.size();
     if (n > 0) {
       // Sift the former tail down through the root hole, again with one
-      // relocation per level.
+      // key copy per level.
       std::size_t i = 0;
       for (;;) {
         std::size_t child = 2 * i + 1;
@@ -70,15 +95,18 @@ class HeapEventQueue final {
         const std::size_t right = child + 1;
         if (right < n && earlier(heap_[right], heap_[child])) child = right;
         if (!earlier(heap_[child], last)) break;
-        heap_[i] = std::move(heap_[child]);
+        heap_[i] = heap_[child];
         i = child;
       }
-      heap_[i] = std::move(last);
+      heap_[i] = last;
     }
-    return item;
+    // The event leaves its slot as the result is built; the next push
+    // takes the slot back.
+    free_.push_back(top.slot);
+    return EventItem{top.time, top.seq, std::move(pool_[top.slot])};
   }
 
-  // Time of the earliest item. Requires !empty().
+  // Time of the earliest event. Requires !empty().
   SimTime next_time() const {
     PDS_REQUIRE(!heap_.empty());
     return heap_.front().time;
@@ -88,12 +116,31 @@ class HeapEventQueue final {
   std::size_t size() const noexcept { return heap_.size(); }
 
  private:
-  static bool earlier(const EventItem& a, const EventItem& b) noexcept {
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+    std::size_t slot;  // index into pool_
+  };
+  static_assert(sizeof(Key) == 24, "heap keys should stay 24 bytes");
+
+  static bool earlier(const Key& a, const Key& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
-  std::vector<EventItem> heap_;  // min-heap on (time, seq)
+  // Grows all three vectors to one new capacity before the pool fills.
+  // The heap never holds more keys, nor the free list more slots, than the
+  // pool has slots, so no push or pop between two growths allocates, and a
+  // failed growth leaves the queue unchanged.
+  void grow() {
+    pool_.reserve(std::max<std::size_t>(16, 2 * pool_.capacity()));
+    heap_.reserve(pool_.capacity());
+    free_.reserve(pool_.capacity());
+  }
+
+  std::vector<Key> heap_;          // min-heap on (time, seq)
+  std::vector<SimEvent> pool_;     // one slot per pending event
+  std::vector<std::size_t> free_;  // vacated slots, last vacated on top
 };
 
 // Exists only for perfbench/traced.cpp, which constructs

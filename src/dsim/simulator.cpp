@@ -13,7 +13,7 @@ void Simulator::schedule_at(SimTime t, Action action, const char* label) {
   PDS_CHECK(t >= now_, "cannot schedule an event in the past");
   PDS_CHECK(static_cast<bool>(action), "null event action");
   if (label != nullptr) action.set_label(label);
-  events_.push(EventItem{t, next_seq_++, std::move(action)});
+  events_.push(t, next_seq_++, std::move(action));
 }
 
 void Simulator::schedule_in(SimTime dt, Action action, const char* label) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -158,6 +159,74 @@ TEST(Simulator, ScheduleAtNowDuringHorizonEventFiresFifoInSameRun) {
   sim.schedule_at(5.0, [&] { order.push_back(2); });
   sim.run_until(5.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, DestructionReleasesPendingCapturesWithoutRunningThem) {
+  // Pending events own their captures. Destroying the simulator must
+  // destroy each one exactly once, including those that sit in slots a
+  // fired event vacated, and must run none of them. The captures cover
+  // the three ways a SimEvent stores a callable: inline with a move
+  // constructor, inline relocated by memcpy, and on the heap.
+  auto token = std::make_shared<int>(7);
+  int fired = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < 100; ++i) {
+      sim.schedule_at(i, [token, &fired] { ++fired; });
+    }
+    sim.run_until(49.5);
+    ASSERT_EQ(fired, 50);
+    ASSERT_EQ(token.use_count(), 1 + 50);
+    // 50 of these land in the vacated slots, the rest grow the pool.
+    for (int i = 0; i < 120; ++i) {
+      const SimTime t = 100.0 + i;
+      if (i % 3 == 0) {
+        sim.schedule_at(t, [token, &fired] { ++fired; });
+      } else if (i % 3 == 1) {
+        sim.schedule_at(t, SimEvent(SimEvent::TrustedRelocation{},
+                                    [token, &fired] { ++fired; }));
+      } else {
+        const std::array<double, 8> ballast{};  // too big to store inline
+        sim.schedule_at(t, [token, &fired, ballast] {
+          fired += static_cast<int>(ballast[0]) + 1;
+        });
+      }
+    }
+    EXPECT_EQ(sim.pending_events(), 170u);
+    EXPECT_EQ(token.use_count(), 1 + 170);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(fired, 50);
+}
+
+TEST(Simulator, AnActionMayGrowThePendingSetWhileItRuns) {
+  // One action schedules 5,000 events, which regrows the kernel's event
+  // storage several times while the action is still running. Its own
+  // captures must survive that, and every event must fire in (time, seq)
+  // order: pushed in descending time, each new event sifts to the front,
+  // and each time value is used twice to check FIFO ties.
+  Simulator sim;
+  std::vector<int> order;
+  auto token = std::make_shared<int>(42);
+  int read_after = 0;
+  sim.schedule_at(1.0, [&sim, &order, &read_after, token] {
+    for (int i = 0; i < 5000; ++i) {
+      sim.schedule_at(2.0 + (4999 - i) / 2, [&order, i] {
+        order.push_back(i);
+      });
+    }
+    read_after = *token;
+  });
+  sim.run();
+  EXPECT_EQ(read_after, 42);
+  ASSERT_EQ(order.size(), 5000u);
+  std::vector<int> expected;
+  for (int pair = 0; pair < 2500; ++pair) {
+    expected.push_back(4998 - 2 * pair);
+    expected.push_back(4999 - 2 * pair);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 namespace {
