@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
 
     // Every (rho, scheduler, seed) cell is one independent simulation;
     // fan the whole grid out and aggregate after the barrier.
-    const pds::SweepRunner runner({rhos.size(), kinds.size(), seeds});
-    const auto cells = runner.run(
-        [&](const std::vector<std::size_t>& at, std::size_t) {
+    const pds::SweepGrid grid({rhos.size(), kinds.size(), seeds});
+    const auto cells = pds::run_sweep(
+        grid, [&](const std::vector<std::size_t>& at, std::size_t) {
           pds::StudyAConfig config;
           config.utilization = rhos[at[0]];
           config.sim_time = sim_time;
@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
       std::vector<double> diff_acc(3, 0.0);
       std::vector<double> ratio_acc(3, 0.0);
       for (std::size_t s = 0; s < seeds; ++s) {
-        const auto& add = cells[runner.grid().flat({u, 0, s})];
-        const auto& wtp = cells[runner.grid().flat({u, 1, s})];
+        const auto& add = cells[grid.flat({u, 0, s})];
+        const auto& wtp = cells[grid.flat({u, 1, s})];
         for (std::size_t i = 0; i < 3; ++i) {
           diff_acc[i] += add.mean_delays[i] - add.mean_delays[i + 1];
           ratio_acc[i] += wtp.ratios[i];

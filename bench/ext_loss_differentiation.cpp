@@ -2,8 +2,9 @@
 // future work: Sections 1 and 7 defer "coupled delay and loss
 // differentiation").
 //
-// A finite-buffer WTP link is driven into sustained overload (Study C
-// harness, core/study_c.hpp). Three drop policies are compared:
+// A finite-buffer WTP link is driven into sustained overload (Study A's
+// harness with a 200-packet buffer, core/study_a.hpp). Three drop policies
+// are compared:
 //   * drop-tail (arriving packet discarded): loss rates follow the class
 //     *load* shares, not any operator target;
 //   * PLR(inf): loss-rate ratios pinned to the LDPs over the whole run;
@@ -16,14 +17,14 @@
 #include <cmath>
 #include <iostream>
 
-#include "core/study_c.hpp"
+#include "core/study_a.hpp"
 #include "exp/sweep.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-std::string loss_row(const pds::StudyCResult& r) {
+std::string loss_row(const pds::StudyAResult& r) {
   std::string out;
   for (std::size_t c = 0; c < r.loss_rates.size(); ++c) {
     out += pds::TablePrinter::num(100.0 * r.loss_rates[c], 1) + "%";
@@ -40,16 +41,19 @@ int main(int argc, char** argv) {
     args.require_known(
         {"sim-time", "seed", "overload", "mix", "quick", "jobs"});
     const bool quick = args.get_bool("quick", false);
-    pds::StudyCConfig base;
+    pds::StudyAConfig base;
+    base.ldp = {8.0, 4.0, 2.0, 1.0};
+    base.buffer_packets = 200;
+    base.packet_bytes = 441;  // a fixed size keeps loss rates clean
     base.sim_time = args.get_double("sim-time", quick ? 5.0e4 : 2.0e5);
     base.seed = args.get_int<std::uint64_t>("seed", 5);
-    base.offered_load = args.get_double("overload", 1.3);
+    base.utilization = args.get_double("overload", 1.3);
     base.load_fractions =
         args.get_double_list("mix", {0.25, 0.25, 0.25, 0.25});
     pds::ThreadPool::set_global_workers(args.get_jobs());
 
     std::cout << "=== Extension: proportional loss differentiation under "
-              << pds::TablePrinter::num((base.offered_load - 1.0) * 100.0, 0)
+              << pds::TablePrinter::num((base.utilization - 1.0) * 100.0, 0)
               << "% overload ===\nLDPs sigma = 8,4,2,1 (higher class ->"
                  " less loss); target loss ratio 2 per pair\n\n";
 
@@ -61,14 +65,14 @@ int main(int argc, char** argv) {
                  {"PLR(2000)", pds::DropPolicy::kPlr, 2000}};
     const auto cells = pds::run_sweep(policies.size(), [&](std::size_t i) {
       auto config = base;
-      config.policy = std::get<1>(policies[i]);
+      config.drop_policy = std::get<1>(policies[i]);
       config.plr_window = std::get<2>(policies[i]);
-      return pds::run_study_c(config);
+      return pds::run_study_a(config);
     });
 
     pds::TablePrinter table({"policy", "loss c1/c2/c3/c4", "l1/l2", "l2/l3",
                              "l3/l4", "agg loss"});
-    pds::StudyCResult plr_result;
+    pds::StudyAResult plr_result;
     for (std::size_t i = 0; i < policies.size(); ++i) {
       const auto& name = std::get<0>(policies[i]);
       const auto& r = cells[i];
@@ -87,7 +91,7 @@ int main(int argc, char** argv) {
 
     std::cout << "\nsurvivor delay ratios under PLR(inf) (WTP still"
                  " differentiates delays): ";
-    for (const double r : plr_result.delay_ratios) {
+    for (const double r : plr_result.ratios) {
       std::cout << pds::TablePrinter::num(r) << " ";
     }
     std::cout << "\nExpected: PLR rows pin the loss ratios at 2.00; the"

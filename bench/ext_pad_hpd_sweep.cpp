@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
 
     // Every (rho, scheduler) cell is one independent simulation; fan the
     // 3x4 grid out and assemble the table after the barrier.
-    const pds::SweepRunner runner({rhos.size(), kinds.size()});
-    const auto cells = runner.run(
-        [&](const std::vector<std::size_t>& at, std::size_t) {
+    const pds::SweepGrid grid({rhos.size(), kinds.size()});
+    const auto cells = pds::run_sweep(
+        grid, [&](const std::vector<std::size_t>& at, std::size_t) {
           return run_one(kinds[at[1]], rhos[at[0]], sim_time, seed);
         });
 
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> row{
           pds::TablePrinter::num(rhos[u] * 100.0, 0) + "%"};
       for (std::size_t k = 0; k < kinds.size(); ++k) {
-        const auto& r = cells[runner.grid().flat({u, k})];
+        const auto& r = cells[grid.flat({u, k})];
         row.push_back(pds::TablePrinter::num(r.long_term_worst));
         row.push_back(pds::TablePrinter::num(r.iqr));
       }

@@ -37,9 +37,9 @@ void run_panel(const char* title, const std::vector<double>& sdp,
 
   // One sweep cell per (rho, scheduler, seed); the per-cell result is the
   // ratio vector of one replication, averaged per point after the barrier.
-  const pds::SweepRunner runner({rhos.size(), kinds.size(), seeds});
-  const auto cells = runner.run(
-      [&](const std::vector<std::size_t>& at, std::size_t) {
+  const pds::SweepGrid grid({rhos.size(), kinds.size(), seeds});
+  const auto cells = pds::run_sweep(
+      grid, [&](const std::vector<std::size_t>& at, std::size_t) {
         pds::StudyAConfig config;
         config.sdp = sdp;
         config.utilization = rhos[at[0]];
@@ -57,7 +57,7 @@ void run_panel(const char* title, const std::vector<double>& sdp,
     for (std::size_t k = 0; k < kinds.size(); ++k) {
       std::vector<double> acc(sdp.size() - 1, 0.0);
       for (std::size_t s = 0; s < seeds; ++s) {
-        const auto& ratios = cells[runner.grid().flat({r, k, s})];
+        const auto& ratios = cells[grid.flat({r, k, s})];
         for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += ratios[i];
       }
       for (std::size_t i = 0; i < acc.size(); ++i) {

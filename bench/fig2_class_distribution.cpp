@@ -44,9 +44,9 @@ void run_panel(const char* title, const std::vector<double>& sdp,
             << ", rho = 95%)\n";
   const std::vector<pds::SchedulerKind> kinds{pds::SchedulerKind::kWtp,
                                               pds::SchedulerKind::kBpr};
-  const pds::SweepRunner runner({kMixes.size(), kinds.size(), seeds});
-  const auto cells = runner.run(
-      [&](const std::vector<std::size_t>& at, std::size_t) {
+  const pds::SweepGrid grid({kMixes.size(), kinds.size(), seeds});
+  const auto cells = pds::run_sweep(
+      grid, [&](const std::vector<std::size_t>& at, std::size_t) {
         pds::StudyAConfig config;
         config.sdp = sdp;
         config.load_fractions = kMixes[at[0]];
@@ -64,7 +64,7 @@ void run_panel(const char* title, const std::vector<double>& sdp,
     for (std::size_t k = 0; k < kinds.size(); ++k) {
       std::vector<double> acc(sdp.size() - 1, 0.0);
       for (std::size_t s = 0; s < seeds; ++s) {
-        const auto& ratios = cells[runner.grid().flat({m, k, s})];
+        const auto& ratios = cells[grid.flat({m, k, s})];
         for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += ratios[i];
       }
       for (std::size_t i = 0; i < acc.size(); ++i) {

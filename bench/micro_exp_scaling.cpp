@@ -32,9 +32,9 @@ std::string run_grid(const std::vector<double>& rhos, double sim_time,
   const std::vector<double> sdp{1.0, 2.0, 4.0, 8.0};
   const std::vector<pds::SchedulerKind> kinds{pds::SchedulerKind::kWtp,
                                               pds::SchedulerKind::kBpr};
-  const pds::SweepRunner runner({rhos.size(), kinds.size(), seeds});
-  const auto cells = runner.run(
-      [&](const std::vector<std::size_t>& at, std::size_t) {
+  const pds::SweepGrid grid({rhos.size(), kinds.size(), seeds});
+  const auto cells = pds::run_sweep(
+      grid, [&](const std::vector<std::size_t>& at, std::size_t) {
         pds::StudyAConfig config;
         config.sdp = sdp;
         config.utilization = rhos[at[0]];
@@ -53,7 +53,7 @@ std::string run_grid(const std::vector<double>& rhos, double sim_time,
     for (std::size_t k = 0; k < kinds.size(); ++k) {
       std::vector<double> acc(sdp.size() - 1, 0.0);
       for (std::size_t s = 0; s < seeds; ++s) {
-        const auto& ratios = cells[runner.grid().flat({r, k, s})];
+        const auto& ratios = cells[grid.flat({r, k, s})];
         for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += ratios[i];
       }
       for (std::size_t i = 0; i < acc.size(); ++i) {

@@ -54,11 +54,10 @@ int main(int argc, char** argv) {
     const std::vector<double> kRatesKbps{50.0, 200.0};
 
     // One sweep cell per (K, rho, F, R_u, run): a full Study B simulation.
-    const pds::SweepRunner runner({kHops.size(), kRhos.size(),
-                                   kFlowPackets.size(), kRatesKbps.size(),
-                                   runs});
-    const auto cells = runner.run(
-        [&](const std::vector<std::size_t>& at, std::size_t) {
+    const pds::SweepGrid grid({kHops.size(), kRhos.size(), kFlowPackets.size(),
+                               kRatesKbps.size(), runs});
+    const auto cells = pds::run_sweep(
+        grid, [&](const std::vector<std::size_t>& at, std::size_t) {
           pds::StudyBConfig config;
           config.scheduler = scheduler;
           config.hops = kHops[at[0]];
@@ -86,8 +85,7 @@ int main(int argc, char** argv) {
           for (std::size_t b = 0; b < kRatesKbps.size(); ++b) {
             double rd_sum = 0.0;
             for (std::size_t r = 0; r < runs; ++r) {
-              const auto& result =
-                  cells[runner.grid().flat({h, u, f, b, r})];
+              const auto& result = cells[grid.flat({h, u, f, b, r})];
               rd_sum += result.rd;
               row_inconsistent += result.inconsistent_experiments;
               total_experiments += result.experiments;

@@ -103,6 +103,16 @@ rm -f "${CTRL_PLAN}" "${CTRL_A}" "${CTRL_B}"
 ./build/examples/simulate_cli --scheduler=wtp --rho=0.9 --sim-time=30000 \
   --controller=weights --conformance-tau=50 >/dev/null
 
+echo "== loss differentiation: finite-buffer Study A determinism =="
+# ext_loss_differentiation runs Study A's finite-buffer case (drop-tail,
+# PLR(inf) and PLR(M) push-out) as three sweep cells; like every sweep, its
+# table must be byte-identical for any --jobs.
+LOSS_A="$(mktemp)"; LOSS_B="$(mktemp)"
+./build/bench/ext_loss_differentiation --quick --jobs=1 > "${LOSS_A}"
+./build/bench/ext_loss_differentiation --quick --jobs=4 > "${LOSS_B}"
+diff "${LOSS_A}" "${LOSS_B}"
+rm -f "${LOSS_A}" "${LOSS_B}"
+
 echo "== observability: compile-out proof + disabled-path overhead guard =="
 # -DPDS_OBS=OFF must keep compiling everything that touches the telemetry
 # plane (the macros and #if gates are only honest if both sides build), and
@@ -143,7 +153,8 @@ if [[ "${1:-}" == "--fast" ]]; then
   # packet-plane suites cover the raw-memory class rings, the head snapshot
   # the selection loop reads, and Link's transmit staging buffer; the buffer
   # suites cover Link's drop policies, whose PLR push-out pops a raw ring
-  # tail.
+  # tail, and the Study A and Study C suites drive that path through
+  # run_study_a's finite buffer.
   # The kernel suites cover the pending-event set Simulator holds by value:
   # a heap of keys whose move-only SimEvents sit in pool slots that each
   # pop vacates and a later push reuses. The scheduler suites
@@ -157,8 +168,8 @@ if [[ "${1:-}" == "--fast" ]]; then
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
     conformance_test telemetry_test grammar_fuzz_test queueing_test \
     selection_test burst_test link_test sched_property_test sched_pin_test \
-    fabric_conservation_test dropper_test lossy_property_test study_c_test \
-    ledger_test event_queue_test dsim_test sim_event_test \
+    fabric_conservation_test dropper_test lossy_property_test study_a_test \
+    study_c_test ledger_test event_queue_test dsim_test sim_event_test \
     dispatch_equiv_test sched_basic_test capacity_sched_test wtp_test \
     bpr_test pad_hpd_test traffic_test traffic_ext_test
   ./build-asan/tests/event_queue_test
@@ -177,6 +188,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   ./build-asan/tests/fabric_conservation_test
   ./build-asan/tests/dropper_test
   ./build-asan/tests/lossy_property_test
+  ./build-asan/tests/study_a_test
   ./build-asan/tests/study_c_test
   ./build-asan/tests/ledger_test
   ./build-asan/tests/fault_test

@@ -1,6 +1,7 @@
 #include "core/study_a.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -15,7 +16,6 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "obs/tracer.hpp"
-#include "sched/link.hpp"
 #include "stats/delay_stats.hpp"
 #include "stats/interval_monitor.hpp"
 #include "stats/jitter.hpp"
@@ -31,8 +31,19 @@ void StudyAConfig::validate() const {
   sc.validate(/*needs_capacity=*/true);
   PDS_CHECK(load_fractions.size() == sdp.size(),
             "load fractions / SDP size mismatch");
-  PDS_CHECK(utilization > 0.0 && utilization < 1.0,
-            "utilization must be in (0,1) for a stable lossless system");
+  if (buffer_packets == 0) {
+    PDS_CHECK(utilization > 0.0 && utilization < 1.0,
+              "utilization must be in (0,1) for a stable lossless system");
+  } else {
+    PDS_CHECK(utilization > 0.0, "offered load must be positive");
+  }
+  if (drop_policy == DropPolicy::kPlr) {
+    PDS_CHECK(buffer_packets >= 1, "PLR push-out needs a finite buffer");
+    PDS_CHECK(ldp.size() == sdp.size(), "LDP / SDP size mismatch");
+    PDS_CHECK(!is_tag_scheduler(scheduler),
+              "PLR push-out needs a scheduler that can drop a queued "
+              "packet, got " + to_string(scheduler));
+  }
   PDS_CHECK(pareto_alpha > 1.0, "Pareto shape must exceed 1 (finite mean)");
   PDS_CHECK(sim_time > 0.0, "sim_time must be positive");
   PDS_CHECK(warmup_fraction >= 0.0 && warmup_fraction < 1.0,
@@ -209,11 +220,19 @@ StudyAResult run_study_a(const StudyAConfig& config) {
                 if (!retained.empty()) retained[p.cls].add(wait);
               }
             });
+  if (config.buffer_packets > 0) {
+    link.set_buffer(config.buffer_packets, config.drop_policy,
+                    config.drop_policy == DropPolicy::kPlr
+                        ? std::make_unique<PlrDropper>(config.ldp,
+                                                       config.plr_window)
+                        : nullptr);
+  }
 
   const DiscreteDist size_law = paper_size_law();
   const auto interarrivals = class_mean_interarrivals(
       config.utilization, config.load_fractions, config.capacity,
-      size_law.mean());
+      config.packet_bytes > 0 ? static_cast<double>(config.packet_bytes)
+                              : size_law.mean());
 
   const auto make_gaps = [&](double mean) {
     return config.arrivals == ArrivalModel::kPareto
@@ -226,7 +245,9 @@ StudyAResult run_study_a(const StudyAConfig& config) {
   for (ClassId c = 0; c < n; ++c) {
     sources.push_back(std::make_unique<RenewalSource>(
         sim, ids, c, make_gaps(interarrivals[c]),
-        law_size(size_law), master.split(), [&](Packet p) {
+        config.packet_bytes > 0 ? fixed_size(config.packet_bytes)
+                                : law_size(size_law),
+        master.split(), [&](Packet p) {
           if (config.record_trace) {
             result.trace.push_back(
                 ArrivalRecord{sim.now(), p.cls, p.size_bytes});
@@ -328,6 +349,25 @@ StudyAResult run_study_a(const StudyAConfig& config) {
     result.departures.push_back(delays.of(c).count());
   }
   result.measured_utilization = link.busy_time() / config.sim_time;
+  if (link.has_buffer()) {
+    result.loss_rates.reserve(n);
+    for (ClassId c = 0; c < n; ++c) {
+      result.loss_rates.push_back(link.loss_rate(c));
+      result.total_arrivals += link.arrivals(c);
+      result.total_drops += link.drops(c);
+    }
+    for (ClassId c = 0; c + 1 < n; ++c) {
+      const double hi = result.loss_rates[c + 1];
+      result.loss_ratios.push_back(
+          hi > 0.0 ? result.loss_rates[c] / hi
+                   : std::numeric_limits<double>::infinity());
+    }
+    result.aggregate_loss_rate =
+        result.total_arrivals > 0
+            ? static_cast<double>(result.total_drops) /
+                  static_cast<double>(result.total_arrivals)
+            : 0.0;
+  }
   if (injector) result.fault_episodes = injector->episodes_completed();
   result.fault_drops = link.fault_drops();
   if (control) {

@@ -8,6 +8,12 @@
 // split 40/30/20/10, Pareto(1.9) interarrivals, the 40/550/1500 B size law,
 // and a link normalized so the mean packet transmission time is one p-unit
 // (11.2 time units).
+//
+// The same harness runs the coupled delay and loss differentiation the
+// paper defers to future work (Sections 1, 7): a finite buffer
+// (StudyAConfig::buffer_packets) drops what an offered load above capacity
+// cannot carry, and the result then holds per-class loss rates beside the
+// survivors' delays. The ext_loss_differentiation bench drives it.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,7 @@
 #include "obs/conformance.hpp"
 #include "packet/size_law.hpp"
 #include "sched/factory.hpp"
+#include "sched/link.hpp"
 #include "stats/sawtooth.hpp"
 
 namespace pds {
@@ -41,6 +48,24 @@ struct StudyAConfig {
   // Link normalization: capacity in bytes per time unit. With the paper's
   // size law the default gives a mean transmission time of one p-unit.
   double capacity = kStudyACapacity;
+
+  // Fixed packet size in bytes; 0 keeps the paper's 40/550/1500 B law.
+  std::uint32_t packet_bytes = 0;
+
+  // --- Finite buffer (coupled delay and loss differentiation) ---
+  // 0 keeps the paper's lossless link (Section 3's "adequately large number
+  // of packet buffers"). A positive value caps the queued packets
+  // (Link::set_buffer) and `utilization` becomes an offered load that may
+  // exceed 1: `drop_policy` sheds the excess, either drop-tail or PLR
+  // push-out toward the Loss Differentiation Parameters `ldp` (one per
+  // class, non-increasing: higher class = less loss) over the last
+  // `plr_window` arrivals (0 = PLR(inf)). PLR rejects the tag schedulers
+  // (is_tag_scheduler in sched/factory.hpp), which cannot push a queued
+  // packet out.
+  std::uint64_t buffer_packets = 0;
+  DropPolicy drop_policy = DropPolicy::kDropIncoming;
+  std::vector<double> ldp;
+  std::uint64_t plr_window = 0;
 
   double sim_time = 4.0e5;        // run length in time units
   double warmup_fraction = 0.1;   // leading fraction excluded from stats
@@ -174,10 +199,20 @@ struct StudyAResult {
   std::uint64_t sawtooth_collapses = 0;
   std::vector<double> jitter;                 // per class (RFC 3550 style)
 
+  // Loss accounting (iff config.buffer_packets > 0): per-class drop-policy
+  // loss rates (drops / arrivals), the adjacent ratios l_i / l_{i+1}
+  // (infinite when the higher class lost nothing), and the totals.
+  std::vector<double> loss_rates;
+  std::vector<double> loss_ratios;
+  std::uint64_t total_arrivals = 0;
+  std::uint64_t total_drops = 0;
+  double aggregate_loss_rate = 0.0;
+
   // Fault accounting (iff config.fault_plan): episode instances completed
-  // and packets dropped by link-down episodes in drop mode. Burst-loss drops
-  // need a buffered link (Link::burst_drops()) and do not appear here
-  // (Study A's link is lossless apart from faults).
+  // and packets dropped by link-down episodes in drop mode. A loss burst
+  // drops only on a buffered link, and its drops (Link::burst_drops())
+  // appear neither here nor in the loss accounting above, which counts the
+  // drop policy alone.
   std::uint64_t fault_episodes = 0;
   std::uint64_t fault_drops = 0;
 

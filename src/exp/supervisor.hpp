@@ -7,9 +7,8 @@
 // thousand. run_supervised_sweep keeps the same determinism contract
 // (results written by flat index into a pre-sized vector, byte-identical
 // output for any --jobs) but catches per-cell exceptions: a throwing cell is
-// recorded as a CellFailure carrying the exception text, optionally retried
-// once, and never kills sibling cells. Failed cells hold a
-// default-constructed result.
+// recorded as a CellFailure carrying the exception text and never kills
+// sibling cells. Failed cells hold a default-constructed result.
 //
 // Watchdog wraps Simulator::run_until with the kernel run budget
 // (Simulator::set_budget): an event-count budget catches livelocks
@@ -40,8 +39,8 @@
 
 namespace pds {
 
-// One failed sweep cell: the flat grid index, the what() text of the last
-// attempt's exception, and how many attempts were made.
+// One failed sweep cell: the flat grid index, the what() text of its
+// exception, and its attempt count (always 1: a cell runs once).
 struct CellFailure {
   std::size_t index = 0;
   std::string error;
@@ -97,11 +96,6 @@ struct SupervisedResult {
 };
 
 struct SupervisorOptions {
-  // Re-run a throwing cell once before recording it as failed. Useful when
-  // cells can trip a wall-clock watchdog on a transiently loaded machine;
-  // deterministic failures simply fail twice.
-  bool retry_once = false;
-
   // When set, the sweep fills one CellRecord per cell (worker, wall times,
   // attempts, report_cell_work measure) plus the pool stats delta — the raw
   // material for span traces and run reports. Costs two steady_clock reads
@@ -117,7 +111,6 @@ auto run_supervised_sweep(std::size_t cells, const SupervisorOptions& opts,
   SupervisedResult<decltype(fn(std::size_t{0}))> out;
   out.cells.resize(cells);
   std::mutex mu;
-  const int max_attempts = opts.retry_once ? 2 : 1;
   SweepTelemetry* telemetry = opts.telemetry;
   ThreadPool& pool = ThreadPool::global();
   PoolStats stats_before;
@@ -142,31 +135,26 @@ auto run_supervised_sweep(std::size_t cells, const SupervisorOptions& opts,
       detail::active_cell_record() = record;
     }
     std::string error;
-    int attempts = 0;
     bool ok = false;
-    while (attempts < max_attempts && !ok) {
-      ++attempts;
-      if (record) record->work = 0;  // a retry re-reports from scratch
-      try {
-        out.cells[i] = fn(i);
-        ok = true;
-      } catch (const std::exception& e) {
-        error = e.what();
-      } catch (...) {
-        error = "unknown exception";
-      }
+    try {
+      out.cells[i] = fn(i);
+      ok = true;
+    } catch (const std::exception& e) {
+      error = e.what();
+    } catch (...) {
+      error = "unknown exception";
     }
     if (record) {
       detail::active_cell_record() = nullptr;
       record->run_s = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-      record->attempts = attempts;
+      record->attempts = 1;
       record->failed = !ok;
     }
     if (!ok) {
       const std::lock_guard<std::mutex> lock(mu);
-      out.failures.push_back(CellFailure{i, std::move(error), attempts});
+      out.failures.push_back(CellFailure{i, std::move(error), 1});
     }
   });
   // Failures arrive in execution order (worker-dependent); sort by index so

@@ -1,6 +1,7 @@
 #include "exp/sweep.hpp"
 
 #include <limits>
+#include <utility>
 
 #include "util/contracts.hpp"
 

@@ -2,12 +2,13 @@
 //
 // The evaluation benches enumerate grids like rho x scheduler x seed and
 // run one independent simulation per cell. SweepGrid names the index space
-// (row-major, last axis fastest), and run_sweep / SweepRunner execute one
-// cell per parallel_for index on the global ThreadPool, writing each
-// result into its grid slot. Because results are stored by flat index and
-// cells are seeded independently, the returned vector — and any table
-// assembled from it after the barrier — is byte-identical whether the pool
-// has 1 or N workers (the determinism contract; pinned by
+// (row-major, last axis fastest), and run_sweep executes one cell per
+// parallel_for index on the global ThreadPool, writing each result into its
+// grid slot; a bench keeps its SweepGrid to look results up after the
+// barrier (cells[grid.flat({r, k})]). Because results are stored by flat
+// index and cells are seeded independently, the returned vector — and any
+// table assembled from it after the barrier — is byte-identical whether the
+// pool has 1 or N workers (the determinism contract; pinned by
 // tests/exp_test.cpp).
 //
 // Granularity rule (see docs/architecture.md): fan out at *cell*
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "exp/thread_pool.hpp"
@@ -66,27 +66,5 @@ auto run_sweep(const SweepGrid& grid, Fn&& fn)
   parallel_for(grid.size(), [&](std::size_t i) { out[i] = fn(grid.coords(i), i); });
   return out;
 }
-
-// Named wrapper when a bench wants to hold the grid and reuse it for
-// result lookup after the barrier:
-//   SweepRunner runner({rhos.size(), kinds.size()});
-//   const auto cells = runner.run([&](const auto& at, std::size_t) {...});
-//   ... cells[runner.grid().flat({r, k})] ...
-class SweepRunner {
- public:
-  explicit SweepRunner(SweepGrid grid) : grid_(std::move(grid)) {}
-  explicit SweepRunner(std::vector<std::size_t> extents)
-      : grid_(std::move(extents)) {}
-
-  const SweepGrid& grid() const { return grid_; }
-
-  template <typename Fn>
-  auto run(Fn&& fn) const {
-    return run_sweep(grid_, std::forward<Fn>(fn));
-  }
-
- private:
-  SweepGrid grid_;
-};
 
 }  // namespace pds

@@ -29,32 +29,6 @@ double ParetoDist::mean() const {
   return alpha_ * xm_ / (alpha_ - 1.0);
 }
 
-BoundedParetoDist::BoundedParetoDist(double alpha, double lo, double hi)
-    : alpha_(alpha), lo_(lo), hi_(hi) {
-  PDS_CHECK(alpha > 0.0, "Pareto shape must be positive");
-  PDS_CHECK(lo > 0.0 && lo < hi, "need 0 < lo < hi");
-}
-
-double BoundedParetoDist::sample(Rng& rng) const {
-  const double u = rng.uniform01();
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  // Inverse CDF of the truncated Pareto.
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha_);
-}
-
-double BoundedParetoDist::mean() const {
-  if (alpha_ == 1.0) {
-    return (std::log(hi_) - std::log(lo_)) * lo_ * hi_ / (hi_ - lo_);
-  }
-  const double la = std::pow(lo_, alpha_);
-  const double num = la / (1.0 - std::pow(lo_ / hi_, alpha_)) * alpha_ /
-                     (alpha_ - 1.0) *
-                     (1.0 / std::pow(lo_, alpha_ - 1.0) -
-                      1.0 / std::pow(hi_, alpha_ - 1.0));
-  return num;
-}
-
 ExponentialDist::ExponentialDist(double mean) : mean_(mean) {
   PDS_CHECK(mean > 0.0, "mean must be positive");
 }
@@ -62,10 +36,6 @@ ExponentialDist::ExponentialDist(double mean) : mean_(mean) {
 double ExponentialDist::sample(Rng& rng) const {
   const double u = 1.0 - rng.uniform01();  // in (0,1]
   return -mean_ * std::log(u);
-}
-
-DeterministicDist::DeterministicDist(double value) : value_(value) {
-  PDS_CHECK(value >= 0.0, "negative deterministic value");
 }
 
 DiscreteDist::DiscreteDist(std::vector<Outcome> outcomes)

@@ -36,23 +36,6 @@ class ParetoDist {
   double xm_;
 };
 
-// Pareto truncated to [lo, hi], sampled by inversion of the truncated CDF
-// (no rejection, no clamping mass at the edge). Useful in tests where an
-// infinite-variance tail would need astronomically long runs to stabilize.
-class BoundedParetoDist {
- public:
-  BoundedParetoDist(double alpha, double lo, double hi);
-
-  double sample(Rng& rng) const;
-
-  double mean() const;
-
- private:
-  double alpha_;
-  double lo_;
-  double hi_;
-};
-
 // Exponential distribution with the given mean (Poisson interarrivals).
 class ExponentialDist {
  public:
@@ -63,18 +46,6 @@ class ExponentialDist {
 
  private:
   double mean_;
-};
-
-// Degenerate distribution: always returns `value`. Used for CBR sources.
-class DeterministicDist {
- public:
-  explicit DeterministicDist(double value);
-
-  double sample(Rng&) const noexcept { return value_; }
-  double mean() const noexcept { return value_; }
-
- private:
-  double value_;
 };
 
 // Finite discrete distribution over arbitrary double outcomes, specified as

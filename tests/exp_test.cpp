@@ -216,9 +216,9 @@ std::string render_small_panel() {
   const std::vector<double> rhos{0.80, 0.95};
   const std::vector<SchedulerKind> kinds{SchedulerKind::kWtp,
                                          SchedulerKind::kBpr};
-  const SweepRunner runner({rhos.size(), kinds.size(), std::size_t{2}});
+  const SweepGrid grid({rhos.size(), kinds.size(), std::size_t{2}});
   const auto cells =
-      runner.run([&](const std::vector<std::size_t>& at, std::size_t) {
+      run_sweep(grid, [&](const std::vector<std::size_t>& at, std::size_t) {
         StudyAConfig config;
         config.utilization = rhos[at[0]];
         config.sim_time = 2.0e4;
@@ -234,7 +234,7 @@ std::string render_small_panel() {
     for (std::size_t k = 0; k < kinds.size(); ++k) {
       std::vector<double> acc(3, 0.0);
       for (std::size_t s = 0; s < 2; ++s) {
-        const auto& ratios = cells[runner.grid().flat({r, k, s})];
+        const auto& ratios = cells[grid.flat({r, k, s})];
         for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += ratios[i];
       }
       for (const double a : acc) row.push_back(TablePrinter::num(a / 2.0));

@@ -121,31 +121,6 @@ TEST(Pareto, RejectsBadParameters) {
   EXPECT_THROW(ParetoDist(0.9, 1.0).mean(), std::invalid_argument);
 }
 
-// ------------------------------------------------------- BoundedPareto
-
-TEST(BoundedPareto, SamplesStayWithinBounds) {
-  const BoundedParetoDist d(1.9, 1.0, 100.0);
-  Rng rng(23);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = d.sample(rng);
-    EXPECT_GE(x, 1.0);
-    EXPECT_LE(x, 100.0);
-  }
-}
-
-TEST(BoundedPareto, EmpiricalMeanMatchesClosedForm) {
-  const BoundedParetoDist d(1.9, 1.0, 100.0);
-  Rng rng(29);
-  double sum = 0.0;
-  for (int i = 0; i < kSamples; ++i) sum += d.sample(rng);
-  EXPECT_NEAR(sum / kSamples, d.mean(), 0.05 * d.mean());
-}
-
-TEST(BoundedPareto, RejectsBadBounds) {
-  EXPECT_THROW(BoundedParetoDist(1.9, 2.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(BoundedParetoDist(1.9, 0.0, 1.0), std::invalid_argument);
-}
-
 // --------------------------------------------------------- Exponential
 
 TEST(Exponential, EmpiricalMeanMatches) {
@@ -169,15 +144,6 @@ TEST(Exponential, MemorylessTail) {
 
 TEST(Exponential, RejectsNonPositiveMean) {
   EXPECT_THROW(ExponentialDist(0.0), std::invalid_argument);
-}
-
-// ------------------------------------------------------- Deterministic
-
-TEST(Deterministic, AlwaysReturnsValue) {
-  const DeterministicDist d(2.5);
-  Rng rng(41);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(d.sample(rng), 2.5);
-  EXPECT_DOUBLE_EQ(d.mean(), 2.5);
 }
 
 // ------------------------------------------------------------ Discrete

@@ -117,6 +117,41 @@ TEST(StudyA, ValidatesConfig) {
   EXPECT_THROW(run_study_a(c), std::invalid_argument);
 }
 
+TEST(StudyA, RejectsPlrWithoutABuffer) {
+  auto c = quick_config();
+  c.drop_policy = DropPolicy::kPlr;
+  c.ldp = {8.0, 4.0, 2.0, 1.0};
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.buffer_packets = 50;
+  EXPECT_NO_THROW(c.validate());
+}
+
+TEST(StudyA, OverloadNeedsABuffer) {
+  // A lossless link at or above capacity has no steady state; a finite
+  // buffer sheds the excess and the run completes.
+  auto c = quick_config();
+  c.utilization = 1.0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.utilization = 1.2;
+  EXPECT_THROW(run_study_a(c), std::invalid_argument);
+  c.buffer_packets = 50;
+  const auto r = run_study_a(c);
+  EXPECT_GT(r.total_drops, 0u);
+  EXPECT_GT(r.measured_utilization, 0.95);
+  ASSERT_EQ(r.loss_rates.size(), 4u);
+  EXPECT_EQ(r.loss_ratios.size(), 3u);
+  EXPECT_GT(r.aggregate_loss_rate, 0.0);
+}
+
+TEST(StudyA, LosslessRunLeavesLossFieldsEmpty) {
+  const auto r = run_study_a(quick_config());
+  EXPECT_TRUE(r.loss_rates.empty());
+  EXPECT_TRUE(r.loss_ratios.empty());
+  EXPECT_EQ(r.total_arrivals, 0u);
+  EXPECT_EQ(r.total_drops, 0u);
+  EXPECT_EQ(r.aggregate_loss_rate, 0.0);
+}
+
 TEST(StudyA, RejectsWeightsControllerOnFcfs) {
   // FCFS has no weights to steer: the config fails validation, so the run
   // throws before any event runs rather than at the first controller update.

@@ -1,27 +1,33 @@
-// Study C (finite buffer + droppers): coupled delay and loss
-// differentiation, the paper's stated future work.
+// Study C: Study A's link with a finite buffer and a dropper — coupled
+// delay and loss differentiation, the paper's stated future work.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <ostream>
 #include <string>
 
-#include "core/study_c.hpp"
+#include "core/study_a.hpp"
 
 namespace pds {
 namespace {
 
-StudyCConfig overload_config() {
-  StudyCConfig c;
-  c.offered_load = 1.3;
-  c.sim_time = 1.5e5;
+// A WTP link at 30% overload with equal class loads, fixed 441 B packets
+// and a 100-packet PLR(inf) buffer aiming at LDPs 8,4,2,1.
+StudyAConfig overload_config() {
+  StudyAConfig c;
+  c.ldp = {8.0, 4.0, 2.0, 1.0};
+  c.load_fractions = {0.25, 0.25, 0.25, 0.25};
+  c.utilization = 1.3;
+  c.drop_policy = DropPolicy::kPlr;
   c.buffer_packets = 100;
+  c.packet_bytes = 441;
+  c.sim_time = 1.5e5;
   c.seed = 5;
   return c;
 }
 
 TEST(StudyC, ShedsExactlyTheExcessLoad) {
-  const auto r = run_study_c(overload_config());
+  const auto r = run_study_a(overload_config());
   // 30% overload: aggregate loss ~ 0.3/1.3 = 0.23; the link stays pinned
   // near full utilization.
   EXPECT_NEAR(r.aggregate_loss_rate, 0.3 / 1.3, 0.05);
@@ -30,7 +36,7 @@ TEST(StudyC, ShedsExactlyTheExcessLoad) {
 }
 
 TEST(StudyC, PlrPinsLossRatiosToLdps) {
-  const auto r = run_study_c(overload_config());
+  const auto r = run_study_a(overload_config());
   ASSERT_EQ(r.loss_ratios.size(), 3u);
   for (const double ratio : r.loss_ratios) {
     EXPECT_NEAR(ratio, 2.0, 0.2);  // LDPs 8,4,2,1
@@ -38,9 +44,9 @@ TEST(StudyC, PlrPinsLossRatiosToLdps) {
 }
 
 TEST(StudyC, WtpStillDifferentiatesSurvivorDelays) {
-  const auto r = run_study_c(overload_config());
-  ASSERT_EQ(r.delay_ratios.size(), 3u);
-  for (const double ratio : r.delay_ratios) {
+  const auto r = run_study_a(overload_config());
+  ASSERT_EQ(r.ratios.size(), 3u);
+  for (const double ratio : r.ratios) {
     EXPECT_GT(ratio, 1.4);  // proportional-ish even while dropping
     EXPECT_LT(ratio, 2.8);
   }
@@ -48,9 +54,9 @@ TEST(StudyC, WtpStillDifferentiatesSurvivorDelays) {
 
 TEST(StudyC, DropTailFollowsLoadNotLdps) {
   auto c = overload_config();
-  c.policy = DropPolicy::kDropIncoming;
+  c.drop_policy = DropPolicy::kDropIncoming;
   c.ldp.clear();  // unused by drop-tail
-  const auto r = run_study_c(c);
+  const auto r = run_study_a(c);
   // Equal class loads + classless drops: loss rates roughly equal.
   for (const double ratio : r.loss_ratios) {
     EXPECT_NEAR(ratio, 1.0, 0.25);
@@ -60,7 +66,7 @@ TEST(StudyC, DropTailFollowsLoadNotLdps) {
 TEST(StudyC, SlidingWindowTracksLdpsToo) {
   auto c = overload_config();
   c.plr_window = 2000;
-  const auto r = run_study_c(c);
+  const auto r = run_study_a(c);
   for (const double ratio : r.loss_ratios) {
     EXPECT_NEAR(ratio, 2.0, 0.3);
   }
@@ -69,7 +75,7 @@ TEST(StudyC, SlidingWindowTracksLdpsToo) {
 TEST(StudyC, UnevenLoadsStillHitLossTargets) {
   auto c = overload_config();
   c.load_fractions = {0.1, 0.2, 0.3, 0.4};  // heavy high classes
-  const auto r = run_study_c(c);
+  const auto r = run_study_a(c);
   for (const double ratio : r.loss_ratios) {
     EXPECT_NEAR(ratio, 2.0, 0.35);
   }
@@ -77,29 +83,29 @@ TEST(StudyC, UnevenLoadsStillHitLossTargets) {
 
 TEST(StudyC, UnderloadProducesNoLoss) {
   auto c = overload_config();
-  c.offered_load = 0.6;
-  const auto r = run_study_c(c);
+  c.utilization = 0.6;
+  const auto r = run_study_a(c);
   EXPECT_EQ(r.total_drops, 0u);
   EXPECT_DOUBLE_EQ(r.aggregate_loss_rate, 0.0);
 }
 
 TEST(StudyC, DeterministicPerSeed) {
-  const auto a = run_study_c(overload_config());
-  const auto b = run_study_c(overload_config());
+  const auto a = run_study_a(overload_config());
+  const auto b = run_study_a(overload_config());
   EXPECT_EQ(a.total_drops, b.total_drops);
   EXPECT_EQ(a.total_arrivals, b.total_arrivals);
 }
 
 TEST(StudyC, ValidatesConfig) {
   auto c = overload_config();
-  c.offered_load = 0.0;
-  EXPECT_THROW(run_study_c(c), std::invalid_argument);
+  c.utilization = 0.0;
+  EXPECT_THROW(run_study_a(c), std::invalid_argument);
   c = overload_config();
   c.ldp = {1.0};  // size mismatch under kPlr
-  EXPECT_THROW(run_study_c(c), std::invalid_argument);
+  EXPECT_THROW(run_study_a(c), std::invalid_argument);
   c = overload_config();
   c.buffer_packets = 0;
-  EXPECT_THROW(run_study_c(c), std::invalid_argument);
+  EXPECT_THROW(run_study_a(c), std::invalid_argument);
 }
 
 TEST(StudyC, RejectsPlrPushOutOnTagSchedulers) {
@@ -117,7 +123,7 @@ TEST(StudyC, RejectsPlrPushOutOnTagSchedulers) {
                 std::string::npos)
           << e.what();
     }
-    c.policy = DropPolicy::kDropIncoming;
+    c.drop_policy = DropPolicy::kDropIncoming;
     EXPECT_NO_THROW(c.validate()) << to_string(kind);
   }
 }
@@ -140,7 +146,7 @@ std::string pin_name(const testing::TestParamInfo<StudyCPin>& info) {
 
 void PrintTo(const StudyCPin& pin, std::ostream* os) { *os << pin.name; }
 
-std::uint64_t study_c_hash(const StudyCResult& r) {
+std::uint64_t study_c_hash(const StudyAResult& r) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto bytes = [&h](const void* data, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -163,10 +169,10 @@ TEST_P(StudyCPins, ResultMatchesPinnedHash) {
   const StudyCPin& pin = GetParam();
   auto c = overload_config();
   c.sim_time = 3.0e4;
-  c.policy = pin.policy;
+  c.drop_policy = pin.policy;
   c.plr_window = pin.plr_window;
   if (pin.policy == DropPolicy::kDropIncoming) c.ldp.clear();
-  const auto r = run_study_c(c);
+  const auto r = run_study_a(c);
   EXPECT_GT(r.total_drops, 0u);
   const std::uint64_t h = study_c_hash(r);
   EXPECT_EQ(h, pin.hash) << std::hex << "got 0x" << h;

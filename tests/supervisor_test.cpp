@@ -2,7 +2,6 @@
 // determinism-under-faults differential (--jobs=1 vs --jobs=N).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -46,28 +45,6 @@ TEST(SupervisedSweep, FailuresAreSortedByIndex) {
   for (std::size_t k = 0; k + 1 < result.failures.size(); ++k) {
     EXPECT_LT(result.failures[k].index, result.failures[k + 1].index);
   }
-}
-
-TEST(SupervisedSweep, RetryOnceRecoversATransientFailure) {
-  std::atomic<int> calls{0};
-  const auto result = run_supervised_sweep(
-      4, SupervisorOptions{.retry_once = true}, [&](std::size_t i) -> int {
-        if (i == 2 && calls.fetch_add(1) == 0) {
-          throw std::runtime_error("transient");
-        }
-        return static_cast<int>(i);
-      });
-  EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.cells[2], 2);
-
-  // A deterministic failure still fails — after two attempts.
-  const auto persistent = run_supervised_sweep(
-      4, SupervisorOptions{.retry_once = true}, [](std::size_t i) -> int {
-        if (i == 1) throw std::runtime_error("always");
-        return 0;
-      });
-  ASSERT_EQ(persistent.failures.size(), 1u);
-  EXPECT_EQ(persistent.failures[0].attempts, 2);
 }
 
 TEST(SupervisedSweep, NonStdExceptionsAreRecordedToo) {
