@@ -1,6 +1,7 @@
 // Event-queue and dispatch microbenchmarks: the kernel's binary heap under
 // the hold-model workload (the standard benchmark for simulator event sets:
-// alternate pop and push-at-future-time on a steady population), plus an
+// alternate pop and push-at-future-time on a steady population), the same
+// model with a repeated-delay stream that rides a delay lane, plus an
 // end-to-end packet pipeline (source -> scheduler -> link) that measures the
 // allocation cost of the kernel's event dispatch per simulated packet.
 //
@@ -8,6 +9,8 @@
 // operator-new in alloc_counter.cpp — the regression guard for the hot-path
 // allocation budget (see docs/architecture.md).
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "alloc_counter.hpp"
 #include "dsim/event_queue.hpp"
@@ -60,6 +63,73 @@ void BM_Heap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
   state.counters["allocs_per_op"] =
       ops ? static_cast<double>(allocs) / static_cast<double>(ops) : 0.0;
+}
+
+// The fabrics' shape: `timers` far-ahead events, each re-armed a random
+// delay ahead like RPC think and retry timers, beside a stream of 64 link
+// completions, each re-armed one fixed transmission time ahead (441 B at
+// 39.375 B/tu). Every push carries the tag Simulator::schedule_in would
+// give it, so the stream rides a delay lane and the timers stay in the
+// heap; `lane_share` is the share of measured pushes that rode a lane.
+// After a warmup that grows the lane's ring, `allocs_per_op` must be
+// exactly 0.0 (the run reports an error otherwise).
+void BM_HoldRepeatedDelay(benchmark::State& state) {
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kStream = 64;
+  constexpr double kTx = 441.0 / 39.375;
+  constexpr double kTimerSpan = 2e4;
+  constexpr int kSteps = 10000;
+  const auto tx_tag = pds::HeapEventQueue::delay_tag(kTx);
+  std::uint64_t allocs = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t lane_pushes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    pds::HeapEventQueue q;
+    pds::Rng rng(99);
+    std::uint64_t seq = 0;
+    bool stream = false;  // set by the action of the event just popped
+    for (std::size_t i = 0; i < timers; ++i) {
+      q.push(rng.uniform01() * kTimerSpan, seq++,
+             [&stream] { stream = false; });
+    }
+    for (std::size_t i = 0; i < kStream; ++i) {
+      q.push(rng.uniform01() * kTx, seq++, [&stream] { stream = true; });
+    }
+    // Hold model: each pop runs its action and re-arms it.
+    const auto step = [&] {
+      pds::EventItem item = q.pop();
+      item.action();
+      const std::size_t in_lanes = q.in_lanes();
+      if (stream) {
+        q.push(item.time + kTx, seq++, std::move(item.action), tx_tag);
+      } else {
+        const double gap = rng.uniform01() * kTimerSpan;
+        q.push(item.time + gap, seq++, std::move(item.action),
+               pds::HeapEventQueue::delay_tag(gap));
+      }
+      return q.in_lanes() > in_lanes;
+    };
+    for (int i = 0; i < kSteps; ++i) step();
+    state.ResumeTiming();
+    const std::uint64_t before = pds::bench::heap_allocations();
+    for (int i = 0; i < kSteps; ++i) lane_pushes += step() ? 1 : 0;
+    allocs += pds::bench::heap_allocations() - before;
+    ops += kSteps;
+    benchmark::DoNotOptimize(q.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+  state.counters["allocs_per_op"] =
+      ops ? static_cast<double>(allocs) / static_cast<double>(ops) : 0.0;
+  state.counters["lane_share"] =
+      ops ? static_cast<double>(lane_pushes) / static_cast<double>(ops) : 0.0;
+  if (allocs != 0) {
+    const std::string err =
+        "steady-state hold allocated: " + std::to_string(allocs) +
+        " heap allocation(s) over " + std::to_string(ops) +
+        " operations (expected 0)";
+    state.SkipWithError(err.c_str());
+  }
 }
 
 // The kernel->link->source hot path end to end: four renewal sources feed a
@@ -132,4 +202,5 @@ void BM_PacketPipelineHeap(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_Heap)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_HoldRepeatedDelay)->Arg(1024);
 BENCHMARK(BM_PacketPipelineHeap);

@@ -6,9 +6,12 @@
 //
 //  1. Kernel event loop (guarded). The baseline copies Simulator's
 //     schedule_at, schedule_in and drain line for line — the contract
-//     checks, the label store, the pending-event heap held by value, the
-//     watchdog budget branch and the per-run event count — and leaves out
-//     only the SimMonitor branch, which -DPDS_OBS=OFF does not remove.
+//     checks, the label store, the delay tag schedule_in passes (each
+//     chain re-arms at its own fixed delay, so delay lanes engage on both
+//     sides), the pending-event set held by value with its one
+//     earliest-source choice per event, the watchdog budget branch and the
+//     per-run event count — and leaves out only the SimMonitor branch,
+//     which -DPDS_OBS=OFF does not remove.
 //     Against it we time the real Simulator with no monitor (the disabled
 //     branch) and with a SimProfiler attached.
 //  2. Link transmission path (informational). A WTP link with no probe vs a
@@ -131,7 +134,10 @@ struct RawKernel {
   [[gnu::noinline]] void schedule_in(pds::SimTime dt, pds::SimEvent action,
                                      const char* label) {
     PDS_CHECK(dt >= 0.0, "negative delay");
-    schedule_at(now + dt, std::move(action), label);
+    PDS_CHECK(static_cast<bool>(action), "null event action");
+    if (label != nullptr) action.set_label(label);
+    q.push(now + dt, seq++, std::move(action),
+           pds::HeapEventQueue::delay_tag(dt));
   }
 
   [[gnu::noinline]] void drain(pds::SimTime horizon, bool bounded) {

@@ -55,11 +55,19 @@ cmake --build build -j "${JOBS}" --target micro_event_queue micro_schedulers
 
 echo "== micro benches: quick run (hot-path smoke, ~5 s) =="
 # Not a performance gate — a smoke run that exercises the kernel's binary
-# heap and the scheduler hot paths end to end. BM_PacketPipelineHeap is the
-# 0-alloc pipeline gate: it reports an error when a steady-state packet
-# allocates, a regression the unit tests abstract away.
-./build/bench/micro_event_queue --benchmark_min_time=0.05 \
-  --benchmark_format=console 2>/dev/null | tail -n +4
+# heap, its delay lanes and the scheduler hot paths end to end. The 0-alloc
+# gates are BM_PacketPipelineHeap (a steady-state packet allocates) and
+# BM_HoldRepeatedDelay (a steady-state hold step with a link-completion
+# stream riding a delay lane allocates): each reports a benchmark error,
+# a regression the unit tests abstract away, and any reported error fails
+# this step.
+MICRO_OUT="$(./build/bench/micro_event_queue --benchmark_min_time=0.05 \
+  --benchmark_format=console 2>/dev/null | tail -n +4)"
+echo "${MICRO_OUT}"
+if grep -q "ERROR OCCURRED" <<< "${MICRO_OUT}"; then
+  echo "error: a micro_event_queue benchmark reported an error" >&2
+  exit 1
+fi
 ./build/bench/micro_schedulers --benchmark_min_time=0.05 \
   --benchmark_format=console 2>/dev/null | tail -n +4
 
@@ -156,8 +164,9 @@ if [[ "${1:-}" == "--fast" ]]; then
   # tail, and the Study A and Study C suites drive that path through
   # run_study_a's finite buffer.
   # The kernel suites cover the pending-event set Simulator holds by value:
-  # a heap of keys whose move-only SimEvents sit in pool slots that each
-  # pop vacates and a later push reuses. The scheduler suites
+  # a heap of keys and the delay lanes' rings of keys, whose move-only
+  # SimEvents sit in pool slots that each pop vacates and a later push
+  # reuses. The scheduler suites
   # cover every scheduler's one dequeue_burst over the class rings,
   # including the tag schedulers' tag queues beside them, and the one
   # class-selection loop those decisions share. The traffic suites cover

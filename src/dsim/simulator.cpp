@@ -18,7 +18,12 @@ void Simulator::schedule_at(SimTime t, Action action, const char* label) {
 
 void Simulator::schedule_in(SimTime dt, Action action, const char* label) {
   PDS_CHECK(dt >= 0.0, "negative delay");
-  schedule_at(now_ + dt, std::move(action), label);
+  PDS_CHECK(static_cast<bool>(action), "null event action");
+  if (label != nullptr) action.set_label(label);
+  // The delay's bits tag the push, so events scheduled the same delay
+  // ahead can ride one delay lane (dsim/event_queue.hpp).
+  events_.push(now_ + dt, next_seq_++, std::move(action),
+               HeapEventQueue::delay_tag(dt));
 }
 
 void Simulator::run() {

@@ -36,7 +36,7 @@ class SimBudgetExceeded : public std::runtime_error {
 
   SimTime now;             // clock when the budget tripped
   std::uint64_t executed;  // events executed in the tripping run call
-  std::size_t pending;     // pending-event heap size at the trip
+  std::size_t pending;     // pending events (heap and lanes) at the trip
 };
 
 // Kernel-level observer invoked around every executed event. The profiler in
@@ -64,10 +64,11 @@ class Simulator {
   // heap; closures may own their captures by move). See dsim/sim_event.hpp.
   using Action = SimEvent;
 
-  // The pending-event set is a binary heap held by value (see
-  // dsim/event_queue.hpp): no virtual dispatch and no pointer indirection
-  // on the per-event path. The ignored EventQueueKind parameter exists only
-  // for perfbench/traced.cpp, which passes StudyAConfig::event_queue.
+  // The pending-event set is a binary heap with delay lanes, held by value
+  // (see dsim/event_queue.hpp): no virtual dispatch and no pointer
+  // indirection on the per-event path. The ignored EventQueueKind
+  // parameter exists only for perfbench/traced.cpp, which passes
+  // StudyAConfig::event_queue.
   explicit Simulator(EventQueueKind = EventQueueKind::kBinaryHeap) {}
 
   // Non-copyable: scheduled actions capture `this` of client objects.
@@ -90,7 +91,9 @@ class Simulator {
   // non-null `label` overrides any label the SimEvent already carries.
   void schedule_at(SimTime t, Action action, const char* label = nullptr);
 
-  // Schedules `action` `dt >= 0` after the current time.
+  // Schedules `action` `dt >= 0` after the current time. Events scheduled
+  // the same `dt` ahead may skip the heap through a delay lane; the firing
+  // order is the same as schedule_at(now() + dt, ...) would give.
   void schedule_in(SimTime dt, Action action, const char* label = nullptr);
 
   // Runs events until the queue is empty, `run_until` horizon is reached, or

@@ -1,6 +1,7 @@
 #include "net/flows.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/contracts.hpp"
 
@@ -40,6 +41,16 @@ RpcWorkload::RpcWorkload(Simulator& sim, Network& net, PacketIdAllocator& ids,
   config_.validate();
   PDS_CHECK(forward < net.num_routes() && reverse < net.num_routes(),
             "flows reference unknown routes");
+  // Room for every attempt that can be live at once: each user waits on
+  // one RPC, which has at most max_retries + 1 attempts outstanding, so
+  // issuing, retrying and finishing RPCs allocate nothing. Past
+  // kReservedAttempts per user (retry counts far beyond any backoff
+  // horizon) the table grows on demand instead.
+  constexpr std::uint32_t kReservedAttempts = 64;
+  const std::uint32_t per_user =
+      config_.max_retries < kReservedAttempts ? config_.max_retries + 1
+                                              : kReservedAttempts;
+  attempts_.reserve(std::size_t{config_.users} * per_user);
   users_.reserve(config_.users);
   // Per-user streams split in user order — byte-reproducible from the seed.
   for (std::uint32_t u = 0; u < config_.users; ++u) {
@@ -47,6 +58,71 @@ RpcWorkload::RpcWorkload(Simulator& sim, Network& net, PacketIdAllocator& ids,
     user.rng = rng.split();
     users_.push_back(std::move(user));
   }
+}
+
+void RpcWorkload::AttemptTable::reserve(std::size_t live) {
+  std::size_t entries = 16;
+  while (entries < 2 * live) entries *= 2;
+  if (entries > entries_.size()) rehash(entries);
+}
+
+std::size_t RpcWorkload::AttemptTable::home(FlowId flow) const noexcept {
+  // Fibonacci hashing: the top bits of flow * 2^64/phi.
+  return static_cast<std::size_t>(
+      (std::uint64_t{flow} * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+void RpcWorkload::AttemptTable::rehash(std::size_t entries) {
+  std::vector<Entry> old = std::move(entries_);
+  entries_.assign(entries, Entry{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(entries));
+  live_ = 0;
+  for (const Entry& e : old) {
+    if (e.flow != kNoFlow) insert(e.flow, e.attempt);
+  }
+}
+
+RpcWorkload::Attempt* RpcWorkload::AttemptTable::find(FlowId flow) noexcept {
+  const std::size_t mask = entries_.size() - 1;
+  // Empty entries are checked first: packets outside any flow carry
+  // kNoFlow, the empty marker, and must find nothing.
+  for (std::size_t i = home(flow);; i = (i + 1) & mask) {
+    if (entries_[i].flow == kNoFlow) return nullptr;
+    if (entries_[i].flow == flow) return &entries_[i].attempt;
+  }
+}
+
+void RpcWorkload::AttemptTable::insert(FlowId flow, const Attempt& attempt) {
+  PDS_REQUIRE(flow != kNoFlow);
+  if (2 * (live_ + 1) > entries_.size()) rehash(2 * entries_.size());
+  const std::size_t mask = entries_.size() - 1;
+  std::size_t i = home(flow);
+  while (entries_[i].flow != kNoFlow) i = (i + 1) & mask;
+  entries_[i] = Entry{flow, attempt};
+  ++live_;
+}
+
+void RpcWorkload::AttemptTable::erase(FlowId flow) noexcept {
+  const std::size_t mask = entries_.size() - 1;
+  std::size_t hole = home(flow);
+  for (;; hole = (hole + 1) & mask) {
+    if (entries_[hole].flow == kNoFlow) return;
+    if (entries_[hole].flow == flow) break;
+  }
+  // Backward shift: walk the run after the hole and move back every entry
+  // whose home does not lie cyclically in (hole, j], so no probe sequence
+  // ever crosses an empty entry.
+  for (std::size_t j = (hole + 1) & mask; entries_[j].flow != kNoFlow;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(entries_[j].flow);
+    const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (!stays) {
+      entries_[hole] = entries_[j];
+      hole = j;
+    }
+  }
+  entries_[hole].flow = kNoFlow;
+  --live_;
 }
 
 void RpcWorkload::start(SimTime at) {
@@ -79,9 +155,9 @@ void RpcWorkload::send_attempt(std::uint32_t user) {
   User& u = users_[user];
   ++u.attempts;
   const FlowId flow = flows_.next();
-  attempts_.emplace(flow, Attempt{user, config_.request_packets,
-                                  config_.response_packets});
-  u.outstanding.push_back(flow);
+  attempts_.insert(flow, Attempt{user, config_.request_packets,
+                                 config_.response_packets, u.latest});
+  u.latest = flow;
   for (std::uint32_t k = 0; k < config_.request_packets; ++k) {
     Packet p;
     p.id = ids_.next();
@@ -102,14 +178,14 @@ void RpcWorkload::send_attempt(std::uint32_t user) {
 }
 
 void RpcWorkload::on_route_exit(const Packet& p, SimTime now) {
-  const auto it = attempts_.find(p.flow);
-  if (it == attempts_.end()) return;  // foreign workload or abandoned attempt
-  Attempt& attempt = it->second;
+  Attempt* const found = attempts_.find(p.flow);
+  if (found == nullptr) return;  // foreign workload or abandoned attempt
+  Attempt& attempt = *found;
   if (attempt.remaining_request > 0) {
     if (--attempt.remaining_request == 0) {
       // Server turnaround: the response leaves immediately with the same
       // flow id on the reverse route.
-      const FlowId flow = it->first;
+      const FlowId flow = p.flow;
       for (std::uint32_t k = 0; k < config_.response_packets; ++k) {
         Packet r;
         r.id = ids_.next();
@@ -154,8 +230,14 @@ void RpcWorkload::finish_rpc(std::uint32_t user, bool completed,
                              SimTime now) {
   User& u = users_[user];
   PDS_REQUIRE(u.waiting);
-  for (const FlowId flow : u.outstanding) attempts_.erase(flow);
-  u.outstanding.clear();
+  for (FlowId flow = u.latest; flow != kNoFlow;) {
+    const Attempt* const attempt = attempts_.find(flow);
+    PDS_REQUIRE(attempt != nullptr);
+    const FlowId previous = attempt->previous;
+    attempts_.erase(flow);
+    flow = previous;
+  }
+  u.latest = kNoFlow;
   u.waiting = false;
   --waiting_;
   ++u.seq;

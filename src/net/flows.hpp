@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -133,7 +132,33 @@ class RpcWorkload {
     std::uint32_t user = 0;
     std::uint32_t remaining_request = 0;
     std::uint32_t remaining_response = 0;
+    FlowId previous = kNoFlow;  // the user's previous attempt of this RPC
   };
+  // Live attempts keyed by flow id: open addressing with linear probing
+  // and backward-shift deletion over a power-of-two table kept at most
+  // half full. It grows only when the live count passes half the table,
+  // so a table reserved for every attempt that can be live at once never
+  // allocates again. The constructor reserves it before any other call.
+  class AttemptTable {
+   public:
+    void reserve(std::size_t live);
+    Attempt* find(FlowId flow) noexcept;
+    void insert(FlowId flow, const Attempt& attempt);
+    void erase(FlowId flow) noexcept;
+
+   private:
+    struct Entry {
+      FlowId flow = kNoFlow;  // kNoFlow marks an empty entry
+      Attempt attempt;
+    };
+    std::size_t home(FlowId flow) const noexcept;
+    void rehash(std::size_t entries);
+
+    std::vector<Entry> entries_;
+    std::size_t live_ = 0;
+    unsigned shift_ = 64;  // 64 - log2(entries_.size())
+  };
+
   struct User {
     Rng rng;
     std::uint64_t seq = 0;       // current RPC sequence (staleness guard)
@@ -141,7 +166,9 @@ class RpcWorkload {
     SimTime issue_time = kTimeZero;
     double cur_rto = 0.0;
     std::uint32_t attempts = 0;  // attempts issued for the current RPC
-    std::vector<FlowId> outstanding;
+    // The newest attempt of the current RPC; the older ones chain through
+    // Attempt::previous, so finishing the RPC can erase them all.
+    FlowId latest = kNoFlow;
   };
 
   void schedule_think(std::uint32_t user);
@@ -161,7 +188,7 @@ class RpcWorkload {
   double rto_cap_ = 0.0;
   ExponentialDist think_;
   std::vector<User> users_;
-  std::unordered_map<FlowId, Attempt> attempts_;
+  AttemptTable attempts_;
   RpcStats stats_;
   SimTime warmup_ = kTimeZero;
   double tokens_ = 0.0;

@@ -12,9 +12,12 @@ namespace pds {
 
 // Percentile with linear interpolation between closest ranks (the same
 // convention as numpy's default). `p` in [0, 100]. Throws on empty input.
+// Selects the two ranks it needs (std::nth_element) instead of sorting;
+// the values equal those of a full sort bit for bit.
 double percentile(std::vector<double> samples, double p);
 
-// Multiple percentiles over one sorted pass; `ps` in [0, 100].
+// Multiple percentiles of one sample set; `ps` in [0, 100]. Ascending `ps`
+// select each rank on the part of the set above the previous one.
 std::vector<double> percentiles(std::vector<double> samples,
                                 const std::vector<double>& ps);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dsim/simulator.hpp"
+#include "rng/rng.hpp"
 
 namespace pds {
 namespace {
@@ -227,6 +228,57 @@ TEST(Simulator, AnActionMayGrowThePendingSetWhileItRuns) {
   }
   EXPECT_EQ(order, expected);
   EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, RepeatedDelaysAndAbsoluteTimesFireInTimeThenSeqOrder) {
+  // 48 chains keep the pending set above the delay lanes' gate. Each
+  // firing schedules one event: 60% schedule_in at one of three repeated
+  // delays (those ride lanes), 25% schedule_at at the time one of them
+  // gives (those go to the heap and tie with lane events), 15%
+  // schedule_in at a delay that rarely repeats. Every event knows its
+  // sequence number (the schedule calls before it): the firings must come
+  // out sorted by (time, seq), each at the time it was scheduled for.
+  struct Harness {
+    Simulator sim;
+    Rng rng{5};
+    std::uint64_t scheduled = 0;
+    std::vector<std::pair<SimTime, std::uint64_t>> fired;
+    std::vector<SimTime> late;  // firings away from their scheduled time
+
+    void add(SimTime delay, bool absolute) {
+      const std::uint64_t seq = scheduled++;
+      const SimTime due = sim.now() + delay;
+      const auto fire = [this, seq, due] {
+        if (sim.now() != due) late.push_back(sim.now());
+        fired.emplace_back(sim.now(), seq);
+        if (fired.size() < 20000) rearm();
+      };
+      if (absolute) {
+        sim.schedule_at(due, fire);
+      } else {
+        sim.schedule_in(delay, fire);
+      }
+    }
+    void rearm() {
+      constexpr std::array<SimTime, 3> kRepeated = {1.0, 1.5, 2.25};
+      const auto style = rng.uniform_index(20);
+      const SimTime repeated = kRepeated[rng.uniform_index(3)];
+      if (style < 12) {
+        add(repeated, false);
+      } else if (style < 17) {
+        add(repeated, true);
+      } else {
+        add(0.25 * static_cast<double>(1 + rng.uniform_index(64)), false);
+      }
+    }
+  };
+  Harness h;
+  for (int chain = 0; chain < 48; ++chain) h.rearm();
+  h.sim.run();
+  EXPECT_EQ(h.fired.size(), h.scheduled);
+  EXPECT_GE(h.fired.size(), 20000u);
+  EXPECT_TRUE(std::is_sorted(h.fired.begin(), h.fired.end()));
+  EXPECT_TRUE(h.late.empty());
 }
 
 namespace {

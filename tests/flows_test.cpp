@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "net/flows.hpp"
 #include "net/scenario.hpp"
 
@@ -23,6 +25,7 @@ struct Harness {
   RouteId forward = 0;
   RouteId reverse = 0;
   RpcWorkload* workload = nullptr;
+  RpcWorkload* second = nullptr;  // a second workload sharing both routes
 
   Harness() {
     const auto a = net.add_node("a");
@@ -33,6 +36,7 @@ struct Harness {
                                  100.0);
     const auto handler = [this](const Packet& p, SimTime now) {
       if (workload != nullptr) workload->on_route_exit(p, now);
+      if (second != nullptr) second->on_route_exit(p, now);
     };
     forward = net.add_route({ab}, handler);
     reverse = net.add_route({ba}, handler);
@@ -109,6 +113,51 @@ TEST(RpcWorkload, WarmupExcludesEarlyRpcsFromScoring) {
   // the run stops); only the 25 issued at t in [50, 98] score.
   EXPECT_EQ(wl.stats().issued, 51u);
   EXPECT_EQ(wl.stats().completed, 25u);
+}
+
+TEST(RpcWorkload, EveryRpcEndsOnceWhileAllRetriesAreOutstanding) {
+  // A drop outage on the forward link from t=0 strands every attempt, so
+  // the users, who all issue at t=0 and retry on one fixed rto, each hold
+  // all max_retries + 1 attempts at once before the RPC fails. `deep`
+  // retries 70 times, more than a workload reserves room for per user, so
+  // its attempt table also grows. The workloads share both
+  // routes, so each sees the other's packets exit, and once the outage
+  // ends both complete RPCs. Every RPC must end exactly once: completed or
+  // failed, or still waiting at the end of the run.
+  Harness h;
+  RpcConfig shallow_config;
+  shallow_config.users = 4;
+  shallow_config.size_bytes = 100;
+  shallow_config.rto = 8.0;
+  shallow_config.max_retries = 3;
+  shallow_config.backoff = 1.0;
+  RpcConfig deep_config = shallow_config;
+  deep_config.users = 1;
+  deep_config.rto = 10.0;
+  deep_config.max_retries = 70;
+  RpcWorkload shallow(h.sim, h.net, h.ids, h.flow_ids, h.forward, h.reverse,
+                      shallow_config, Rng(1));
+  RpcWorkload deep(h.sim, h.net, h.ids, h.flow_ids, h.forward, h.reverse,
+                   deep_config, Rng(2));
+  h.workload = &shallow;
+  h.second = &deep;
+  FaultInjector outage(h.sim,
+                       parse_fault_plan("down a>b at=0 for=800 mode=drop\n"));
+  attach_network(outage, h.net);
+  outage.arm();
+  shallow.start(0.0);
+  deep.start(0.0);
+  h.sim.run_until(1500.0);
+  for (const RpcWorkload* wl : {&shallow, &deep}) {
+    const RpcStats& st = wl->stats();
+    EXPECT_EQ(st.issued, st.completed + st.failed + wl->waiting_users());
+    EXPECT_GT(st.completed, 0u);
+  }
+  // Each outage failure took every attempt: 800 / (4 * 8) = 25 per user.
+  EXPECT_EQ(shallow.stats().failed, 4u * 25u);
+  EXPECT_EQ(shallow.stats().retries, 4u * 25u * 3u);
+  EXPECT_EQ(deep.stats().failed, 1u);
+  EXPECT_GE(deep.stats().retries, 70u);
 }
 
 TEST(RpcWorkload, ValidatesItsConfig) {

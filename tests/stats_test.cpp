@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "rng/rng.hpp"
 #include "stats/delay_stats.hpp"
 #include "stats/interval_monitor.hpp"
 #include "stats/percentile.hpp"
@@ -80,6 +85,52 @@ TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
   EXPECT_THROW(percentile({1.0}, 101.0), std::invalid_argument);
   EXPECT_THROW(percentile({1.0}, -1.0), std::invalid_argument);
+}
+
+// The reference: a full sort and the same interpolation between closest
+// ranks.
+double sorted_percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  if (v.size() == 1) return v.front();
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - std::floor(rank);
+  return v[lo] + (v[hi] - v[lo]) * frac;
+}
+
+TEST(Percentile, SelectionMatchesAFullSortBitForBit) {
+  // Random sizes from 1 to 3,000; half the sets draw from 16 values, so
+  // ranks land inside runs of duplicates. percentile, percentiles over
+  // ascending ps (selection on a shrinking tail) and over unordered ps
+  // must all give the full sort's values, bit for bit.
+  const std::vector<double> ascending = {0.0, 50.0, 95.0, 99.0, 100.0};
+  const std::vector<double> unordered = {99.0, 0.0, 100.0, 50.0, 95.0, 50.0};
+  Rng rng(2718);
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t n = 1 + rng.uniform_index(round < 20 ? 8 : 3000);
+    const bool duplicates = round % 2 == 0;
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = duplicates ? static_cast<double>(rng.uniform_index(16))
+                     : rng.uniform01() * 1e3;
+    }
+    SCOPED_TRACE(testing::Message() << "n=" << n << " round " << round);
+    for (const double p : ascending) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(v, p)),
+                std::bit_cast<std::uint64_t>(sorted_percentile(v, p)))
+          << "p=" << p;
+    }
+    for (const auto& ps : {ascending, unordered}) {
+      const std::vector<double> got = percentiles(v, ps);
+      ASSERT_EQ(got.size(), ps.size());
+      for (std::size_t i = 0; i < ps.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(sorted_percentile(v, ps[i])))
+            << "p=" << ps[i];
+      }
+    }
+  }
 }
 
 TEST(SampleSet, AccumulatesAndSummarizes) {
