@@ -4,8 +4,8 @@
 // "implementable even in very high-speed links" for small N (Section 4).
 // These benchmarks measure the enqueue+dequeue cost per packet as the class
 // count N grows, for every scheduler in the library, on a pre-generated
-// backlog-heavy workload. Dequeues go through dequeue_burst(now, &p, 1),
-// the path Link transmits through at the default burst of one.
+// backlog-heavy workload. Dequeues go through dequeue(now), one decision
+// per packet, the path Link transmits through.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -62,13 +62,12 @@ void run_pass(benchmark::State& state, pds::SchedulerKind kind) {
       sched->enqueue(workload[i], workload[i].arrival);
     }
     double now = workload[i - 1].arrival;
-    pds::Packet p;
     for (; i < workload.size(); ++i) {
       sched->enqueue(workload[i], workload[i].arrival);
       now = workload[i].arrival + 0.25;
-      benchmark::DoNotOptimize(sched->dequeue_burst(now, &p, 1));
+      benchmark::DoNotOptimize(sched->dequeue(now));
     }
-    while (sched->dequeue_burst(now, &p, 1) != 0) benchmark::DoNotOptimize(p);
+    while (auto p = sched->dequeue(now)) benchmark::DoNotOptimize(p);
     allocs += pds::bench::heap_allocations() - before;
     packets += workload.size();
   }

@@ -72,13 +72,24 @@ fi
   --benchmark_format=console 2>/dev/null | tail -n +4
 
 echo "== scenario smoke: parse + short run of every examples/scenarios/*.pds =="
-# Every shipped scenario must parse and run end to end (10% horizon); the
-# fat-tree sweep additionally pins the sweep-mode determinism contract:
-# stdout byte-identical for any --jobs.
+# Every shipped scenario must parse and run end to end (10% horizon), as
+# shipped and again with an 8-packet drop-tail buffer (buffer=8) on every
+# link, edge and topology line: no shipped scenario declares a buffer, and
+# this is the only CLI route into Link's buffered admission. The fat-tree
+# sweep additionally pins the sweep-mode determinism contract: stdout
+# byte-identical for any --jobs.
+BUFFERED_PDS="$(mktemp)"
 for pds in examples/scenarios/*.pds; do
   echo "   ${pds}"
   ./build/examples/netsim_cli --file="${pds}" --quick >/dev/null
+  echo "   ${pds} (buffer=8)"
+  # The option goes before any trailing comment.
+  sed -E '/^(link|edge|topology) /s/[[:space:]]*(#.*)?$/ buffer=8 \1/' \
+    "${pds}" > "${BUFFERED_PDS}"
+  grep -qE '^(link|edge|topology) .* buffer=8' "${BUFFERED_PDS}"
+  ./build/examples/netsim_cli --file="${BUFFERED_PDS}" --quick >/dev/null
 done
+rm -f "${BUFFERED_PDS}"
 SWEEP_A="$(mktemp)"; SWEEP_B="$(mktemp)"
 ./build/examples/netsim_cli --file=examples/scenarios/fat_tree.pds \
   --quick --sweep-users=4,8 --jobs=1 > "${SWEEP_A}"
@@ -159,7 +170,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   # same unwind paths, and the grammar fuzzer because every malformed input
   # must be rejected without undefined behaviour (UBSan is fatal here). The
   # packet-plane suites cover the raw-memory class rings, the head snapshot
-  # the selection loop reads, and Link's transmit staging buffer; the buffer
+  # the selection loop reads, and Link's one packet on the wire; the buffer
   # suites cover Link's drop policies, whose PLR push-out pops a raw ring
   # tail, and the Study A and Study C suites drive that path through
   # run_study_a's finite buffer.
@@ -167,7 +178,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   # a heap of keys and the delay lanes' rings of keys, whose move-only
   # SimEvents sit in pool slots that each pop vacates and a later push
   # reuses. The scheduler suites
-  # cover every scheduler's one dequeue_burst over the class rings,
+  # cover every scheduler's one dequeue over the class rings,
   # including the tag schedulers' tag queues beside them, and the one
   # class-selection loop those decisions share. The traffic suites cover
   # the one event chain (dsim Process) every source, the metrics ticker and
@@ -176,7 +187,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   cmake --build build-asan -j "${JOBS}" \
     --target fault_test ctrl_test controller_test supervisor_test obs_test \
     conformance_test telemetry_test grammar_fuzz_test queueing_test \
-    selection_test burst_test link_test sched_property_test sched_pin_test \
+    selection_test link_test sched_property_test sched_pin_test \
     fabric_conservation_test dropper_test lossy_property_test study_a_test \
     study_c_test ledger_test event_queue_test dsim_test sim_event_test \
     dispatch_equiv_test sched_basic_test capacity_sched_test wtp_test \
@@ -190,7 +201,6 @@ if [[ "${1:-}" == "--fast" ]]; then
   ./build-asan/tests/grammar_fuzz_test
   ./build-asan/tests/queueing_test
   ./build-asan/tests/selection_test
-  ./build-asan/tests/burst_test
   ./build-asan/tests/link_test
   ./build-asan/tests/sched_property_test
   ./build-asan/tests/sched_pin_test

@@ -207,7 +207,7 @@ class WatchdogError : public std::runtime_error {
 
   SimTime now;             // clock when the budget tripped
   std::uint64_t executed;  // events executed in the tripping run call
-  std::size_t pending;     // pending-event heap size at the trip
+  std::size_t pending;     // pending events (heap and lanes) at the trip
 };
 
 // Supervises one simulator run. Arms the kernel budget for the duration of

@@ -45,10 +45,8 @@ void read_link_options(LineOptions& opts, ScenarioLink& link) {
     opts.fail("unknown scheduler " + sched);
   }
   link.sdp = opts.weights("sdp");
-  // burst=<k>: packets drained per scheduler decision; the default 1 is
-  // classic single-packet service. buffer=<pkts>: a finite drop-tail
-  // buffer; the default 0 is the paper's lossless link.
-  link.burst = opts.integer_or<std::uint32_t>("burst", 1, 1, kMaxBurst);
+  // buffer=<pkts>: a finite drop-tail buffer; the default 0 is the paper's
+  // lossless link.
   link.buffer = opts.integer_or<std::uint64_t>("buffer", 0);
 }
 
@@ -484,7 +482,6 @@ void build_replica(Replica& rep, const Scenario& scenario,
     SchedulerConfig sc;
     sc.sdp = link.sdp;
     sc.link_capacity = link.capacity;
-    sc.burst = link.burst;
     const LinkId id =
         link.from.empty()
             ? rep.net.add_link(link.kind, sc, link.capacity, link.name)

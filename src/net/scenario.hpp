@@ -6,15 +6,16 @@
 //   # --- topology (graph) layer ---
 //   node  <name>
 //   edge  <name> from=<node> to=<node> capacity=<bytes/tu>
-//         sched=<wtp|bpr|...> sdp=<s1,s2,...> [burst=<k>] [buffer=<pkts>]
+//         sched=<wtp|bpr|...> sdp=<s1,s2,...> [buffer=<pkts>]
 //   topology line     n=<k>            capacity=.. sched=.. sdp=.. [prefix=<p>]
 //   topology ring     n=<k>            capacity=.. sched=.. sdp=.. [prefix=<p>]
 //   topology fat_tree k=<even k>       capacity=.. sched=.. sdp=.. [prefix=<p>]
 //   topology two_tier cores=<n> pops=<m> capacity=.. sched=.. sdp=.. [prefix=<p>]
+//            (every topology kind also takes [buffer=<pkts>])
 //
 //   # --- links and routes ---
 //   link  <name> capacity=<bytes/tu> sched=<wtp|bpr|...> sdp=<s1,s2,...>
-//         [burst=<k>] [buffer=<pkts>]
+//         [buffer=<pkts>]
 //   route <name> <link> [<link> ...]          # explicit link path
 //   route <name> from=<node> to=<node>        # static shortest-path routing
 //
@@ -34,6 +35,9 @@
 //         [reverse=<route>] [start=<t>]
 //
 //   run   until=<t> [warmup=<t>] [seed=<n>]
+//
+// Every link makes one scheduling decision per packet. A line that names an
+// option not listed here fails as an unknown option naming its line.
 //
 // Directives reference only names declared on EARLIER lines (the grammar is
 // single-pass): an edge needs its nodes, a route its links or nodes, a
@@ -83,8 +87,10 @@ struct ScenarioLink {
   double capacity = 0.0;
   SchedulerKind kind = SchedulerKind::kWtp;
   std::vector<double> sdp;
-  // Packets drained per scheduler decision (burst= option; 1 = classic
-  // single-packet service, which keeps traces byte-identical).
+  // Ignored: the grammar has no burst= option, and every link makes one
+  // scheduling decision per packet. Kept only because perfbench/traced.cpp
+  // still copies it into SchedulerConfig::burst; goes with that copy in the
+  // next benchmark change (ROADMAP item 5).
   std::uint32_t burst = 1;
   // Finite shared packet buffer (buffer= option). 0 — the default — keeps
   // the paper's lossless link; > 0 gives the link a drop-tail buffer

@@ -116,7 +116,6 @@ LinkId Network::add_link(SchedulerKind kind,
   links_.push_back(std::make_unique<Link>(
       sim_, *schedulers_.back(), capacity,
       [this](Packet&& p, SimTime, SimTime) { forward(std::move(p)); }));
-  links_.back()->set_burst(config.burst);
   kinds_.push_back(kind);
   configs_.push_back(std::move(config));
   names_.push_back(name.empty() ? "link" + std::to_string(id)

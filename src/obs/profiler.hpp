@@ -3,9 +3,10 @@
 // Attach with `sim.set_monitor(&profiler)` and every executed event is
 // attributed — by the static label given at schedule time — to a category
 // accumulating wall-clock time and event counts. The profiler also samples
-// the pending-event-queue depth at every event, giving the occupancy of
-// the kernel's binary heap (see dsim/event_queue.hpp), whose push and pop
-// cost grows with the log of that depth.
+// the pending-event depth at every event: the keys in the kernel's binary
+// heap plus those in its delay lanes (see dsim/event_queue.hpp). A heap
+// push or pop costs the log of the heap's share of that depth and a lane
+// push or pop a constant, so the depth alone does not give the cost.
 //
 // Overhead when attached is two steady_clock reads plus a hash-map upsert
 // per event; when not attached the kernel pays a single null check.

@@ -42,16 +42,6 @@ Packet MultiClassBacklog::pop(ClassId cls) {
   return p;
 }
 
-std::uint32_t MultiClassBacklog::pop_burst(ClassId cls, std::uint32_t max_k,
-                                           Packet* out) {
-  PDS_CHECK(cls < queues_.size(), "class index out of range");
-  PDS_CHECK(out != nullptr, "null burst buffer");
-  const std::uint32_t k =
-      max_k < heads_[cls].packets ? max_k : heads_[cls].packets;
-  for (std::uint32_t i = 0; i < k; ++i) out[i] = pop(cls);
-  return k;
-}
-
 Packet MultiClassBacklog::pop_tail(ClassId cls) {
   PDS_CHECK(cls < queues_.size(), "class index out of range");
   Packet p = queues_[cls].pop_tail();

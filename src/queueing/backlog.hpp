@@ -47,11 +47,6 @@ class MultiClassBacklog {
   // Removes the most recent arrival of a class (push-out for droppers).
   Packet pop_tail(ClassId cls);
 
-  // Drains up to `max_k` consecutive head packets of one class into `out`
-  // (capacity >= max_k) and returns how many were popped — the backlog half
-  // of a burst dequeue. Identical accounting to that many pop() calls.
-  std::uint32_t pop_burst(ClassId cls, std::uint32_t max_k, Packet* out);
-
   std::uint32_t num_classes() const noexcept {
     return static_cast<std::uint32_t>(queues_.size());
   }

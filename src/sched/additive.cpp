@@ -4,10 +4,8 @@
 
 namespace pds {
 
-std::uint32_t AdditiveWtpScheduler::dequeue_burst(SimTime now, Packet* out,
-                                                  std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  if (backlog_.empty()) return 0;
+std::optional<Packet> AdditiveWtpScheduler::dequeue(SimTime now) {
+  if (backlog_.empty()) return std::nullopt;
   // Head-start argmax (wait + s, ties to the higher class) over the
   // head-of-line snapshot.
   const ClassId best = select_class<Best::kMax>(
@@ -16,7 +14,7 @@ std::uint32_t AdditiveWtpScheduler::dequeue_burst(SimTime now, Packet* out,
         PDS_REQUIRE(wait >= 0.0);
         return wait + s[c];
       });
-  return backlog_.pop_burst(best, max_k, out);
+  return backlog_.pop(best);
 }
 
 }  // namespace pds

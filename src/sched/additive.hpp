@@ -20,8 +20,7 @@ class AdditiveWtpScheduler final : public ClassBasedScheduler {
   explicit AdditiveWtpScheduler(const SchedulerConfig& config)
       : ClassBasedScheduler(config) {}
 
-  std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                              std::uint32_t max_k) override;
+  std::optional<Packet> dequeue(SimTime now) override;
 
   std::string_view name() const noexcept override { return "ADD"; }
 };

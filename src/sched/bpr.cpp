@@ -44,10 +44,8 @@ void BprScheduler::recompute_rates() {
   }
 }
 
-std::uint32_t BprScheduler::dequeue_burst(SimTime now, Packet* out,
-                                          std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  if (backlog_.empty()) return 0;
+std::optional<Packet> BprScheduler::dequeue(SimTime now) {
+  if (backlog_.empty()) return std::nullopt;
   const SimTime elapsed = any_departure_yet_ ? now - last_departure_ : 0.0;
   PDS_REQUIRE(elapsed >= 0.0);
   // Virtual service since t^{k-1}: zero for idle classes and for heads that
@@ -70,15 +68,12 @@ std::uint32_t BprScheduler::dequeue_burst(SimTime now, Packet* out,
       select_class<Best::kMin>([vs](ClassId c, const ClassHead& h) {
         return static_cast<double>(h.head_bytes) - vs[c];
       });
-  // One Eq. 21 decision serves up to max_k consecutive heads of the winner;
-  // the virtual-time bookkeeping treats the burst as a single departure at
-  // `now` (part of why k > 1 changes traces).
-  const std::uint32_t k = backlog_.pop_burst(best, max_k, out);
+  Packet p = backlog_.pop(best);
   virtual_service_[best] = 0.0;  // the new head starts with no credit
   recompute_rates();
   last_departure_ = now;
   any_departure_yet_ = true;
-  return k;
+  return p;
 }
 
 }  // namespace pds

@@ -37,8 +37,7 @@ class BprScheduler final : public ClassBasedScheduler {
   // Requires config.link_capacity > 0 (bytes per time unit).
   explicit BprScheduler(const SchedulerConfig& config);
 
-  std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                              std::uint32_t max_k) override;
+  std::optional<Packet> dequeue(SimTime now) override;
 
   std::string_view name() const noexcept override { return "BPR"; }
 

@@ -64,17 +64,13 @@ std::optional<Packet> DrrScheduler::drop_tail(ClassId cls) {
   return dropped;
 }
 
-std::uint32_t DrrScheduler::dequeue_burst(SimTime, Packet* out,
-                                          std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
+std::optional<Packet> DrrScheduler::dequeue(SimTime) {
   // The head of `active_` holds the current service opportunity ("visit").
   // One quantum is granted when a visit starts; the class then sends one
   // packet per decision until its deficit or queue runs out, at which
-  // point the visit ends and the class rotates to the back. A visit may
-  // span several bursts, and a burst several visits, so DRR's per-visit
-  // service is the same at any burst size.
-  std::uint32_t k = 0;
-  while (k < max_k && !backlog_.empty()) {
+  // point the visit ends and the class rotates to the back. A visit spans
+  // as many decisions as its deficit pays for.
+  while (!backlog_.empty()) {
     PDS_REQUIRE(!active_.empty());
     const ClassId c = active_.front();
     const ClassHead& h = backlog_.head_of(c);
@@ -85,21 +81,21 @@ std::uint32_t DrrScheduler::dequeue_burst(SimTime, Packet* out,
     }
     if (deficit_[c] >= static_cast<double>(h.head_bytes)) {
       deficit_[c] -= static_cast<double>(h.head_bytes);
-      out[k++] = backlog_.pop(c);
+      Packet p = backlog_.pop(c);
       if (backlog_.head_of(c).packets == 0) {
         active_.pop_front();
         in_ring_[c] = false;
         deficit_[c] = 0.0;
         visit_started_ = false;
       }
-      continue;
+      return p;
     }
     // Deficit exhausted: the visit ends, credit carries over.
     active_.pop_front();
     active_.push_back(c);
     visit_started_ = false;
   }
-  return k;
+  return std::nullopt;
 }
 
 }  // namespace pds

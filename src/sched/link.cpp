@@ -25,8 +25,6 @@ Link::Link(Simulator& sim, Scheduler& sched, double capacity,
       sched_(&sched),
       capacity_(capacity),
       on_departure_(std::move(on_departure)),
-      burst_buf_(burst_),
-      burst_waits_(burst_),
       arrivals_(sched.num_classes(), 0),
       drops_(sched.num_classes(), 0) {
   PDS_CHECK(capacity > 0.0, "link capacity must be positive");
@@ -237,64 +235,43 @@ void Link::resume() {
   try_start_service();
 }
 
-void Link::set_burst(std::uint32_t k) {
-  PDS_CHECK(k >= 1 && k <= kMaxBurst, "burst must be in [1, kMaxBurst]");
-  PDS_CHECK(!busy_, "cannot change burst while transmitting");
-  burst_ = k;
-  burst_buf_.resize(k);
-  burst_waits_.resize(k);
-}
-
 void Link::try_start_service() {
   if (busy_ || !service_enabled() || sched_->empty()) return;
-  start_burst();
+  start_transmission();
 }
 
-void Link::start_burst() {
-  const std::uint32_t k =
-      sched_->dequeue_burst(sim_.now(), burst_buf_.data(), burst_);
-  PDS_REQUIRE(k >= 1);  // work conservation: backlog => at least one packet
-  burst_count_ = k;
-  const double rate = capacity_ * capacity_factor_;
-  SimTime total_tx = 0.0;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    Packet& p = burst_buf_[i];
-    // Each packet's transmission starts when its predecessors in the burst
-    // have finished; the queueing delay is measured against that staggered
-    // start, exactly as if the packets had been dequeued one by one.
-    const SimTime wait = (sim_.now() + total_tx) - p.arrival;
-    PDS_REQUIRE(wait >= 0.0);
-    p.cum_queueing += wait;
-    ++p.hops_done;
-    burst_waits_[i] = wait;
-    const SimTime tx = static_cast<double>(p.size_bytes) / rate;
-    busy_time_ += tx;
-    bytes_sent_ += p.size_bytes;
-    ++packets_sent_;
-    PDS_OBS_NOTIFY(probe_,
-                   on_dequeue(p, probe_context(p.cls), sim_.now(), wait));
-    total_tx += tx;
-  }
+void Link::start_transmission() {
+  auto next = sched_->dequeue(sim_.now());
+  PDS_REQUIRE(next.has_value());  // work conservation: backlog => packet
+  Packet& p = in_flight_;
+  p = *next;
+  const SimTime wait = sim_.now() - p.arrival;
+  PDS_REQUIRE(wait >= 0.0);
+  p.cum_queueing += wait;
+  ++p.hops_done;
+  in_flight_wait_ = wait;
+  const SimTime tx =
+      static_cast<double>(p.size_bytes) / (capacity_ * capacity_factor_);
+  busy_time_ += tx;
+  bytes_sent_ += p.size_bytes;
+  ++packets_sent_;
+  PDS_OBS_NOTIFY(probe_,
+                 on_dequeue(p, probe_context(p.cls), sim_.now(), wait));
   busy_ = true;
-  // One completion event for the whole burst; the packets ride in
-  // burst_buf_, so a burst costs one event no matter its length.
-  sim_.schedule_in(total_tx,
-                   SimEvent([this] { complete_burst(); }, "link.tx"));
+  sim_.schedule_in(tx,
+                   SimEvent([this] { complete_transmission(); }, "link.tx"));
 }
 
-void Link::complete_burst() {
+void Link::complete_transmission() {
   // Delivery happens with busy_ still true: a departure handler may
-  // synchronously re-arrive into this link (routing loops), and a nested
-  // try_start_service must not start a new burst that overwrites the
-  // buffer being drained.
-  const std::uint32_t k = burst_count_;
-  burst_count_ = 0;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    Packet done = std::move(burst_buf_[i]);
-    PDS_OBS_NOTIFY(probe_, on_depart(done, probe_context(done.cls),
-                                     sim_.now(), burst_waits_[i]));
-    on_departure_(std::move(done), burst_waits_[i], sim_.now());
-  }
+  // synchronously re-arrive into this link (routing loops), and the next
+  // transmission starts only after this one is delivered, from the
+  // try_start_service below.
+  Packet done = std::move(in_flight_);
+  const SimTime wait = in_flight_wait_;
+  PDS_OBS_NOTIFY(probe_,
+                 on_depart(done, probe_context(done.cls), sim_.now(), wait));
+  on_departure_(std::move(done), wait, sim_.now());
   busy_ = false;
   try_start_service();
 }

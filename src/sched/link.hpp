@@ -2,10 +2,11 @@
 //
 // The Link models one output port of a router: packets arrive, are handed to
 // the scheduler, and whenever the transmitter is idle the scheduler's choice
-// is transmitted at the link capacity. The per-hop *queueing delay* of a
-// packet — the metric every experiment in the paper reports — is the time
-// from arrival to the start of its transmission; the departure handler fires
-// when the last byte leaves (which is when the packet reaches the next hop).
+// is transmitted at the link capacity, one decision and one packet at a
+// time. The per-hop *queueing delay* of a packet — the metric every
+// experiment in the paper reports — is the time from arrival to the start
+// of its transmission; the departure handler fires when the last byte
+// leaves (which is when the packet reaches the next hop).
 //
 // By default the link is lossless (unbounded buffers), matching the paper's
 // Section 3 operating assumption of ECN-regulated sources in the stable
@@ -112,17 +113,6 @@ class Link {
   double capacity() const noexcept { return capacity_; }
   bool busy() const noexcept { return busy_; }
 
-  // Burst transmit: each scheduler decision drains up to `k` consecutive
-  // packets (of the winning class, for the proportional schedulers) and
-  // transmits them back to back as one busy period. k == 1 — the default —
-  // is classic one-packet service; k > 1 changes traces (per-packet waits
-  // are measured against staggered transmission starts, and departures fire
-  // together at burst end — see docs/architecture.md, "Batched packet
-  // plane"). May only be changed while the transmitter is idle;
-  // k <= kMaxBurst.
-  void set_burst(std::uint32_t k);
-  std::uint32_t burst() const noexcept { return burst_; }
-
   // --- Fault injection (driven by fault/FaultInjector) -------------------
   //
   // All three fault states gate *future* transmissions only: a packet that
@@ -172,9 +162,9 @@ class Link {
   // Live scheduler swap: replaces the scheduler serving this link. The
   // caller must have handed the old scheduler's backlog to `sched` first
   // (ClassBasedScheduler::release_backlog/adopt_backlog); the class counts
-  // must match, and a PLR-buffered link refuses a tag scheduler. Safe
-  // mid-burst — the staged burst rides in the Link, not the scheduler. The
-  // probe is re-attached so enqueue events keep the hop.
+  // must match, and a PLR-buffered link refuses a tag scheduler. Safe while
+  // a packet is on the wire — that packet rides in the Link, not the
+  // scheduler. The probe is re-attached so enqueue events keep the hop.
   void set_scheduler(Scheduler& sched);
   Scheduler& scheduler_mut() noexcept { return *sched_; }
 
@@ -220,12 +210,12 @@ class Link {
 
  private:
   void try_start_service();
-  // The one transmit path: one scheduler decision fills burst_buf_ with up
-  // to burst_ packets, and one completion event delivers them all. The
-  // event captures only `this` and the packets ride in the preallocated
-  // buffer, so a transmission performs no heap allocation.
-  void start_burst();
-  void complete_burst();
+  // The one transmit path: one scheduler decision puts one packet in
+  // in_flight_, and one completion event delivers it. The event captures
+  // only `this` and the packet rides in the Link, so a transmission
+  // performs no heap allocation.
+  void start_transmission();
+  void complete_transmission();
 
   ProbeContext probe_context(ClassId cls) const;
 
@@ -263,12 +253,9 @@ class Link {
   double busy_time_ = 0.0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
-  std::uint32_t burst_ = 1;
-  // Packets on the wire and their queueing delays at this hop; burst_
-  // entries each (sized at construction and by set_burst).
-  std::vector<Packet> burst_buf_;
-  std::vector<SimTime> burst_waits_;
-  std::uint32_t burst_count_ = 0;  // packets in the burst in flight
+  // The packet on the wire and its queueing delay at this hop.
+  Packet in_flight_;
+  SimTime in_flight_wait_ = 0.0;
   PacketProbe* probe_ = nullptr;
   std::uint32_t hop_ = 0;
   // Admission state, kept after the transmit state so the fields the

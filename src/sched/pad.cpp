@@ -31,20 +31,13 @@ ClassId PadScheduler::select(SimTime now) const {
       });
 }
 
-std::uint32_t PadScheduler::dequeue_burst(SimTime now, Packet* out,
-                                          std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  if (backlog_.empty()) return 0;
+std::optional<Packet> PadScheduler::dequeue(SimTime now) {
+  if (backlog_.empty()) return std::nullopt;
   const ClassId best = select(now);
-  const std::uint32_t k = backlog_.pop_burst(best, max_k, out);
-  // Every burst packet is accounted at decision time: the scheduler does
-  // not know the link rate, so the per-packet transmission stagger is the
-  // Link's business (and part of why k > 1 changes traces).
-  for (std::uint32_t i = 0; i < k; ++i) {
-    cum_delay_[best] += now - out[i].arrival;
-  }
-  served_[best] += k;
-  return k;
+  Packet p = backlog_.pop(best);
+  cum_delay_[best] += now - p.arrival;
+  ++served_[best];
+  return p;
 }
 
 HpdScheduler::HpdScheduler(const SchedulerConfig& config)

@@ -34,8 +34,7 @@ class PadScheduler : public ClassBasedScheduler {
  public:
   explicit PadScheduler(const SchedulerConfig& config);
 
-  std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                              std::uint32_t max_k) override;
+  std::optional<Packet> dequeue(SimTime now) override;
 
   std::string_view name() const noexcept override { return "PAD"; }
 

@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -24,8 +23,17 @@ void SchedulerConfig::validate(bool needs_capacity) const {
   // bookkeeping; callers who want PAD should instantiate PAD directly.
   PDS_CHECK(hpd_g > 0.0 && hpd_g <= 1.0, "hpd_g must be in (0,1]");
   PDS_CHECK(drr_quantum_bytes > 0.0, "DRR quantum must be positive");
-  PDS_CHECK(burst >= 1 && burst <= kMaxBurst,
-            "burst must be in [1, " + std::to_string(kMaxBurst) + "]");
+}
+
+std::uint32_t Scheduler::dequeue_burst(SimTime now, Packet* out,
+                                       std::uint32_t max_k) {
+  std::uint32_t k = 0;
+  for (; k < max_k; ++k) {
+    auto p = dequeue(now);
+    if (!p) break;
+    out[k] = *p;
+  }
+  return k;
 }
 
 ClassBasedScheduler::ClassBasedScheduler(const SchedulerConfig& config,
@@ -40,12 +48,6 @@ void ClassBasedScheduler::enqueue(Packet p, SimTime now) {
   PDS_CHECK(p.arrival <= now, "packet arrival stamped in the future");
   backlog_.push(p);
   notify_enqueued(p, now);
-}
-
-std::optional<Packet> ClassBasedScheduler::dequeue(SimTime now) {
-  Packet p;
-  if (dequeue_burst(now, &p, 1) == 0) return std::nullopt;
-  return p;
 }
 
 void ClassBasedScheduler::set_weights(const std::vector<double>& sdp) {

@@ -2,9 +2,10 @@
 // derives from.
 //
 // A scheduler owns the per-class queues of one output link. The surrounding
-// Link pulls the next packets with dequeue_burst() whenever the transmitter
-// goes idle; work conservation is guaranteed by construction because a
-// dequeue must return a packet whenever any class is backlogged.
+// Link pulls the next packet with dequeue() whenever the transmitter goes
+// idle, one decision per packet; work conservation is guaranteed by
+// construction because a dequeue must return a packet whenever any class is
+// backlogged.
 //
 // Scheduler Differentiation Parameters (SDPs) follow the paper's convention:
 // s_0 <= s_1 <= ... <= s_{N-1}, with the highest class (largest s) receiving
@@ -29,10 +30,6 @@
 
 namespace pds {
 
-// Upper bound on the burst knob (packets drained per scheduler decision);
-// bounds the Link's burst staging buffer.
-inline constexpr std::uint32_t kMaxBurst = 64;
-
 struct SchedulerConfig {
   // Scheduler differentiation parameters, one per class, non-decreasing and
   // strictly positive. The vector length defines the number of classes.
@@ -49,11 +46,9 @@ struct SchedulerConfig {
   // DRR only: quantum granted to a class with s = 1, in bytes.
   double drr_quantum_bytes = 1500.0;
 
-  // Packets drained per scheduler decision (Link burst transmit). 1 — the
-  // default — is classic one-packet service; k > 1 serves up to k
-  // consecutive head packets of the winning class per decision (see
-  // docs/architecture.md, "Batched packet plane"). Bounded by kMaxBurst.
-  // Validated here; Network hands it to Link::set_burst, where it acts.
+  // Ignored: kept only because perfbench/traced.cpp still copies
+  // ScenarioLink::burst into it. Goes with that copy in the next benchmark
+  // change (ROADMAP item 5).
   std::uint32_t burst = 1;
 
   // Optional backing store for the per-class rings (see PacketArena). Not
@@ -84,21 +79,16 @@ class Scheduler {
   virtual void enqueue(Packet p, SimTime now) = 0;
 
   // Selects, removes and returns the next packet to transmit, or nullopt if
-  // no class is backlogged. `now` is the instant transmission would start.
-  // Equivalent to dequeue_burst(now, &p, 1); Link transmits through
-  // dequeue_burst.
+  // no class is backlogged: one scheduling decision. `now` is the instant
+  // transmission would start.
   virtual std::optional<Packet> dequeue(SimTime now) = 0;
 
-  // Burst variant: removes up to `max_k` packets into `out` (capacity >=
-  // max_k) and returns how many were taken (0 iff nothing is backlogged).
-  // The proportional schedulers (WTP/BPR/additive/PAD/HPD) make ONE
-  // priority decision and drain up to max_k consecutive head packets of the
-  // winning class, which is the paper-faithful reading of a burst: the
-  // decision cost is amortized, the winner is not re-elected mid-burst.
-  // FCFS, SP, DRR, SCFQ and VC take max_k independent decisions instead.
-  // With max_k == 1 both forms are one decision.
+  // Ignored by the library: kept only because perfbench's timing decorator
+  // overrides it. Takes up to `max_k` packets into `out` by calling
+  // dequeue() that many times. Goes in the next benchmark change (ROADMAP
+  // item 5).
   virtual std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                                      std::uint32_t max_k) = 0;
+                                      std::uint32_t max_k);
 
   virtual std::string_view name() const noexcept = 0;
 
@@ -160,7 +150,7 @@ class Scheduler {
 
 // The base of every scheduler: one FIFO queue per class (a
 // MultiClassBacklog), the per-class weights, and one decision rule that
-// each subclass writes as dequeue_burst.
+// each subclass writes as dequeue.
 class ClassBasedScheduler : public Scheduler {
  public:
   bool empty() const noexcept override { return backlog_.empty(); }
@@ -177,7 +167,6 @@ class ClassBasedScheduler : public Scheduler {
   }
 
   void enqueue(Packet p, SimTime now) override;
-  std::optional<Packet> dequeue(SimTime now) final;
   std::optional<Packet> drop_tail(ClassId cls) override;
 
   void set_weights(const std::vector<double>& sdp) override;

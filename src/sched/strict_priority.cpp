@@ -4,15 +4,12 @@
 
 namespace pds {
 
-std::uint32_t StrictPriorityScheduler::dequeue_burst(SimTime, Packet* out,
-                                                     std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
+std::optional<Packet> StrictPriorityScheduler::dequeue(SimTime) {
   const ClassHead* heads = backlog_.heads();
-  std::uint32_t k = 0;
-  for (ClassId c = backlog_.num_classes(); c-- > 0 && k < max_k;) {
-    if (heads[c].packets != 0) k += backlog_.pop_burst(c, max_k - k, out + k);
+  for (ClassId c = backlog_.num_classes(); c-- > 0;) {
+    if (heads[c].packets != 0) return backlog_.pop(c);
   }
-  return k;
+  return std::nullopt;
 }
 
 }  // namespace pds

@@ -13,9 +13,8 @@ class StrictPriorityScheduler final : public ClassBasedScheduler {
   explicit StrictPriorityScheduler(const SchedulerConfig& config)
       : ClassBasedScheduler(config) {}
 
-  // A burst of k is k decisions: classes drain from the top down.
-  std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                              std::uint32_t max_k) override;
+  // Serves the highest backlogged class.
+  std::optional<Packet> dequeue(SimTime now) override;
 
   std::string_view name() const noexcept override { return "SP"; }
 };

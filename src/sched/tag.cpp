@@ -16,22 +16,18 @@ void TagScheduler::enqueue(Packet p, SimTime now) {
   ClassBasedScheduler::enqueue(p, now);
 }
 
-std::uint32_t TagScheduler::dequeue_burst(SimTime, Packet* out,
-                                          std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  std::uint32_t k = 0;
-  for (; k < max_k && !backlog_.empty(); ++k) {
-    // Smallest head tag, ties to the higher class.
-    const ClassId best = select_class<Best::kMin>(
-        [tags = tags_.data()](ClassId c, const ClassHead&) {
-          return tags[c].front();
-        });
-    const double tag = tags_[best].front();
-    tags_[best].pop_front();
-    out[k] = backlog_.pop(best);
-    on_served(tag);
-  }
-  return k;
+std::optional<Packet> TagScheduler::dequeue(SimTime) {
+  if (backlog_.empty()) return std::nullopt;
+  // Smallest head tag, ties to the higher class.
+  const ClassId best = select_class<Best::kMin>(
+      [tags = tags_.data()](ClassId c, const ClassHead&) {
+        return tags[c].front();
+      });
+  const double tag = tags_[best].front();
+  tags_[best].pop_front();
+  Packet p = backlog_.pop(best);
+  on_served(tag);
+  return p;
 }
 
 namespace {

@@ -10,10 +10,10 @@
 //   SCFQ           tag = max(v, F_prev_i) + L / w_i   (shared virtual time)
 //   Virtual Clock  tag = max(now, VC_i) + L / w_i     (per-class clocks)
 //
-// A burst of k is k independent decisions. Tail drops are unsupported
-// (drop_tail returns nullopt): the stamp has already advanced a clock that
-// a push-out could not rewind. Tags live beside the class rings and do not
-// travel with a released backlog, so tag schedulers are not swappable.
+// Tail drops are unsupported (drop_tail returns nullopt): the stamp has
+// already advanced a clock that a push-out could not rewind. Tags live
+// beside the class rings and do not travel with a released backlog, so tag
+// schedulers are not swappable.
 #pragma once
 
 #include <deque>
@@ -25,8 +25,7 @@ namespace pds {
 class TagScheduler : public ClassBasedScheduler {
  public:
   void enqueue(Packet p, SimTime now) override;
-  std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                              std::uint32_t max_k) override;
+  std::optional<Packet> dequeue(SimTime now) override;
   std::optional<Packet> drop_tail(ClassId) override { return std::nullopt; }
 
  protected:

@@ -10,16 +10,14 @@ double WtpScheduler::head_priority(ClassId cls, SimTime now) const {
   return h.packets == 0 ? 0.0 : wtp_priority(now - h.arrival, sdp()[cls]);
 }
 
-std::uint32_t WtpScheduler::dequeue_burst(SimTime now, Packet* out,
-                                          std::uint32_t max_k) {
-  PDS_CHECK(out != nullptr && max_k >= 1, "bad burst buffer");
-  if (backlog_.empty()) return 0;
+std::optional<Packet> WtpScheduler::dequeue(SimTime now) {
+  if (backlog_.empty()) return std::nullopt;
   // Eq. 11 argmax over the head-of-line snapshot, ties to the higher class.
   const ClassId best = select_class<Best::kMax>(
       [s = sdp().data(), now](ClassId c, const ClassHead& h) {
         return wtp_priority(now - h.arrival, s[c]);
       });
-  return backlog_.pop_burst(best, max_k, out);
+  return backlog_.pop(best);
 }
 
 }  // namespace pds

@@ -35,8 +35,7 @@ class WtpScheduler final : public ClassBasedScheduler {
   explicit WtpScheduler(const SchedulerConfig& config)
       : ClassBasedScheduler(config) {}
 
-  std::uint32_t dequeue_burst(SimTime now, Packet* out,
-                              std::uint32_t max_k) override;
+  std::optional<Packet> dequeue(SimTime now) override;
 
   std::string_view name() const noexcept override { return "WTP"; }
 

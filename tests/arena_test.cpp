@@ -124,27 +124,5 @@ TEST(MultiClassBacklog, ArenaBackedBacklogKeepsHeadSnapshotExact) {
   EXPECT_EQ(backlog.head_of(1).bytes, 0u);
 }
 
-TEST(MultiClassBacklog, PopBurstMatchesRepeatedPop) {
-  MultiClassBacklog a(2), b(2);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    a.push(testutil::packet(i, 1, 100, static_cast<double>(i)));
-    b.push(testutil::packet(i, 1, 100, static_cast<double>(i)));
-  }
-  Packet out[4];
-  const auto k = a.pop_burst(1, 4, out);
-  ASSERT_EQ(k, 4u);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    EXPECT_EQ(out[i].id, b.pop(1).id);
-  }
-  EXPECT_EQ(a.total_packets(), b.total_packets());
-  EXPECT_EQ(a.total_bytes(), b.total_bytes());
-  EXPECT_EQ(a.head_of(1).arrival, b.head_of(1).arrival);
-
-  // Burst larger than the backlog drains what exists.
-  Packet rest[16];
-  EXPECT_EQ(a.pop_burst(1, 16, rest), 6u);
-  EXPECT_TRUE(a.empty());
-}
-
 }  // namespace
 }  // namespace pds

@@ -413,32 +413,42 @@ TEST(ControlLive, SwapHandsTheBacklogToTheReplacement) {
   EXPECT_EQ(f.link.scheduler().total_backlog_packets(), 0u);
 }
 
-TEST(ControlLive, SwapIsSafeMidBurst) {
-  // With burst transmit the staged burst rides in the Link, not the
-  // scheduler, so a swap while a burst is on the wire must lose nothing.
+TEST(ControlLive, SwapIsSafeWhileAPacketIsOnTheWire) {
+  // The packet on the wire rides in the Link, not the scheduler, so a swap
+  // during a transmission must lose nothing.
   Simulator sim;
-  SchedulerConfig config = CtrlFixture::make_config();
-  config.burst = 4;
+  const SchedulerConfig config = CtrlFixture::make_config();
   WtpScheduler sched(config);
   std::vector<std::uint64_t> departed;
   Link link(sim, sched, 100.0, [&](Packet&& p, SimTime, SimTime) {
     departed.push_back(p.id);
   });
-  link.set_burst(4);
-  ControlInjector inj(sim, parse_control_plan("swap link at=3 sched=hpd\n"));
+  ControlInjector inj(sim, parse_control_plan("swap link at=3.5 sched=hpd\n"));
   inj.attach("link", link, SchedulerKind::kWtp, config);
   inj.arm();
-  // 8 same-class packets at t=1: the first transmits alone (done t=2), the
-  // next decision stages a 4-packet burst over t=2..6 — the swap at t=3
-  // lands strictly mid-burst, with packets staged in the Link.
+  // 8 back-to-back class-1 packets at t=1, 1 tu each: packet i is on the
+  // wire over [1+i, 2+i), so the swap at t=3.5 lands during the third, with
+  // five packets queued behind it.
   sim.schedule_at(1.0, [&] {
     for (std::uint64_t i = 0; i < 8; ++i) link.arrive(make_packet(i, 1, 100));
   });
+  std::uint64_t queued_at_swap = 0;
+  sim.schedule_at(3.75, [&] {
+    EXPECT_TRUE(link.busy());
+    EXPECT_TRUE(sched.empty());
+    queued_at_swap = link.scheduler().total_backlog_packets();
+  });
   sim.run();
   EXPECT_EQ(inj.swaps_applied(), 1u);
-  EXPECT_EQ(departed.size(), 8u);
-  EXPECT_EQ(link.scheduler().name(), "HPD");
-  EXPECT_EQ(link.scheduler().total_backlog_packets(), 0u);
+  EXPECT_EQ(queued_at_swap, 5u);
+  EXPECT_EQ(departed, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  // HPD served the five queued packets: they started at t=4..8 after
+  // arriving at t=1, so its class-1 history holds waits 3..7, mean 5.
+  auto* hpd = dynamic_cast<HpdScheduler*>(&link.scheduler_mut());
+  ASSERT_NE(hpd, nullptr);
+  EXPECT_EQ(hpd->total_backlog_packets(), 0u);
+  EXPECT_DOUBLE_EQ(hpd->normalized_average_delay(1, sim.now()),
+                   5.0 * config.sdp[1]);
 }
 
 TEST(ControlLive, SwapThenRetuneUsesTheNewScheduler) {

@@ -12,8 +12,8 @@
 //
 // The law does not hold where cross traffic leaves mid-path (a link's
 // departures then split between next hops, and which packets leave depends
-// on the scheduler), nor at burst > 1 under the one-decision burst
-// schedulers, so neither is asserted here.
+// on the scheduler), so that case is not asserted here. Every link makes
+// one scheduling decision per packet, the server the law is stated for.
 #include <gtest/gtest.h>
 
 #include <string>

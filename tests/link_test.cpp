@@ -11,6 +11,7 @@
 #include "sched/link.hpp"
 #include "sched/tag.hpp"
 #include "sched/wtp.hpp"
+#include "test_helpers.hpp"
 
 namespace pds {
 namespace {
@@ -147,6 +148,74 @@ TEST(Link, SchedulerChoiceGovernsServiceOrder) {
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[1], 3u);  // WTP promotes the class-1 packet
   EXPECT_EQ(order[2], 2u);
+}
+
+// The classic one-packet server written out without a Link or a
+// simulator: whenever the transmitter is idle and a class is backlogged,
+// dequeue() picks the packet, which completes size/capacity later. An
+// arrival at the instant a transmission completes joins the queue before
+// the next decision, as the simulator orders the pre-scheduled arrival
+// event ahead of the completion.
+std::vector<testutil::Departure> classic_loop(
+    Scheduler& sched, double capacity,
+    const std::vector<testutil::ScriptedArrival>& in) {
+  std::vector<testutil::Departure> out;
+  Packet on_wire;
+  SimTime wire_wait = 0.0;
+  SimTime free_at = 0.0;
+  bool busy = false;
+  const auto start = [&](SimTime now) {
+    auto p = sched.dequeue(now);
+    if (!p.has_value()) return;
+    on_wire = *p;
+    wire_wait = now - on_wire.arrival;
+    free_at = now + static_cast<double>(on_wire.size_bytes) / capacity;
+    busy = true;
+  };
+  std::size_t next = 0;
+  while (next < in.size() || busy) {
+    if (busy && (next == in.size() || free_at < in[next].time)) {
+      out.push_back({on_wire.id, on_wire.cls, wire_wait, free_at});
+      busy = false;
+      start(free_at);
+      continue;
+    }
+    const auto& a = in[next];
+    sched.enqueue(testutil::packet(next, a.cls, a.bytes, a.time), a.time);
+    ++next;
+    if (!busy) start(a.time);
+  }
+  return out;
+}
+
+TEST(Link, MatchesTheClassicDequeueLoopForEveryKind) {
+  // Link's transmit path against dequeue() one packet at a time: the same
+  // packets leave in the same order, with the same waits, at the same
+  // instants, for every scheduler kind.
+  const std::vector<testutil::ScriptedArrival> script = {
+      {0.0, 0, 100}, {0.0, 0, 100}, {0.0, 3, 100}, {1.0, 1, 100},
+      {2.0, 0, 100}, {5.0, 3, 100}, {40.0, 2, 100}, {40.0, 2, 100},
+  };
+  SchedulerConfig config;
+  config.sdp = {1.0, 2.0, 4.0, 8.0};
+  config.link_capacity = 10.0;
+  for (const auto kind :
+       {SchedulerKind::kFcfs, SchedulerKind::kStrictPriority,
+        SchedulerKind::kWtp, SchedulerKind::kBpr, SchedulerKind::kAdditiveWtp,
+        SchedulerKind::kPad, SchedulerKind::kHpd, SchedulerKind::kDrr,
+        SchedulerKind::kScfq, SchedulerKind::kVirtualClock}) {
+    auto linked = make_scheduler(kind, config);
+    auto bare = make_scheduler(kind, config);
+    const auto got = testutil::replay(*linked, 10.0, script);
+    const auto want = classic_loop(*bare, 10.0, script);
+    ASSERT_EQ(got.size(), want.size()) << to_string(kind);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << to_string(kind) << " " << i;
+      EXPECT_EQ(got[i].wait, want[i].wait) << to_string(kind) << " " << i;
+      EXPECT_EQ(got[i].completed, want[i].completed)
+          << to_string(kind) << " " << i;
+    }
+  }
 }
 
 TEST(Link, ValidatesConstruction) {

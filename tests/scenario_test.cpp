@@ -457,6 +457,25 @@ TEST(ScenarioGraph, TopologyDirectiveExpandsToNodesAndDirectedLinks) {
   EXPECT_EQ(s.links[1].name, "n1>n0");
 }
 
+// Every link makes one scheduling decision per packet; the burst transmit
+// option is gone from the grammar, and a file that still sets it fails on
+// its line like any other unknown option.
+TEST(ScenarioGraph, BurstOptionIsUnknownOnLinkEdgeAndTopologyLines) {
+  EXPECT_NE(parse_error("link a capacity=10 sched=wtp sdp=1,2 burst=2\n")
+                .find("scenario line 1: unknown option burst"),
+            std::string::npos);
+  EXPECT_NE(parse_error("node a\nnode b\n"
+                        "edge e from=a to=b capacity=10 sched=wtp sdp=1,2 "
+                        "burst=2\n")
+                .find("scenario line 3: unknown option burst"),
+            std::string::npos);
+  EXPECT_NE(parse_error("# ring\n"
+                        "topology ring n=4 capacity=10 sched=wtp sdp=1,2 "
+                        "burst=2\n")
+                .find("scenario line 2: unknown option burst"),
+            std::string::npos);
+}
+
 TEST(ScenarioGraph, UnknownNodeNamesItsLine) {
   EXPECT_NE(parse_error("node a\n"
                         "edge e from=a to=ghost capacity=10 sched=fcfs "

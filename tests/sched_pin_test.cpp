@@ -1,12 +1,12 @@
 // Per-scheduler pins: FNV-1a over the exact bits of every departure of
 //   * a short Study A run (paper size law, Pareto arrivals) for each of the
 //     ten scheduler kinds, and
-//   * a Link replay at burst=4 with mixed packet sizes for the ten kinds:
-//     WTP, BPR, additive, PAD and HPD take one decision per burst, FCFS,
-//     SP, DRR, SCFQ and VC one decision per packet of the burst.
+//   * a Link replay of 600 clumped arrivals with mixed packet sizes for the
+//     ten kinds, one scheduler decision per packet.
 // The golden Study A trace hash pins WTP only; these pins cover every
-// decision kernel, including BPR's reading of the head packet's size, so a
-// refactor of the packet plane cannot move any scheduler unnoticed. A hash
+// decision kernel, including BPR's reading of the head packet's size, on a
+// bare Link as well as through Study A, so a refactor of the packet plane
+// cannot move any scheduler unnoticed. A hash
 // change must be an intentional, reviewed break of the determinism contract.
 #include <gtest/gtest.h>
 
@@ -40,7 +40,7 @@ struct Fnv1a {
 struct PinCase {
   const char* name;
   SchedulerKind kind;
-  bool burst_replay;     // false: Study A departures; true: burst=4 replay
+  bool link_replay;  // false: Study A departures; true: the Link replay
   std::uint64_t records;
   std::uint64_t hash;
 };
@@ -70,8 +70,8 @@ Fnv1a study_a_hash(SchedulerKind kind, std::uint64_t* records) {
 
 // 600 arrivals in clumps over four classes with sizes drawn from the
 // paper's 40/550/1500 B law (a local LCG keeps the script independent of
-// the library's generators), replayed through one Link at burst=4.
-Fnv1a burst_replay_hash(SchedulerKind kind, std::uint64_t* records) {
+// the library's generators), replayed through one Link.
+Fnv1a link_replay_hash(SchedulerKind kind, std::uint64_t* records) {
   constexpr double kCapacity = 10.0;
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   const auto next = [&state] {
@@ -93,7 +93,6 @@ Fnv1a burst_replay_hash(SchedulerKind kind, std::uint64_t* records) {
   SchedulerConfig config;
   config.sdp = {1.0, 2.0, 4.0, 8.0};
   config.link_capacity = kCapacity;
-  config.burst = 4;
   auto sched = make_scheduler(kind, config);
   Simulator sim;
   Fnv1a fnv;
@@ -106,7 +105,6 @@ Fnv1a burst_replay_hash(SchedulerKind kind, std::uint64_t* records) {
               fnv.f64(now);
               ++n;
             });
-  link.set_burst(4);
   std::uint64_t id = 0;
   for (const auto& a : script) {
     sim.schedule_at(a.time, [&link, a, id]() {
@@ -129,18 +127,19 @@ class SchedulerPins : public testing::TestWithParam<PinCase> {};
 TEST_P(SchedulerPins, DeparturesMatchPinnedHash) {
   const PinCase& pin = GetParam();
   std::uint64_t records = 0;
-  const Fnv1a fnv = pin.burst_replay ? burst_replay_hash(pin.kind, &records)
-                                     : study_a_hash(pin.kind, &records);
+  const Fnv1a fnv = pin.link_replay ? link_replay_hash(pin.kind, &records)
+                                    : study_a_hash(pin.kind, &records);
   EXPECT_EQ(records, pin.records);
   EXPECT_EQ(fnv.h, pin.hash) << std::hex << "got 0x" << fnv.h;
 }
 
-// Captured before the packet-plane refactor; the burst4 pins of FCFS, SP,
-// DRR, SCFQ and VC before the three tag schedulers moved onto the class
-// backlog. Strict priority and Virtual Clock share a Study A pin: at these
-// loads VC's reserved rates (proportional to the SDPs) order the classes
-// exactly as strict priority does, so burst4_vc is the pin that tells VC's
-// tags apart.
+// The Study A pins were captured before the packet-plane refactor; the
+// replay pins on the parent of the change that made every scheduler write
+// one per-packet dequeue, before any scheduler or Link code moved. Strict
+// priority and Virtual Clock share a Study A pin: at these loads VC's
+// reserved rates (proportional to the SDPs) order the classes exactly as
+// strict priority does, so replay_vc is the pin that tells VC's tags
+// apart.
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, SchedulerPins,
     testing::Values(
@@ -164,26 +163,26 @@ INSTANTIATE_TEST_SUITE_P(
                 0xe23236b7adc0c058ULL},
         PinCase{"study_a_vc", SchedulerKind::kVirtualClock, false, 2300,
                 0xee2e4ba266e29331ULL},
-        PinCase{"burst4_wtp", SchedulerKind::kWtp, true, 600,
-                0xfff5c6885af94b49ULL},
-        PinCase{"burst4_bpr", SchedulerKind::kBpr, true, 600,
-                0xde9eb4db5d9d19d1ULL},
-        PinCase{"burst4_additive", SchedulerKind::kAdditiveWtp, true, 600,
-                0x10045801fece5fdfULL},
-        PinCase{"burst4_pad", SchedulerKind::kPad, true, 600,
-                0xd8fd588e1d09fb95ULL},
-        PinCase{"burst4_hpd", SchedulerKind::kHpd, true, 600,
-                0x8d16a28910f99ec2ULL},
-        PinCase{"burst4_fcfs", SchedulerKind::kFcfs, true, 600,
-                0xbfd2471f9a07a691ULL},
-        PinCase{"burst4_sp", SchedulerKind::kStrictPriority, true, 600,
-                0xe707a43fac091ff2ULL},
-        PinCase{"burst4_drr", SchedulerKind::kDrr, true, 600,
-                0x2175330e1f5af935ULL},
-        PinCase{"burst4_scfq", SchedulerKind::kScfq, true, 600,
-                0xd4d3fc66bd37bac4ULL},
-        PinCase{"burst4_vc", SchedulerKind::kVirtualClock, true, 600,
-                0xe52d833d82cb4ef7ULL}),
+        PinCase{"replay_wtp", SchedulerKind::kWtp, true, 600,
+                0xf8316603e874c27dULL},
+        PinCase{"replay_bpr", SchedulerKind::kBpr, true, 600,
+                0x0b8cc75239b6c1e8ULL},
+        PinCase{"replay_additive", SchedulerKind::kAdditiveWtp, true, 600,
+                0xa0126d638f5f23b9ULL},
+        PinCase{"replay_pad", SchedulerKind::kPad, true, 600,
+                0xa54fb25e18024f71ULL},
+        PinCase{"replay_hpd", SchedulerKind::kHpd, true, 600,
+                0xf758bf84a157797aULL},
+        PinCase{"replay_fcfs", SchedulerKind::kFcfs, true, 600,
+                0x9a1a09f3e830a46aULL},
+        PinCase{"replay_sp", SchedulerKind::kStrictPriority, true, 600,
+                0x4faf80e2733c3c3aULL},
+        PinCase{"replay_drr", SchedulerKind::kDrr, true, 600,
+                0x26f709dbd01679cdULL},
+        PinCase{"replay_scfq", SchedulerKind::kScfq, true, 600,
+                0x00519e2b761aa9c4ULL},
+        PinCase{"replay_vc", SchedulerKind::kVirtualClock, true, 600,
+                0xb393a683cb277409ULL}),
     case_name);
 
 }  // namespace

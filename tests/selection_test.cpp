@@ -1,5 +1,5 @@
 // Tie-break contract of the one class-selection loop
-// (ClassBasedScheduler::select_class), driven through dequeue_burst: among
+// (ClassBasedScheduler::select_class), driven through dequeue: among
 // classes attaining the best priority the highest class index wins, and a
 // lone backlogged class wins wherever it sits in the head array. FCFS is
 // left out because its tags (arrival counts) never tie.
@@ -40,9 +40,9 @@ std::unique_ptr<ClassBasedScheduler> backlogged_scheduler(
 }
 
 ClassId next_class(Scheduler& sched, double now) {
-  Packet p;
-  EXPECT_EQ(sched.dequeue_burst(now, &p, 1), 1u);
-  return p.cls;
+  const auto p = sched.dequeue(now);
+  EXPECT_TRUE(p.has_value());
+  return p ? p->cls : ClassId{0};
 }
 
 TEST(ClassSelection, ExactTieGoesToHighestClass) {
